@@ -6,17 +6,24 @@ The three averaged integrals (trace-, Hilbert-Schmidt- and operator-norm
 flavored, with the sqrt(n)/n prefactors, n = 2) are then equal exactly, and
 a single quadrature serves all three.  Tests cross-check this reduction
 against the generic matrix-norm path.
+
+The trace-distance integral, its population-only closed form and the
+Bures-angle comparator all integrate |displacement| * |rate| (or |rate|
+alone), which has a kink wherever a factor changes sign; Pdot does so where
+energy starts or stops flowing back from the reservoir.  One helper,
+_kink_integral, locates those breakpoints and integrates for all three.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import quad
-from .model import ModelParams, amplitude_series, excited_population
+from .model import ModelParams, amplitude_series, excited_population, population_rate
 from .smatrix import DensityMatrix2
 
 # Ratios below 1 - SPEED_UP_TOL count as genuine speed-up; larger values are
@@ -61,12 +68,27 @@ def _trajectory(p: ModelParams, rho0: DensityMatrix2, tau_start: float):
     return terms
 
 
-def _window_breakpoints(p: ModelParams, terms, a: float, b: float) -> tuple[float, ...]:
-    """Kink locations of |displacement| * |rate|: zeros of either factor."""
+def _kink_integral(
+    p: ModelParams, integrand, factors, a: float, b: float, spec: quad.QuadratureSpec | None
+) -> tuple[float, float]:
+    """Adaptive integral of integrand over [a, b], pre-split at the sign changes of factors.
+
+    integrand is a product of the factors' absolute values, so it has a kink
+    wherever one of them changes sign.  A QuadratureError is re-raised naming
+    the model point and the window.
+    """
     n_probe = quad.probe_count_for_period(p.complex_root.imag, a, b)
-    roots = quad.find_sign_changes(lambda t: terms(t)[2], a, b, n_probe)
-    roots += quad.find_sign_changes(lambda t: terms(t)[0], a, b, n_probe)
-    return tuple(sorted(set(roots)))
+    roots = sorted(set(r for f in factors for r in quad.find_sign_changes(f, a, b, n_probe)))
+    panel_spec = replace(spec or quad.QuadratureSpec(), breakpoints=tuple(roots))
+    try:
+        return quad.integrate(integrand, a, b, panel_spec)
+    except quad.QuadratureError as exc:
+        raise quad.QuadratureError(
+            f"speed-limit integral failed for gamma0={p.gamma0}, delta={p.delta}, "
+            f"window [{a}, {b}]: {exc}",
+            value=exc.value,
+            err_estimate=exc.err_estimate,
+        ) from exc
 
 
 def lambda_integrals(
@@ -83,7 +105,7 @@ def lambda_integrals(
     global initial state; the reference state is the trajectory point at
     tau_start.
     """
-    value, _ = _lambda_core(p, rho0, tau_start, tau_d, spec)
+    value = _lambda_core(p, rho0, tau_start, tau_d, spec)[0]
     return value, value, value
 
 
@@ -93,13 +115,13 @@ def _lambda_core(
     tau_start: float,
     tau_d: float,
     spec: quad.QuadratureSpec | None,
-) -> tuple[float, float]:
+):
+    """(averaged integral, quadrature error, trajectory terms) for the window."""
     if tau_d <= 0.0:
         raise ValueError("tau_d must be positive")
     if tau_start < 0.0:
         raise ValueError("tau_start must be nonnegative")
     terms = _trajectory(p, rho0, tau_start)
-    a, b = tau_start, tau_start + tau_d
 
     def integrand(t):
         disp_pop, disp_coh, pdot, cohdot = terms(t)
@@ -107,22 +129,10 @@ def _lambda_core(
         rate = np.sqrt(pdot**2 + np.abs(cohdot) ** 2)
         return disp * rate
 
-    base = spec or quad.QuadratureSpec()
-    bps = _window_breakpoints(p, terms, a, b)
-    panel_spec = quad.QuadratureSpec(
-        rel_tol=base.rel_tol, abs_tol=base.abs_tol, max_depth=base.max_depth, breakpoints=bps
-    )
-    try:
-        integral, err = quad.integrate(integrand, a, b, panel_spec)
-    except quad.QuadratureError as exc:
-        raise quad.QuadratureError(
-            f"lambda integral failed for gamma0={p.gamma0}, delta={p.delta}, "
-            f"window [{a}, {b}]: {exc}",
-            value=exc.value,
-            err_estimate=exc.err_estimate,
-        ) from exc
+    factors = (lambda t: terms(t)[2], lambda t: terms(t)[0])
+    integral, err = _kink_integral(p, integrand, factors, tau_start, tau_start + tau_d, spec)
     # 1, sqrt(2)*sqrt(2), 2x the operator-norm integrand all give 2*I/tau_d.
-    return 2.0 * integral / tau_d, err
+    return 2.0 * integral / tau_d, err, terms
 
 
 def qsl_ratio(
@@ -140,10 +150,8 @@ def qsl_ratio(
     Stationary trajectories (all integrals zero) are reported with ratio 1
     and the stationary flag set, matching the no-speed-up semantics.
     """
-    lam_val, err = _lambda_core(p, rho0, tau_start, tau_d, spec)
-    terms = _trajectory(p, rho0, tau_start)
-    end = np.asarray([tau_start + tau_d])
-    disp_pop, disp_coh, _, _ = terms(end)
+    lam_val, err, terms = _lambda_core(p, rho0, tau_start, tau_d, spec)
+    disp_pop, disp_coh, _, _ = terms(np.asarray([tau_start + tau_d]))
     disp_norm = 2.0 * math.sqrt(float(disp_pop[0]) ** 2 + abs(complex(disp_coh[0])) ** 2)
     d_measure = 1.0 - 0.25 * disp_norm**2
 
@@ -196,10 +204,7 @@ def qsl_ratio_evolved(
         raise ValueError("tau_d must be positive")
     a, b = tau, tau + tau_d
     p_ref = excited_population(p, tau)
-
-    def pdot(t):
-        c, cdot = amplitude_series(p, t)
-        return 2.0 * (np.conj(c) * cdot).real
+    pdot = functools.partial(population_rate, p)
 
     def pdisp(t):
         return excited_population(p, t) - p_ref
@@ -207,15 +212,7 @@ def qsl_ratio_evolved(
     def integrand(t):
         return np.abs(pdisp(t) * pdot(t))
 
-    n_probe = quad.probe_count_for_period(p.complex_root.imag, a, b)
-    bps = sorted(
-        set(quad.find_sign_changes(pdot, a, b, n_probe) + quad.find_sign_changes(pdisp, a, b, n_probe))
-    )
-    base = spec or quad.QuadratureSpec()
-    panel_spec = quad.QuadratureSpec(
-        rel_tol=base.rel_tol, abs_tol=base.abs_tol, max_depth=base.max_depth, breakpoints=tuple(bps)
-    )
-    integral, _ = quad.integrate(integrand, a, b, panel_spec)
+    integral, _ = _kink_integral(p, integrand, (pdot, pdisp), a, b, spec)
     num = (excited_population(p, b) - p_ref) ** 2
     den = 2.0 * integral
     if den < _STATIONARY_TOL:
@@ -226,48 +223,27 @@ def qsl_ratio_evolved(
 def bures_comparator(
     p: ModelParams,
     tau_d: float,
-    rho0: DensityMatrix2 | None = None,
     spec: quad.QuadratureSpec | None = None,
-    variant: str = "operator",
 ) -> float:
     """Bures-angle speed-limit ratio for decay from the excited state.
 
     With B = arccos(sqrt(P_{tau_d})) the bound reads
-    tau >= sin^2(B) / Lambda_tilde, Lambda_tilde = (1/tau_d) int ||rhod_t||_p dt.
+    tau >= sin^2(B) / Lambda_tilde, Lambda_tilde = (1/tau_d) int ||rhod_t||_inf dt.
 
-    variant="operator" uses the operator norm (the sharpest of the three and
-    the published form of the Bures-angle bound); variant="prefactor" applies
-    the same sqrt(n)/n prefactors as the trace-distance integrals, under
-    which the three norms coincide for this model.  Both are exposed because
-    the comparison figure's exact convention is not pinned down; "operator"
-    reproduces its qualitative features.
+    The operator norm is the sharpest of the three norms and the published
+    form of the Bures-angle bound.  Using the trace-distance integrals'
+    sqrt(n)/n prefactors instead, under which the three norms coincide for
+    this model, doubles Lambda_tilde and so only halves the ratio.
     """
     if tau_d <= 0.0:
         raise ValueError("tau_d must be positive")
-    if rho0 is not None:
-        if not np.allclose(rho0.matrix, DensityMatrix2.excited().matrix, atol=1e-12):
-            raise ValueError("the Bures comparator supports only the excited pure initial state")
-    if variant not in ("operator", "prefactor"):
-        raise ValueError(f"unknown variant {variant!r}")
+    pdot = functools.partial(population_rate, p)
 
     def abs_pdot(t):
-        c, cdot = amplitude_series(p, t)
-        return np.abs(2.0 * (np.conj(c) * cdot).real)
+        return np.abs(pdot(t))
 
-    def pdot(t):
-        c, cdot = amplitude_series(p, t)
-        return 2.0 * (np.conj(c) * cdot).real
-
-    n_probe = quad.probe_count_for_period(p.complex_root.imag, 0.0, tau_d)
-    bps = tuple(quad.find_sign_changes(pdot, 0.0, tau_d, n_probe))
-    base = spec or quad.QuadratureSpec()
-    panel_spec = quad.QuadratureSpec(
-        rel_tol=base.rel_tol, abs_tol=base.abs_tol, max_depth=base.max_depth, breakpoints=bps
-    )
     # For the excited trajectory rhod is diagonal, so ||rhod||_inf = |Pdot|.
-    integral, _ = quad.integrate(abs_pdot, 0.0, tau_d, panel_spec)
-    if variant == "prefactor":
-        integral *= 2.0
+    integral, _ = _kink_integral(p, abs_pdot, (pdot,), 0.0, tau_d, spec)
     sin2_b = 1.0 - excited_population(p, tau_d)
     if integral < _STATIONARY_TOL:
         return 1.0

@@ -1,16 +1,13 @@
 """Parameter sweeps: ratio surfaces, transition maps, and time series.
 
-Cells and sweep points are independent pure computations; the optional
-thread fan-out (QSLKIT_THREADS) never changes the result because outputs
-are collected by index.
+Cells and sweep points are independent pure computations, evaluated
+serially in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +17,6 @@ from .model import ModelParams, decay_rate, markov_limit
 from .smatrix import DensityMatrix2
 
 DEFAULT_CLIP = 25.0
-
-
-def thread_count() -> int:
-    """Worker count from QSLKIT_THREADS (default 1)."""
-    raw = os.environ.get("QSLKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QSLKIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def classify(ratio: float) -> str:
@@ -71,20 +58,12 @@ class TimeSeries:
     clipped: list[bool] | None = None
 
 
-def _map_indexed(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def grid_scan(
     gamma0_axis,
     delta_axis,
     lam: float,
     tau_d: float,
     spec: quad.QuadratureSpec | None = None,
-    threads: int | None = None,
 ) -> ScanGrid:
     """qsl_ratio over the (gamma0, delta) grid with the excited initial state.
 
@@ -99,28 +78,20 @@ def grid_scan(
     if tau_d <= 0.0:
         raise ValueError("tau_d must be positive")
     rho0 = DensityMatrix2.excited()
-    threads = thread_count() if threads is None else threads
-
-    def cell(idx):
-        i, j = idx
-        p = ModelParams(gamma0=float(gamma0_axis[i]), lam=lam, delta=float(delta_axis[j]))
-        try:
-            return qsl_ratio(p, rho0, tau_d, spec=spec), None
-        except quad.QuadratureError as exc:
-            return None, str(exc)
-
-    indices = [(i, j) for i in range(gamma0_axis.size) for j in range(delta_axis.size)]
-    results = _map_indexed(cell, indices, threads)
-
     cells: list[list[BoundReport | None]] = [
         [None] * delta_axis.size for _ in range(gamma0_axis.size)
     ]
     classification = [["error"] * delta_axis.size for _ in range(gamma0_axis.size)]
     errors: list[list[str | None]] = [[None] * delta_axis.size for _ in range(gamma0_axis.size)]
-    for (i, j), (report, err) in zip(indices, results):
-        cells[i][j] = report
-        errors[i][j] = err
-        if report is not None:
+    for i, g0 in enumerate(gamma0_axis):
+        for j, delta in enumerate(delta_axis):
+            p = ModelParams(gamma0=float(g0), lam=lam, delta=float(delta))
+            try:
+                report = qsl_ratio(p, rho0, tau_d, spec=spec)
+            except quad.QuadratureError as exc:
+                errors[i][j] = str(exc)
+                continue
+            cells[i][j] = report
             classification[i][j] = classify(report.ratio)
     return ScanGrid(
         gamma0_axis=gamma0_axis,
@@ -172,16 +143,12 @@ def sweep_tau(
     n_points: int,
     tau_d: float,
     spec: quad.QuadratureSpec | None = None,
-    threads: int | None = None,
 ) -> TimeSeries:
     """Evolved-initial-state ratio on a uniform tau grid."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     taus = np.linspace(0.0, tau_max, n_points)
-    threads = thread_count() if threads is None else threads
-    values = _map_indexed(
-        lambda tau: qsl_ratio_evolved(p, float(tau), tau_d, spec=spec), taus, threads
-    )
+    values = [qsl_ratio_evolved(p, float(tau), tau_d, spec=spec) for tau in taus]
     return TimeSeries(
         times=taus, values=np.asarray(values, dtype=float), kind="ratio_vs_tau", params=p
     )
@@ -200,18 +167,9 @@ def sweep_decay_rate(
         raise ValueError("clip must be positive")
     times = np.linspace(0.0, t_max, n_points)
     raw = np.asarray(decay_rate(p, times), dtype=float) / p.gamma0
-    values = np.empty_like(raw)
-    clipped = []
-    for k, v in enumerate(raw):
-        if math.isnan(v):
-            values[k] = clip
-            clipped.append(True)
-        elif abs(v) > clip:
-            values[k] = math.copysign(clip, v)
-            clipped.append(True)
-        else:
-            values[k] = v
-            clipped.append(False)
+    nan = np.isnan(raw)
+    values = np.where(nan, clip, np.clip(raw, -clip, clip))
+    clipped = (nan | (np.abs(raw) > clip)).tolist()
     return TimeSeries(
         times=times, values=values, kind="decay_rate", params=p, clip=clip, clipped=clipped
     )

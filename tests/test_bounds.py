@@ -17,7 +17,13 @@ from qslkit.model import (
     liouvillian,
     population_rate,
 )
-from qslkit.quad import QuadratureSpec, integrate, probe_count_for_period, find_sign_changes
+from qslkit.quad import (
+    QuadratureError,
+    QuadratureSpec,
+    find_sign_changes,
+    integrate,
+    probe_count_for_period,
+)
 from qslkit.smatrix import DensityMatrix2, schatten_norm
 
 LAM = 50.0
@@ -204,21 +210,6 @@ class TestBuresComparator:
             assert trace <= bures + 1e-9
             assert trace < 1.0 - 1e-6 and bures < 1.0 - 1e-6
 
-    def test_prefactor_variant_is_half_operator_variant(self):
-        p = ModelParams(500.0, LAM, 0.0)
-        op = bures_comparator(p, 0.2, variant="operator")
-        pre = bures_comparator(p, 0.2, variant="prefactor")
-        assert pre == pytest.approx(0.5 * op, rel=1e-12)
-
-    def test_rejects_non_excited_state(self):
-        p = ModelParams(5.0, LAM, 0.0)
-        with pytest.raises(ValueError):
-            bures_comparator(p, 0.2, rho0=DensityMatrix2.diagonal(0.5))
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            bures_comparator(ModelParams(5.0, LAM, 0.0), 0.2, variant="bogus")
-
 
 class TestBreakpointMachinery:
     def test_probe_count_scales_with_oscillation(self):
@@ -232,3 +223,22 @@ class TestBreakpointMachinery:
         n = probe_count_for_period(p.complex_root.imag, 0.0, 0.2)
         roots = find_sign_changes(lambda t: population_rate(p, t), 0.0, 0.2, n)
         assert len(roots) >= 6
+
+
+class TestQuadratureErrorContext:
+    def test_error_names_model_point_and_window(self):
+        # max_depth=0 forbids bisection, so the strong-coupling integrals cannot converge.
+        spec = QuadratureSpec(max_depth=0, rel_tol=1e-15, abs_tol=0.0)
+        p = ModelParams(500.0, LAM, 0.0)
+        calls = (
+            lambda: qsl_ratio(p, EXCITED, 0.2, spec=spec),
+            lambda: qsl_ratio_evolved(p, 0.0, 0.2, spec=spec),
+            lambda: bures_comparator(p, 0.2, spec=spec),
+        )
+        for call in calls:
+            with pytest.raises(QuadratureError) as info:
+                call()
+            message = str(info.value)
+            assert "gamma0=500.0" in message
+            assert "delta=0.0" in message
+            assert "window [0.0, 0.2]" in message

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -181,18 +180,13 @@ class TestOutputFile:
 
 
 class TestDeterminism:
-    def run_scan(self, threads):
-        env = dict(os.environ, QSLKIT_THREADS=str(threads))
+    def run_scan(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qslkit.cli", "scan", "--n-gamma0", "6", "--n-delta", "4"],
             capture_output=True,
-            env=env,
             check=True,
         )
         return proc.stdout
 
-    def test_thread_count_does_not_change_bytes(self):
-        assert self.run_scan(1) == self.run_scan(8)
-
     def test_repeat_run_byte_identical(self):
-        assert self.run_scan(2) == self.run_scan(2)
+        assert self.run_scan() == self.run_scan()

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 import qslkit.scan as scan_mod
-from qslkit.model import ModelParams, markov_limit
+from qslkit.model import ModelParams, decay_rate, markov_limit
 from qslkit.quad import QuadratureError
 from qslkit.scan import (
     grid_scan,
     sweep_decay_rate,
     sweep_tau,
-    thread_count,
     transition_boundary,
 )
 
 LAM = 50.0
 
 
-def small_grid(threads=None):
+def small_grid():
     gamma0_axis = np.geomspace(0.1 * LAM, 20.0 * LAM, 7)
     delta_axis = np.array([0.0, 150.0, 300.0])
-    return grid_scan(gamma0_axis, delta_axis, LAM, 0.2, threads=threads)
+    return grid_scan(gamma0_axis, delta_axis, LAM, 0.2)
 
 
 class TestGridScan:
@@ -37,14 +36,6 @@ class TestGridScan:
         assert all(cell is not None for row in grid.cells for cell in row)
         assert all(err is None for row in grid.errors for err in row)
 
-    def test_thread_fanout_is_deterministic(self):
-        a = small_grid(threads=1)
-        b = small_grid(threads=4)
-        for i in range(a.gamma0_axis.size):
-            for j in range(a.delta_axis.size):
-                assert a.cells[i][j].ratio == b.cells[i][j].ratio
-                assert a.classification[i][j] == b.classification[i][j]
-
     def test_cell_failures_recorded_scan_continues(self, monkeypatch):
         real = scan_mod.qsl_ratio
         target = {"count": 0}
@@ -56,7 +47,7 @@ class TestGridScan:
             return real(p, rho0, tau_d, **kwargs)
 
         monkeypatch.setattr(scan_mod, "qsl_ratio", flaky)
-        grid = small_grid(threads=1)
+        grid = small_grid()
         flat_errors = [e for row in grid.errors for e in row]
         assert sum(e is not None for e in flat_errors) == 1
         assert sum(c == "error" for row in grid.classification for c in row) == 1
@@ -138,6 +129,21 @@ class TestSweepDecayRate:
         assert np.any(series.values > 0.0)
         assert any(series.clipped)
         assert np.max(np.abs(series.values)) <= series.clip
+        # Past t ~ 48/lam |C| drops below the singular threshold, so the longer
+        # window also has NaN rows.
+        for t_max in (0.5, 1.2):
+            series = sweep_decay_rate(p, t_max, 2001)
+            raw = decay_rate(p, series.times) / p.gamma0
+            assert isinstance(series.clipped, list)
+            assert np.any(np.isnan(raw)) == (t_max > 1.0)
+            for v, r, c in zip(series.values, raw, series.clipped):
+                assert type(c) is bool
+                if math.isnan(r):
+                    assert c and v == series.clip
+                elif abs(r) > series.clip:
+                    assert c and v == math.copysign(series.clip, r)
+                else:
+                    assert not c and v == r
 
     def test_detuned_tail_hits_markov_limit(self):
         p = ModelParams(0.1 * LAM, LAM, 6.0 * LAM)
@@ -150,17 +156,3 @@ class TestSweepDecayRate:
         with pytest.raises(ValueError):
             sweep_decay_rate(ModelParams(5.0, LAM, 0.0), 1.0, 10, clip=0.0)
 
-
-class TestThreadCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("QSLKIT_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("QSLKIT_THREADS", "8")
-        assert thread_count() == 8
-
-    def test_invalid_value(self, monkeypatch):
-        monkeypatch.setenv("QSLKIT_THREADS", "lots")
-        with pytest.raises(ValueError):
-            thread_count()
