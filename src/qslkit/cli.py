@@ -4,6 +4,11 @@ Identical configurations produce byte-identical output: floats are printed
 with 17 significant digits, rows are emitted in a fixed order, and no
 timestamps appear in data rows.  All parameters can also be supplied via a
 plain key=value config file (--config); command-line flags take precedence.
+
+`_PARAMS` is the only place a parameter (its flag, type, default and config
+key) is declared, and `_COMMANDS` the only place a subcommand (its name, help
+text, parameters and handler) is.  Each handler returns its column names once
+plus an iterable of value tuples in that order.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -21,27 +27,60 @@ from .model import ModelParams, amplitude_series, oracle_amplitude
 from .quad import QuadratureSpec
 from .smatrix import DensityMatrix2
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_FORMATS = ("csv", "json")
 
 
-def _write_rows(out, fields: list[str], rows: list[dict], fmt: str) -> None:
+class _Param(NamedTuple):
+    flags: str  # space-separated option strings
+    type: Callable
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# Keyed by parameter name, which is also the config key and the options key.
+_PARAMS = {
+    "gamma0": _Param("--gamma0", float, 5.0),
+    "lam": _Param("--lambda", float, 50.0),
+    "delta": _Param("--delta", float, 0.0),
+    "tau_d": _Param("--tau-d", float, 0.2),
+    "tau": _Param("--tau", float, 0.0),
+    "tau_max": _Param("--tau-max", float, 2.0),
+    "t_max": _Param("--t-max", float, 1.0),
+    "step": _Param("--step", float, 1e-4),
+    "n_points": _Param("--n-points", int, 200),
+    "n_gamma0": _Param("--n-gamma0", int, 30),
+    "n_delta": _Param("--n-delta", int, 21),
+    "gamma0_min": _Param("--gamma0-min", float, None),
+    "gamma0_max": _Param("--gamma0-max", float, None),
+    "clip": _Param("--clip", float, scan_mod.DEFAULT_CLIP),
+    "output": _Param("--output -o", str, "-", help="output path, - for stdout"),
+    "format": _Param("--format", str, "csv", choices=_FORMATS),
+    "rel_tol": _Param("--rel-tol", float, 1e-9),
+    "abs_tol": _Param("--abs-tol", float, 1e-12),
+}
+
+# Accepted by every subcommand, after its own parameters and --config.
+_COMMON = ("output", "format", "rel_tol", "abs_tol")
+
+Rows = tuple[tuple[str, ...], Iterable[tuple]]
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def _write_rows(out, fields: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> None:
     if fmt == "csv":
         out.write(",".join(fields) + "\n")
         for row in rows:
-            cells = []
-            for f in fields:
-                v = row[f]
-                if isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append(str(v))
-            out.write(",".join(cells) + "\n")
+            out.write(",".join(map(_cell, row)) + "\n")
     else:
-        json.dump(rows, out, indent=2, allow_nan=True)
+        json.dump([dict(zip(fields, row)) for row in rows], out, indent=2, allow_nan=True)
         out.write("\n")
 
 
@@ -59,43 +98,10 @@ def _load_config(path: str) -> dict:
     return values
 
 
-_DEFAULTS = {
-    "gamma0": 5.0,
-    "lam": 50.0,
-    "delta": 0.0,
-    "tau_d": 0.2,
-    "tau": 0.0,
-    "tau_max": 2.0,
-    "t_max": 1.0,
-    "step": 1e-4,
-    "n_points": 200,
-    "n_gamma0": 30,
-    "n_delta": 21,
-    "gamma0_min": None,
-    "gamma0_max": None,
-    "clip": scan_mod.DEFAULT_CLIP,
-    "rel_tol": 1e-9,
-    "abs_tol": 1e-12,
-    "output": "-",
-    "format": "csv",
-}
-
-_FLOAT_KEYS = {
-    "gamma0",
-    "lam",
-    "delta",
-    "tau_d",
-    "tau",
-    "tau_max",
-    "t_max",
-    "step",
-    "gamma0_min",
-    "gamma0_max",
-    "clip",
-    "rel_tol",
-    "abs_tol",
-}
-_INT_KEYS = {"n_points", "n_gamma0", "n_delta"}
+def _add_param(sp: argparse.ArgumentParser, name: str) -> None:
+    p = _PARAMS[name]
+    sp.add_argument(*p.flags.split(), type=p.type, default=argparse.SUPPRESS, dest=name,
+                    help=p.help, choices=p.choices)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,84 +109,32 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qslkit", description="Speed-limit datasets for the detuned decay model"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", default=None, help="key=value file; flags override it")
-        sp.add_argument("--output", "-o", default=argparse.SUPPRESS, help="output path, - for stdout")
-        sp.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
-        sp.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS, dest="rel_tol")
-        sp.add_argument("--abs-tol", type=float, default=argparse.SUPPRESS, dest="abs_tol")
-
-    def add_params(sp, *names):
-        flags = {
-            "gamma0": ("--gamma0", float),
-            "lam": ("--lambda", float),
-            "delta": ("--delta", float),
-            "tau_d": ("--tau-d", float),
-            "tau": ("--tau", float),
-            "tau_max": ("--tau-max", float),
-            "t_max": ("--t-max", float),
-            "step": ("--step", float),
-            "n_points": ("--n-points", int),
-            "n_gamma0": ("--n-gamma0", int),
-            "n_delta": ("--n-delta", int),
-            "gamma0_min": ("--gamma0-min", float),
-            "gamma0_max": ("--gamma0-max", float),
-            "clip": ("--clip", float),
-        }
+    for command, (help_text, names, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         for name in names:
-            flag, typ = flags[name]
-            sp.add_argument(flag, type=typ, default=argparse.SUPPRESS, dest=name)
-
-    sp = sub.add_parser("ratio", help="one speed-limit report at a parameter point")
-    add_params(sp, "gamma0", "lam", "delta", "tau_d", "tau")
-    add_common(sp)
-
-    sp = sub.add_parser("scan", help="ratio surface over the (gamma0, delta) grid")
-    add_params(sp, "lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max")
-    add_common(sp)
-
-    sp = sub.add_parser("boundary", help="speed-up/no-speed-up transition points")
-    add_params(sp, "lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max")
-    add_common(sp)
-
-    sp = sub.add_parser("sweep-tau", help="evolved-state ratio versus tau")
-    add_params(sp, "gamma0", "lam", "delta", "tau_d", "tau_max", "n_points")
-    add_common(sp)
-
-    sp = sub.add_parser("decay-rate", help="normalized decay rate versus time")
-    add_params(sp, "gamma0", "lam", "delta", "t_max", "n_points", "clip")
-    add_common(sp)
-
-    sp = sub.add_parser("compare-bounds", help="trace-distance vs Bures-angle ratio sweep")
-    add_params(sp, "lam", "delta", "tau_d", "n_points", "gamma0_min", "gamma0_max")
-    add_common(sp)
-
-    sp = sub.add_parser("oracle-check", help="memory-kernel integration vs closed form")
-    add_params(sp, "gamma0", "lam", "delta", "t_max", "step")
-    add_common(sp)
-
+            _add_param(sp, name)
+        sp.add_argument("--config", default=None, help="key=value file; flags override it")
+        for name in _COMMON:
+            _add_param(sp, name)
     return parser
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS)
-    config = getattr(args, "config", None)
-    if config:
-        raw = _load_config(config)
-        for key, value in raw.items():
-            if key not in opts:
+    opts = {name: p.default for name, p in _PARAMS.items()}
+    if args.config:
+        for key, raw in _load_config(args.config).items():
+            if key not in _PARAMS:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in _FLOAT_KEYS:
-                opts[key] = float(value)
-            elif key in _INT_KEYS:
-                opts[key] = int(value)
-            else:
-                opts[key] = value
+            p = _PARAMS[key]
+            value = p.type(raw)
+            if p.choices is not None and value not in p.choices:
+                raise ValueError(
+                    f"config key {key!r} must be one of {', '.join(p.choices)}, got {raw!r}"
+                )
+            opts[key] = value
     for key, value in vars(args).items():
-        if key in ("subcommand", "config"):
-            continue
-        opts[key] = value
+        if key not in ("subcommand", "config"):
+            opts[key] = value
     if opts["gamma0_min"] is None:
         opts["gamma0_min"] = 0.02 * opts["lam"]
     if opts["gamma0_max"] is None:
@@ -192,8 +146,12 @@ def _quad_spec(opts: dict) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=opts["rel_tol"], abs_tol=opts["abs_tol"])
 
 
-def _cmd_ratio(opts: dict) -> tuple[list[str], list[dict]]:
-    p = ModelParams(gamma0=opts["gamma0"], lam=opts["lam"], delta=opts["delta"])
+def _model_params(opts: dict) -> ModelParams:
+    return ModelParams(gamma0=opts["gamma0"], lam=opts["lam"], delta=opts["delta"])
+
+
+def _cmd_ratio(opts: dict) -> Rows:
+    p = _model_params(opts)
     report = qsl_ratio(
         p,
         DensityMatrix2.excited(),
@@ -202,38 +160,15 @@ def _cmd_ratio(opts: dict) -> tuple[list[str], list[dict]]:
         spec=_quad_spec(opts),
         include_comparator=opts["tau"] == 0.0,
     )
-    fields = [
-        "gamma0",
-        "delta",
-        "lambda",
-        "tau",
-        "tau_d",
-        "lambda1",
-        "lambda2",
-        "lambda_inf",
-        "d_measure",
-        "tau_qsl",
-        "ratio",
-        "comparator_ratio",
-        "stationary",
-        "quad_err",
-    ]
-    row = {
-        "gamma0": p.gamma0,
-        "delta": p.delta,
-        "lambda": p.lam,
-        "tau": opts["tau"],
-        "tau_d": report.tau_d,
-        "lambda1": report.lambda1,
-        "lambda2": report.lambda2,
-        "lambda_inf": report.lambda_inf,
-        "d_measure": report.d_measure,
-        "tau_qsl": report.tau_qsl,
-        "ratio": report.ratio,
-        "comparator_ratio": report.comparator_ratio,
-        "stationary": report.stationary,
-        "quad_err": report.quadrature_err,
-    }
+    fields = (
+        "gamma0", "delta", "lambda", "tau", "tau_d", "lambda1", "lambda2", "lambda_inf",
+        "d_measure", "tau_qsl", "ratio", "comparator_ratio", "stationary", "quad_err",
+    )
+    row = (
+        p.gamma0, p.delta, p.lam, opts["tau"], report.tau_d, report.lambda1, report.lambda2,
+        report.lambda_inf, report.d_measure, report.tau_qsl, report.ratio,
+        report.comparator_ratio, report.stationary, report.quadrature_err,
+    )
     return fields, [row]
 
 
@@ -245,101 +180,79 @@ def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
     )
 
 
-def _cmd_scan(opts: dict) -> tuple[list[str], list[dict]]:
+def _cmd_scan(opts: dict) -> Rows:
     grid = _scan_grid(opts)
-    fields = ["gamma0", "delta", "lambda", "tau_d", "ratio", "classification", "quad_err"]
-    rows = []
-    for i, g0 in enumerate(grid.gamma0_axis):
-        for j, delta in enumerate(grid.delta_axis):
-            report = grid.cells[i][j]
-            rows.append(
-                {
-                    "gamma0": float(g0),
-                    "delta": float(delta),
-                    "lambda": grid.lam,
-                    "tau_d": grid.tau_d,
-                    "ratio": report.ratio if report else math.nan,
-                    "classification": grid.classification[i][j],
-                    "quad_err": report.quadrature_err if report else math.nan,
-                }
-            )
+    fields = ("gamma0", "delta", "lambda", "tau_d", "ratio", "classification", "quad_err")
+    rows = [
+        (g0, delta, grid.lam, grid.tau_d, report.ratio if report else math.nan, label,
+         report.quadrature_err if report else math.nan)
+        for g0, cells, labels in zip(grid.gamma0_axis.tolist(), grid.cells, grid.classification)
+        for delta, report, label in zip(grid.delta_axis.tolist(), cells, labels)
+    ]
     return fields, rows
 
 
-def _cmd_boundary(opts: dict) -> tuple[list[str], list[dict]]:
+def _cmd_boundary(opts: dict) -> Rows:
     grid = _scan_grid(opts)
     points = scan_mod.transition_boundary(grid, spec=_quad_spec(opts))
-    fields = ["delta", "gamma0_boundary", "flip_index"]
-    rows = [
-        {"delta": d, "gamma0_boundary": g, "flip_index": k} for d, g, k in points
-    ]
-    return fields, rows
+    return ("delta", "gamma0_boundary", "flip_index"), points
 
 
-def _cmd_sweep_tau(opts: dict) -> tuple[list[str], list[dict]]:
-    p = ModelParams(gamma0=opts["gamma0"], lam=opts["lam"], delta=opts["delta"])
+def _cmd_sweep_tau(opts: dict) -> Rows:
     series = scan_mod.sweep_tau(
-        p, opts["tau_max"], opts["n_points"], opts["tau_d"], spec=_quad_spec(opts)
+        _model_params(opts), opts["tau_max"], opts["n_points"], opts["tau_d"],
+        spec=_quad_spec(opts),
     )
-    fields = ["tau", "ratio"]
-    rows = [
-        {"tau": float(t), "ratio": float(v)} for t, v in zip(series.times, series.values)
-    ]
-    return fields, rows
+    return ("tau", "ratio"), zip(series.times.tolist(), series.values.tolist())
 
 
-def _cmd_decay_rate(opts: dict) -> tuple[list[str], list[dict]]:
-    p = ModelParams(gamma0=opts["gamma0"], lam=opts["lam"], delta=opts["delta"])
-    series = scan_mod.sweep_decay_rate(p, opts["t_max"], opts["n_points"], clip=opts["clip"])
-    fields = ["t", "gamma_over_gamma0", "clipped"]
-    rows = [
-        {"t": float(t), "gamma_over_gamma0": float(v), "clipped": bool(c)}
-        for t, v, c in zip(series.times, series.values, series.clipped)
-    ]
-    return fields, rows
+def _cmd_decay_rate(opts: dict) -> Rows:
+    series = scan_mod.sweep_decay_rate(
+        _model_params(opts), opts["t_max"], opts["n_points"], clip=opts["clip"]
+    )
+    rows = zip(series.times.tolist(), series.values.tolist(), series.clipped)
+    return ("t", "gamma_over_gamma0", "clipped"), rows
 
 
-def _cmd_compare_bounds(opts: dict) -> tuple[list[str], list[dict]]:
+def _cmd_compare_bounds(opts: dict) -> Rows:
     gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_points"])
     rho0 = DensityMatrix2.excited()
     spec = _quad_spec(opts)
-    fields = ["gamma0", "ratio_trace", "ratio_bures"]
     rows = []
-    for g0 in gamma0_axis:
-        p = ModelParams(gamma0=float(g0), lam=opts["lam"], delta=opts["delta"])
+    for g0 in gamma0_axis.tolist():
+        p = ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"])
         trace = qsl_ratio(p, rho0, opts["tau_d"], spec=spec).ratio
-        bures = bures_comparator(p, opts["tau_d"], spec=spec)
-        rows.append({"gamma0": float(g0), "ratio_trace": trace, "ratio_bures": bures})
-    return fields, rows
+        rows.append((g0, trace, bures_comparator(p, opts["tau_d"], spec=spec)))
+    return ("gamma0", "ratio_trace", "ratio_bures"), rows
 
 
-def _cmd_oracle_check(opts: dict) -> tuple[list[str], list[dict]]:
-    p = ModelParams(gamma0=opts["gamma0"], lam=opts["lam"], delta=opts["delta"])
+def _cmd_oracle_check(opts: dict) -> Rows:
+    p = _model_params(opts)
     times, numeric = oracle_amplitude(p, opts["t_max"], opts["step"])
     analytic, _ = amplitude_series(p, times)
     max_err = float(np.max(np.abs(numeric - analytic)))
-    fields = ["gamma0", "delta", "lambda", "t_max", "step", "max_abs_error"]
-    rows = [
-        {
-            "gamma0": p.gamma0,
-            "delta": p.delta,
-            "lambda": p.lam,
-            "t_max": opts["t_max"],
-            "step": opts["step"],
-            "max_abs_error": max_err,
-        }
-    ]
-    return fields, rows
+    fields = ("gamma0", "delta", "lambda", "t_max", "step", "max_abs_error")
+    return fields, [(p.gamma0, p.delta, p.lam, opts["t_max"], opts["step"], max_err)]
 
 
-_COMMANDS = {
-    "ratio": _cmd_ratio,
-    "scan": _cmd_scan,
-    "boundary": _cmd_boundary,
-    "sweep-tau": _cmd_sweep_tau,
-    "decay-rate": _cmd_decay_rate,
-    "compare-bounds": _cmd_compare_bounds,
-    "oracle-check": _cmd_oracle_check,
+# Subcommand -> (help text, its own parameters, handler).
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[[dict], Rows]]] = {
+    "ratio": ("one speed-limit report at a parameter point",
+              ("gamma0", "lam", "delta", "tau_d", "tau"), _cmd_ratio),
+    "scan": ("ratio surface over the (gamma0, delta) grid",
+             ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max"), _cmd_scan),
+    "boundary": ("speed-up/no-speed-up transition points",
+                 ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max"),
+                 _cmd_boundary),
+    "sweep-tau": ("evolved-state ratio versus tau",
+                  ("gamma0", "lam", "delta", "tau_d", "tau_max", "n_points"), _cmd_sweep_tau),
+    "decay-rate": ("normalized decay rate versus time",
+                   ("gamma0", "lam", "delta", "t_max", "n_points", "clip"), _cmd_decay_rate),
+    "compare-bounds": ("trace-distance vs Bures-angle ratio sweep",
+                       ("lam", "delta", "tau_d", "n_points", "gamma0_min", "gamma0_max"),
+                       _cmd_compare_bounds),
+    "oracle-check": ("memory-kernel integration vs closed form",
+                     ("gamma0", "lam", "delta", "t_max", "step"), _cmd_oracle_check),
 }
 
 
@@ -347,7 +260,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        fields, rows = _COMMANDS[args.subcommand](opts)
+        fields, rows = _COMMANDS[args.subcommand][2](opts)
     except Exception as exc:  # noqa: BLE001 - converted to a machine-readable record
         record = {"error": type(exc).__name__, "message": str(exc), "subcommand": args.subcommand}
         partial = getattr(exc, "value", None)

@@ -75,16 +75,19 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> tupl
     width = b - a
     edges = [a] + [bp for bp in spec.breakpoints if a < bp < b] + [b]
 
-    rough = sum(abs(_panel(f, lo, hi)[0]) for lo, hi in zip(edges, edges[1:]))
+    # Entries are (lo, hi, depth, (value, err) or None): the initial panels keep
+    # the estimate already made for rough, bisected halves are evaluated on pop.
+    panels = [(lo, hi, 0, _panel(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    rough = sum(abs(first[0]) for *_, first in panels)
     tol = max(spec.rel_tol * rough, spec.abs_tol)
 
     total = 0.0
     err_total = 0.0
-    # Stack of (lo, hi, depth); deterministic LIFO order, left panels first.
-    stack = [(lo, hi, 0) for lo, hi in zip(edges, edges[1:])][::-1]
+    # Deterministic LIFO order, left panels first.
+    stack = panels[::-1]
     while stack:
-        lo, hi, depth = stack.pop()
-        value, err = _panel(f, lo, hi)
+        lo, hi, depth, first = stack.pop()
+        value, err = first or _panel(f, lo, hi)
         if err <= tol * (hi - lo) / width or err <= spec.abs_tol:
             total += value
             err_total += err
@@ -96,8 +99,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> tupl
                 err_estimate=err_total + err,
             )
         mid = 0.5 * (lo + hi)
-        stack.append((mid, hi, depth + 1))
-        stack.append((lo, mid, depth + 1))
+        stack.append((mid, hi, depth + 1, None))
+        stack.append((lo, mid, depth + 1, None))
     return total, err_total
 
 
@@ -116,6 +119,9 @@ def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
         return []
     grid = np.linspace(a, b, n_probe + 1)
     vals = np.asarray(f(grid), dtype=float)
+    if not vals.any():
+        # An identically zero factor has no kinks, not one root per probe.
+        return []
     roots: list[float] = []
     target = 1e-12 * (b - a)
     for i in range(n_probe):

@@ -169,14 +169,61 @@ class TestConfigFile:
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_unknown_format_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = invoke(capsys, "ratio", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert "csv, json" in record["message"]
+
 
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):
-        path = tmp_path / "out.csv"
-        code, out, _ = invoke(capsys, "ratio", "--output", str(path))
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"out.{fmt}"
+            code, out, _ = invoke(capsys, "ratio", "--format", fmt, "--output", str(path))
+            assert code == 0
+            assert out == ""
+            _, stdout, _ = invoke(capsys, "ratio", "--format", fmt)
+            assert path.read_bytes() == stdout.encode()
+
+
+SMALL_RUNS = {
+    "ratio": ["--gamma0", "500"],
+    "scan": ["--n-gamma0", "4", "--n-delta", "2"],
+    "boundary": ["--n-gamma0", "4", "--n-delta", "1"],
+    "sweep-tau": ["--gamma0", "500", "--n-points", "3"],
+    "decay-rate": ["--gamma0", "500", "--n-points", "5"],
+    "compare-bounds": ["--n-points", "3"],
+    "oracle-check": ["--t-max", "0.05"],
+}
+
+
+class TestRowShape:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_json_keys_match_csv_header(self, capsys, command):
+        code, out, _ = invoke(capsys, command, *SMALL_RUNS[command])
         assert code == 0
-        assert out == ""
-        assert path.read_text().startswith("gamma0,")
+        lines = out.strip().split("\n")
+        header = lines[0].split(",")
+        code, out, _ = invoke(capsys, command, *SMALL_RUNS[command], "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == len(lines) - 1 >= 1
+        for row in rows:
+            assert list(row) == header
+
+    def test_boundary_without_flips(self, capsys):
+        argv = ["boundary", "--n-gamma0", "3", "--n-delta", "1", "--gamma0-max", "2"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == "delta,gamma0_boundary,flip_index\n"
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == "[]\n"
 
 
 class TestDeterminism:

@@ -56,6 +56,21 @@ class TestIntegrate:
         assert math.isfinite(exc_info.value.value)
         assert exc_info.value.err_estimate > 0.0
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_initial_panels_evaluated_once(self, k):
+        # Gauss-Legendre 7 is exact for degree 13, so no panel is bisected and
+        # each of the k+1 initial panels costs one 15-node and one 7-node call.
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return t**13 - 2.0 * t**5 + 1.0
+
+        spec = QuadratureSpec(breakpoints=tuple(np.linspace(0.0, 1.0, k + 2)[1:-1]))
+        value, _ = integrate(f, 0.0, 1.0, spec)
+        assert value == pytest.approx(1.0 / 14.0 - 1.0 / 3.0 + 1.0, rel=1e-13)
+        assert len(calls) == 2 * (k + 1)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
@@ -81,6 +96,9 @@ class TestFindSignChanges:
         for k in (1, 2, 3):
             target = 2.0 * math.pi * k / d0
             assert min(abs(r - target) for r in roots) < 1e-9
+
+    def test_identically_zero_has_no_roots(self):
+        assert find_sign_changes(np.zeros_like, 0.0, 1.0) == []
 
     def test_probe_count_requirement(self):
         with pytest.raises(ValueError):
