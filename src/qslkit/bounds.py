@@ -43,7 +43,6 @@ class BoundReport:
     d_measure: float
     tau_qsl: float
     ratio: float
-    comparator_ratio: float
     tau_d: float
     quadrature_err: float
     stationary: bool = False
@@ -73,12 +72,13 @@ def _kink_integral(
 ) -> tuple[float, float]:
     """Adaptive integral of integrand over [a, b], pre-split at the sign changes of factors.
 
-    integrand is a product of the factors' absolute values, so it has a kink
-    wherever one of them changes sign.  A QuadratureError is re-raised naming
-    the model point and the window.
+    factors returns the stacked factor values (one row per factor) and
+    integrand a product of their absolute values, so it has a kink wherever
+    one of them changes sign.  A QuadratureError is re-raised naming the
+    model point and the window.
     """
     n_probe = quad.probe_count_for_period(p.complex_root.imag, a, b)
-    roots = sorted(set(r for f in factors for r in quad.find_sign_changes(f, a, b, n_probe)))
+    roots = quad.find_sign_changes(factors, a, b, n_probe)
     panel_spec = replace(spec or quad.QuadratureSpec(), breakpoints=tuple(roots))
     try:
         return quad.integrate(integrand, a, b, panel_spec)
@@ -129,7 +129,10 @@ def _lambda_core(
         rate = np.sqrt(pdot**2 + np.abs(cohdot) ** 2)
         return disp * rate
 
-    factors = (lambda t: terms(t)[2], lambda t: terms(t)[0])
+    def factors(t):
+        disp_pop, _, pdot, _ = terms(t)
+        return np.stack((pdot, disp_pop))
+
     integral, err = _kink_integral(p, integrand, factors, tau_start, tau_start + tau_d, spec)
     # 1, sqrt(2)*sqrt(2), 2x the operator-norm integrand all give 2*I/tau_d.
     return 2.0 * integral / tau_d, err, terms
@@ -141,7 +144,6 @@ def qsl_ratio(
     tau_d: float,
     tau_start: float = 0.0,
     spec: quad.QuadratureSpec | None = None,
-    include_comparator: bool = False,
 ) -> BoundReport:
     """Speed-limit report for the window [tau_start, tau_start + tau_d].
 
@@ -155,24 +157,12 @@ def qsl_ratio(
     disp_norm = 2.0 * math.sqrt(float(disp_pop[0]) ** 2 + abs(complex(disp_coh[0])) ** 2)
     d_measure = 1.0 - 0.25 * disp_norm**2
 
-    comparator = math.nan
-    if include_comparator:
-        comparator = bures_comparator(p, tau_d, spec=spec)
-
-    if lam_val < _STATIONARY_TOL:
-        return BoundReport(
-            lambda1=0.0,
-            lambda2=0.0,
-            lambda_inf=0.0,
-            d_measure=d_measure,
-            tau_qsl=tau_d,
-            ratio=1.0,
-            comparator_ratio=comparator,
-            tau_d=tau_d,
-            quadrature_err=err,
-            stationary=True,
-        )
-    tau_qsl = 2.0 * abs(1.0 - d_measure) / lam_val
+    stationary = lam_val < _STATIONARY_TOL
+    if stationary:
+        # ratio = tau_d / tau_d is exactly 1.
+        lam_val, tau_qsl = 0.0, tau_d
+    else:
+        tau_qsl = 2.0 * abs(1.0 - d_measure) / lam_val
     return BoundReport(
         lambda1=lam_val,
         lambda2=lam_val,
@@ -180,10 +170,9 @@ def qsl_ratio(
         d_measure=d_measure,
         tau_qsl=tau_qsl,
         ratio=tau_qsl / tau_d,
-        comparator_ratio=comparator,
         tau_d=tau_d,
         quadrature_err=err,
-        stationary=False,
+        stationary=stationary,
     )
 
 
@@ -204,15 +193,17 @@ def qsl_ratio_evolved(
         raise ValueError("tau_d must be positive")
     a, b = tau, tau + tau_d
     p_ref = excited_population(p, tau)
-    pdot = functools.partial(population_rate, p)
 
-    def pdisp(t):
-        return excited_population(p, t) - p_ref
+    def factors(t):
+        # Pdot and P - P_ref, as in population_rate and excited_population.
+        c, cdot = amplitude_series(p, t)
+        return np.stack((2.0 * (np.conj(c) * cdot).real, np.abs(c) ** 2 - p_ref))
 
     def integrand(t):
-        return np.abs(pdisp(t) * pdot(t))
+        pdot, pdisp = factors(t)
+        return np.abs(pdisp * pdot)
 
-    integral, _ = _kink_integral(p, integrand, (pdot, pdisp), a, b, spec)
+    integral, _ = _kink_integral(p, integrand, factors, a, b, spec)
     num = (excited_population(p, b) - p_ref) ** 2
     den = 2.0 * integral
     if den < _STATIONARY_TOL:
@@ -243,7 +234,7 @@ def bures_comparator(
         return np.abs(pdot(t))
 
     # For the excited trajectory rhod is diagonal, so ||rhod||_inf = |Pdot|.
-    integral, _ = _kink_integral(p, abs_pdot, (pdot,), 0.0, tau_d, spec)
+    integral, _ = _kink_integral(p, abs_pdot, pdot, 0.0, tau_d, spec)
     sin2_b = 1.0 - excited_population(p, tau_d)
     if integral < _STATIONARY_TOL:
         return 1.0

@@ -152,14 +152,11 @@ def _model_params(opts: dict) -> ModelParams:
 
 def _cmd_ratio(opts: dict) -> Rows:
     p = _model_params(opts)
-    report = qsl_ratio(
-        p,
-        DensityMatrix2.excited(),
-        opts["tau_d"],
-        tau_start=opts["tau"],
-        spec=_quad_spec(opts),
-        include_comparator=opts["tau"] == 0.0,
-    )
+    spec = _quad_spec(opts)
+    tau_d = opts["tau_d"]
+    report = qsl_ratio(p, DensityMatrix2.excited(), tau_d, tau_start=opts["tau"], spec=spec)
+    # The Bures-angle comparator covers the window [0, tau_d] only.
+    comparator = bures_comparator(p, tau_d, spec=spec) if opts["tau"] == 0.0 else math.nan
     fields = (
         "gamma0", "delta", "lambda", "tau", "tau_d", "lambda1", "lambda2", "lambda_inf",
         "d_measure", "tau_qsl", "ratio", "comparator_ratio", "stationary", "quad_err",
@@ -167,7 +164,7 @@ def _cmd_ratio(opts: dict) -> Rows:
     row = (
         p.gamma0, p.delta, p.lam, opts["tau"], report.tau_d, report.lambda1, report.lambda2,
         report.lambda_inf, report.d_measure, report.tau_qsl, report.ratio,
-        report.comparator_ratio, report.stationary, report.quadrature_err,
+        comparator, report.stationary, report.quadrature_err,
     )
     return fields, [row]
 

@@ -207,21 +207,24 @@ def population_rate(p: ModelParams, t):
     return out if out.ndim else float(out)
 
 
-def decay_rate(p: ModelParams, t):
-    """Time-dependent decay rate -2 Re(Cdot/C); nan marks zeros of C."""
+def _log_derivative(p: ModelParams, t):
+    """(Cdot/C, mask of zeros of C), dividing by 1 instead of C inside the mask."""
     c, cdot = amplitude_series(p, t)
     singular = np.abs(c) < AMPLITUDE_SINGULAR_TOL
-    safe = np.where(singular, 1.0, c)
-    out = np.where(singular, math.nan, -2.0 * (cdot / safe).real)
+    return cdot / np.where(singular, 1.0, c), singular
+
+
+def decay_rate(p: ModelParams, t):
+    """Time-dependent decay rate -2 Re(Cdot/C); nan marks zeros of C."""
+    ratio, singular = _log_derivative(p, t)
+    out = np.where(singular, math.nan, -2.0 * ratio.real)
     return out if out.ndim else float(out)
 
 
 def lamb_shift(p: ModelParams, t):
     """Lamb-shift coefficient -2 Im(Cdot/C); nan marks zeros of C."""
-    c, cdot = amplitude_series(p, t)
-    singular = np.abs(c) < AMPLITUDE_SINGULAR_TOL
-    safe = np.where(singular, 1.0, c)
-    out = np.where(singular, math.nan, -2.0 * (cdot / safe).imag)
+    ratio, singular = _log_derivative(p, t)
+    out = np.where(singular, math.nan, -2.0 * ratio.imag)
     return out if out.ndim else float(out)
 
 

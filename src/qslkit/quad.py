@@ -5,6 +5,10 @@ of the same shape; all callers in this package are vectorized closed forms.
 The embedded pair is Gauss-Legendre 7 (low) vs 15 (high) per panel, with
 adaptive bisection, which copes with the oscillatory strong-coupling
 integrands whose period varies across the scan grid.
+
+find_sign_changes locates the kinks to split at: it takes several factors
+stacked as rows of one call, probes them all on one grid, and bisects every
+bracket of every factor together, one array call per bisection step.
 """
 
 from __future__ import annotations
@@ -105,11 +109,14 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> tupl
 
 
 def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
-    """Roots of f in (a, b) located by uniform probing plus bisection.
+    """Sorted roots in (a, b) of one or more factors, by uniform probing plus bisection.
 
-    Each bracketed sign change is bisected to a width of 1e-12 * (b - a).
-    Roots closer together than (b - a) / n_probe can be missed; callers
-    should size n_probe from the expected oscillation period.
+    f returns one row of values, or a stacked (k, n) array of k factors, for a
+    1-d array of n times.  The probe grid is evaluated once, and every
+    bracketed sign change of every factor is bisected in the same array
+    passes, each to a width of 1e-12 * (b - a); exact-zero probes count as
+    roots.  Roots closer together than (b - a) / n_probe can be missed;
+    callers should size n_probe from the expected oscillation period.
     """
     if n_probe < 2:
         raise ValueError("n_probe must be at least 2")
@@ -118,36 +125,24 @@ def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
     if b <= a:
         return []
     grid = np.linspace(a, b, n_probe + 1)
-    vals = np.asarray(f(grid), dtype=float)
-    if not vals.any():
-        # An identically zero factor has no kinks, not one root per probe.
-        return []
-    roots: list[float] = []
+    vals = np.atleast_2d(np.array(f(grid), dtype=float))
+    # An identically zero factor has no kinks, not one root per probe.
+    vals[~vals.any(axis=1)] = 1.0
+    rows, cols = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    lo, hi, flo = grid[cols], grid[cols + 1], vals[rows, cols]
     target = 1e-12 * (b - a)
-    for i in range(n_probe):
-        v1, v2 = vals[i], vals[i + 1]
-        if v1 == 0.0:
-            if not roots or abs(grid[i] - roots[-1]) > target:
-                roots.append(float(grid[i]))
-            continue
-        if v1 * v2 >= 0.0:
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = float(v1)
-        while hi - lo > target:
-            mid = 0.5 * (lo + hi)
-            fmid = float(f(np.asarray([mid]))[0])
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0 and b > a:
-        roots.append(b)
-    return [r for r in roots if a < r < b]
+    live = np.flatnonzero(hi - lo > target)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = np.atleast_2d(f(mid))[rows[live], np.arange(live.size)]
+        # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
+        left = flo[live] * fmid < 0.0
+        hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+        flo[live] = np.where(left, flo[live], fmid)
+        live = live[hi[live] - lo[live] > target]
+    roots = np.union1d(grid[np.nonzero(vals == 0.0)[1]], 0.5 * (lo + hi))
+    return roots[(a < roots) & (roots < b)].tolist()
 
 
 def probe_count_for_period(im_root: float, a: float, b: float, per_period: int = 64) -> int:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import qslkit.bounds as bounds_mod
+import qslkit.model as model_mod
 from qslkit.bounds import (
     bures_comparator,
     lambda_integrals,
@@ -166,6 +168,22 @@ class TestQslRatioEvolved:
             general = qsl_ratio(p, EXCITED, 0.2, tau_start=tau).ratio
             closed = qsl_ratio_evolved(p, tau, 0.2)
             assert closed == pytest.approx(general, abs=1e-8)
+
+    def test_one_amplitude_call_per_node_set(self, monkeypatch):
+        # Both factors and the integrand share one amplitude_series call, and
+        # the bisection of all brackets shares one call per step.
+        calls = []
+
+        def counted(p, t):
+            calls.append(np.size(t))
+            return amplitude_series(p, t)
+
+        # model's own functions (excited_population) look it up in model.
+        monkeypatch.setattr(bounds_mod, "amplitude_series", counted)
+        monkeypatch.setattr(model_mod, "amplitude_series", counted)
+        ratio = qsl_ratio_evolved(ModelParams(500.0, LAM, 0.0), 0.0, 0.2)
+        assert ratio < 1.0 - 1e-6
+        assert len(calls) <= 100
 
     def test_invalid_inputs(self):
         p = ModelParams(5.0, LAM, 0.0)

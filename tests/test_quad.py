@@ -78,7 +78,51 @@ class TestIntegrate:
             QuadratureSpec(breakpoints=(0.2, 0.1))
 
 
+def _bisect_each_bracket(f, a, b, n_probe):
+    """Reference: the one-bracket-at-a-time bisection with single-point calls."""
+    grid = np.linspace(a, b, n_probe + 1)
+    vals = f(grid)
+    target = 1e-12 * (b - a)
+    roots = []
+    for i in range(n_probe):
+        v1, v2 = vals[i], vals[i + 1]
+        if v1 == 0.0:
+            roots.append(float(grid[i]))
+            continue
+        if v1 * v2 >= 0.0:
+            continue
+        lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(v1)
+        while hi - lo > target:
+            mid = 0.5 * (lo + hi)
+            fmid = float(f(np.asarray([mid]))[0])
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi))
+    return [r for r in roots if a < r < b]
+
+
 class TestFindSignChanges:
+    @pytest.mark.parametrize(
+        "f, a, b, n_probe",
+        [
+            (lambda t: np.cos(50.0 * t), 0.0, 1.0, 64),
+            # flo * fmid underflows to 0 near the roots, so which flo is kept matters.
+            (lambda t: 1e-160 * np.cos(50.0 * t), 0.0, 1.0, 64),
+            # An exact-zero probe at t = 1.5, and exact-zero midpoints on the plateaus.
+            (lambda t: (t - 1.5) * np.round(np.sin(7.0 * t), 2), 0.0, 3.0, 40),
+            (lambda t: population_rate(ModelParams(500.0, 50.0, 0.0), t), 0.0, 0.2, 300),
+            (lambda t: population_rate(ModelParams(500.0, 50.0, 300.0), t), 0.05, 0.25, 400),
+        ],
+    )
+    def test_matches_one_bracket_at_a_time_bisection(self, f, a, b, n_probe):
+        # Bisecting all brackets as arrays does the same arithmetic per bracket.
+        assert find_sign_changes(f, a, b, n_probe) == _bisect_each_bracket(f, a, b, n_probe)
+
     def test_cosine_single_root(self):
         roots = find_sign_changes(np.cos, 0.0, math.pi, 64)
         assert len(roots) == 1
@@ -99,6 +143,28 @@ class TestFindSignChanges:
 
     def test_identically_zero_has_no_roots(self):
         assert find_sign_changes(np.zeros_like, 0.0, 1.0) == []
+
+    def test_stacked_factors_give_union_of_rows(self):
+        # n_probe = 4 puts a probe exactly on the root of t - 0.5; the
+        # identically zero row contributes nothing.
+        rows = (lambda t: np.cos(50.0 * t), lambda t: t - 0.5, np.zeros_like)
+        stacked = find_sign_changes(lambda t: np.stack([r(t) for r in rows]), 0.0, 1.0, 4)
+        single = [find_sign_changes(r, 0.0, 1.0, 4) for r in rows]
+        assert 0.5 in single[1]
+        assert single[2] == []
+        assert stacked == sorted(set(single[0] + single[1]))
+
+    def test_brackets_bisected_together(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.cos(50.0 * t)
+
+        roots = find_sign_changes(f, 0.0, 1.0, 64)
+        expected = [(k + 0.5) * math.pi / 50.0 for k in range(16)]
+        assert roots == pytest.approx(expected, abs=1e-11)
+        assert len(calls) <= 41
 
     def test_probe_count_requirement(self):
         with pytest.raises(ValueError):
