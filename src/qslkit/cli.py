@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import scan as scan_mod
-from .bounds import bures_comparator, qsl_ratio
+from .bounds import bures_comparator, bures_comparator_many, qsl_ratio, qsl_ratio_many, raise_first
 from .model import ModelParams, amplitude_series, oracle_amplitude
 from .quad import QuadratureSpec
 from .smatrix import DensityMatrix2
@@ -213,13 +213,22 @@ def _cmd_decay_rate(opts: dict) -> Rows:
 
 def _cmd_compare_bounds(opts: dict) -> Rows:
     gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_points"])
-    rho0 = DensityMatrix2.excited()
     spec = _quad_spec(opts)
-    rows = []
+    # Points up to the first invalid one; its error comes after theirs.
+    params, invalid = [], None
     for g0 in gamma0_axis.tolist():
-        p = ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"])
-        trace = qsl_ratio(p, rho0, opts["tau_d"], spec=spec).ratio
-        rows.append((g0, trace, bures_comparator(p, opts["tau_d"], spec=spec)))
+        try:
+            params.append(ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"]))
+        except ValueError as exc:
+            invalid = exc
+            break
+    trace = qsl_ratio_many(params, DensityMatrix2.excited(), opts["tau_d"], spec=spec)
+    bures = bures_comparator_many(params, opts["tau_d"], spec=spec)
+    # A point-by-point loop computes the trace ratio, then the Bures ratio.
+    raise_first([r for pair in zip(trace, bures) for r in pair])
+    if invalid is not None:
+        raise invalid
+    rows = [(p.gamma0, t.ratio, b) for p, t, b in zip(params, trace, bures)]
     return ("gamma0", "ratio_trace", "ratio_bures"), rows
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,37 +101,89 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
+class _Coefficients(NamedTuple):
+    """The t-independent scalars of the closed form, for one cell or a column of cells."""
+
+    neg_mu: complex
+    half_d: complex
+    mu: complex
+    cdot_scale: float  # -gamma0 * lam / 2
+    s_plus: complex
+    s_minus: complex
+    a_plus: complex
+    a_minus: complex
+    as_plus: complex  # a_plus * s_plus
+    as_minus: complex  # a_minus * s_minus
+
+
+def _coefficients(p: ModelParams) -> _Coefficients:
+    """One cell's scalars, in Python complex arithmetic."""
+    mu = 0.5 * (p.lam - 1j * p.delta)
+    d = p.complex_root
+    s_plus = 0.5 * d - mu
+    s_minus = -0.5 * d - mu
+    # 1/d only where d != 0: at critical coupling |d t / 2| = 0 never selects the split form.
+    a_plus = 0.5 * (1.0 + 2.0 * mu / d) if d else 0j
+    a_minus = 0.5 * (1.0 - 2.0 * mu / d) if d else 0j
+    return _Coefficients(
+        -mu, 0.5 * d, mu, -0.5 * p.gamma0 * p.lam, s_plus, s_minus, a_plus, a_minus,
+        a_plus * s_plus, a_minus * s_minus,
+    )
+
+
+def coefficient_table(params: list[ModelParams]) -> _Coefficients:
+    """Every cell's scalars as arrays, one entry per ModelParams in params."""
+    cells = [_coefficients(p) for p in params]
+    columns = (np.array([c[k] for c in cells]) for k in range(len(_Coefficients._fields)))
+    return _Coefficients(*columns)
+
+
+def _closed_form(k: _Coefficients, t) -> tuple[np.ndarray, np.ndarray]:
+    """C(t) and Cdot(t) from coefficients k, broadcast against the times t.
+
+    The scalars in k are formed per cell in Python, so only t-dependent
+    operations run as arrays and a node's value does not depend on which
+    cells share the call, up to the sign of a zero imaginary part (the
+    "+ 0j" below applies to whole calls).  Calls of 16,384 complex elements
+    or more can differ in last bits: numpy then reuses temporaries and may
+    swap the operands of a complex multiply.
+    """
+    x = k.half_d * t
+    big = np.abs(x) > 25.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cosh/sinhc form: exact through the removable point d = 0, but the
+        # factors overflow separately once Re(d) t / 2 grows large.
+        env = np.exp(k.neg_mu * t)
+        shc = _sinhc(x)
+        c_mid = env * (np.cosh(x) + k.mu * t * shc)
+        cdot_mid = k.cdot_scale * t * shc * env
+        if not np.any(big):
+            return c_mid + 0j, cdot_mid + 0j
+        # Split-exponential form: both rates have negative real part, so it
+        # stays finite at large t.
+        e_plus = np.exp(k.s_plus * t)
+        e_minus = np.exp(k.s_minus * t)
+        c_big = k.a_plus * e_plus + k.a_minus * e_minus
+        cdot_big = k.as_plus * e_plus + k.as_minus * e_minus
+    c = np.where(big, c_big, c_mid)
+    cdot = np.where(big, cdot_big, cdot_mid)
+    return c, cdot
+
+
 def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form C(t) and Cdot(t) on an array of times t >= 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("amplitude requires t >= 0")
-    mu = 0.5 * (p.lam - 1j * p.delta)
-    d = p.complex_root
-    x = 0.5 * d * t
-    big = np.abs(x) > 25.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        # cosh/sinhc form: exact through the removable point d = 0, but the
-        # factors overflow separately once Re(d) t / 2 grows large.
-        env = np.exp(-mu * t)
-        shc = _sinhc(x)
-        c_mid = env * (np.cosh(x) + mu * t * shc)
-        cdot_mid = -0.5 * p.gamma0 * p.lam * t * shc * env
-        if not np.any(big):
-            return c_mid + 0j, cdot_mid + 0j
-        # Split-exponential form: both rates have negative real part, so it
-        # stays finite at large t; 1/d is safe because |d| t / 2 > 25 here.
-        s_plus = 0.5 * d - mu
-        s_minus = -0.5 * d - mu
-        a_plus = 0.5 * (1.0 + 2.0 * mu / d)
-        a_minus = 0.5 * (1.0 - 2.0 * mu / d)
-        e_plus = np.exp(s_plus * t)
-        e_minus = np.exp(s_minus * t)
-        c_big = a_plus * e_plus + a_minus * e_minus
-        cdot_big = a_plus * s_plus * e_plus + a_minus * s_minus * e_minus
-    c = np.where(big, c_big, c_mid)
-    cdot = np.where(big, cdot_big, cdot_mid)
-    return c, cdot
+    return _closed_form(_coefficients(p), t)
+
+
+def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
+    """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
+
+    Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
+    """
+    return _closed_form(_Coefficients(*(col[rows, None] for col in table)), t)
 
 
 def amplitude(p: ModelParams, t: float) -> Amplitude:

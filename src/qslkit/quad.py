@@ -1,14 +1,14 @@
 """Adaptive 1-D quadrature with breakpoint support, plus sign-change location.
 
-The integrand is called with a numpy array of nodes and must return an array
-of the same shape; all callers in this package are vectorized closed forms.
-The embedded pair is Gauss-Legendre 7 (low) vs 15 (high) per panel, with
-adaptive bisection, which copes with the oscillatory strong-coupling
-integrands whose period varies across the scan grid.
-
-find_sign_changes locates the kinks to split at: it takes several factors
-stacked as rows of one call, probes them all on one grid, and bisects every
-bracket of every factor together, one array call per bisection step.
+One engine serves many windows (one cell's interval [a, b] each).  The
+integrand and the factors are called as f(rows, t): nodes t of shape (m, n),
+row j in window rows[j], in chunks of at most _CHUNK_POINTS nodes.  Factors
+may stack k rows to (k, m, n).  Roots are found by probing every window on
+its own grid, then bisecting every bracket of all windows together.  Panels
+are Gauss-Legendre 15 vs 7, bisected round by round over all windows; each
+window gets the value, error and QuadratureError of a depth-first,
+left-first bisection of that window alone.  integrate and
+find_sign_changes are the one-window cases, for callables of 1-d nodes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,18 @@ import numpy as np
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
+# Each panel's GL15 and GL7 nodes are evaluated in one call.
+_NODES = np.concatenate((_NODES_HI, _NODES_LO))
+
+# Most nodes per call of an integrand or factor.  It must stay below 16,384:
+# numpy reuses temporaries of 16,384 complex elements (256 KiB) or more and may
+# then swap the operands of a complex multiply, which changes last bits.  Below
+# that, a node's values do not depend on how the nodes are chunked; 4,096 keeps
+# the temporaries of one call near 1 MB in all.
+_CHUNK_POINTS = 4096
+# Panels per window evaluated per round.  Without a cap, a window whose panels
+# never converge would double its pending panels on every level.
+_PANELS_PER_ROUND = 16
 
 
 @dataclass(frozen=True)
@@ -51,98 +63,228 @@ class QuadratureError(RuntimeError):
         self.err_estimate = err_estimate
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    hi = half * float(np.dot(_WEIGHTS_HI, np.asarray(f(mid + half * _NODES_HI), dtype=float)))
-    lo = half * float(np.dot(_WEIGHTS_LO, np.asarray(f(mid + half * _NODES_LO), dtype=float)))
-    return hi, abs(hi - lo)
+def _blocks(sizes: np.ndarray):
+    """[i, j) ranges of consecutive groups of sizes nodes: at most _CHUNK_POINTS, or one group."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < ends.size:
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - sizes[i] + _CHUNK_POINTS, side="right")))
+        yield i, j
+        i = j
+
+
+def evaluate(f, rows: np.ndarray, t: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+    """f(rows, t) over the nodes t (m, n) of cells rows (m,), stacked to (k, m, n).
+
+    Each call covers whole groups (runs of equal entries in groups, by
+    default single rows) of at most _CHUNK_POINTS nodes, or one larger group.
+    """
+    m, n = t.shape
+    starts = np.arange(m) if groups is None else np.flatnonzero(np.diff(groups, prepend=-1))
+    bounds = np.append(starts, m)
+    out = []
+    for i, j in _blocks(np.diff(bounds) * n):
+        lo, hi = bounds[i], bounds[j]
+        out.append(np.reshape(f(rows[lo:hi], t[lo:hi]), (-1, hi - lo, n)))
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+
+
+def _one_window(f):
+    """A cells-and-nodes callable for the one-window forms: f on the flattened nodes."""
+    return lambda rows, t: f(t.ravel())
+
+
+def integrate_many(f, a, b, breakpoints, spec: QuadratureSpec) -> list:
+    """Adaptive integrals of f over the windows [a[i], b[i]], each pre-split at breakpoints[i].
+
+    Each round evaluates the leftmost _PANELS_PER_ROUND pending panels of
+    every window.  A panel is accepted when its error fits its share of
+    max(rel_tol * |rough value|, abs_tol), else bisected; accepted panels are
+    summed per window from left to right.  spec.breakpoints is not used.
+    Returns per window (value, err_estimate), or the QuadratureError of its
+    leftmost panel deeper than max_depth, carrying the sum of the accepted
+    panels left of it plus its own estimate.
+    """
+    win, lo, hi = [], [], []
+    results: list = [None] * len(a)
+    for i, (ai, bi, bps) in enumerate(zip(a, b, breakpoints)):
+        ai, bi = float(ai), float(bi)
+        if bi < ai:
+            raise ValueError("integrate requires a <= b")
+        if bi == ai:
+            results[i] = (0.0, 0.0)
+            continue
+        edges = [ai] + [bp for bp in bps if ai < bp < bi] + [bi]
+        win += [i] * (len(edges) - 1)
+        lo += edges[:-1]
+        hi += edges[1:]
+    win, lo, hi = np.array(win, dtype=int), np.array(lo, dtype=float), np.array(hi, dtype=float)
+    depth = np.zeros(win.size, dtype=int)
+    width = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    tol = np.zeros(len(a))
+    fail_lo = np.full(len(a), np.inf)
+    failures: dict[int, tuple[float, float, int, float, float]] = {}
+    done = []  # (win, lo, value, err) of accepted panels, one tuple of arrays per round
+    first = True
+    while win.size:
+        # Pending panels are kept sorted by (window, lo); take each window's leftmost ones.
+        # The first round evaluates every initial panel, for the tolerances.
+        rank = np.arange(win.size) - np.searchsorted(win, win)
+        now = rank < (win.size if first else _PANELS_PER_ROUND)
+        later = ~now
+        w, pl, ph, pd = win[now], lo[now], hi[now], depth[now]
+        value, err = _panels(f, w, pl, ph)
+        if first:
+            for i, vals in _by_window(w, value):
+                tol[i] = max(spec.rel_tol * sum(abs(v) for v in vals.tolist()), spec.abs_tol)
+            first = False
+        ok = (err <= tol[w] * (ph - pl) / width[w]) | (err <= spec.abs_tol)
+        done.append((w[ok], pl[ok], value[ok], err[ok]))
+        split = ~ok & (pd < spec.max_depth)
+        for j in np.flatnonzero(~ok & (pd >= spec.max_depth)):
+            i = int(w[j])
+            if pl[j] < fail_lo[i]:
+                fail_lo[i] = pl[j]
+                failures[i] = (float(pl[j]), float(ph[j]), int(pd[j]), value[j], err[j])
+        mid = 0.5 * (pl[split] + ph[split])
+        win = np.concatenate((win[later], w[split], w[split]))
+        lo = np.concatenate((lo[later], pl[split], mid))
+        hi = np.concatenate((hi[later], mid, ph[split]))
+        depth = np.concatenate((depth[later], pd[split] + 1, pd[split] + 1))
+        # Nothing right of a window's leftmost failure can change its outcome.
+        keep = lo < fail_lo[win]
+        order = np.lexsort((lo[keep], win[keep]))
+        win, lo, hi, depth = (x[keep][order] for x in (win, lo, hi, depth))
+    if done:
+        w, pl, value, err = (np.concatenate(x) for x in zip(*done))
+        order = np.lexsort((pl, w))
+        w, pl, value, err = w[order], pl[order], value[order], err[order]
+        for i, idx in _by_window(w, np.arange(w.size)):
+            total = err_total = 0.0
+            for v, e, x in zip(value[idx].tolist(), err[idx].tolist(), pl[idx].tolist()):
+                if x >= fail_lo[i]:
+                    break
+                total += v
+                err_total += e
+            results[i] = (total, err_total)
+    for i, (pl, ph, pd, v, e) in failures.items():
+        total, err_total = results[i] or (0.0, 0.0)
+        results[i] = QuadratureError(
+            f"quadrature did not converge on [{pl}, {ph}] after depth {pd}",
+            value=total + float(v),
+            err_estimate=err_total + float(e),
+        )
+    return results
+
+
+def _by_window(w: np.ndarray, x: np.ndarray):
+    """(window, entries of x) for each run of equal windows in the sorted array w."""
+    starts = np.flatnonzero(np.diff(w, prepend=-1))
+    for s, e in zip(starts, np.append(starts[1:], w.size)):
+        yield int(w[s]), x[s:e]
+
+
+def _panels(f, w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """GL15 values and |GL15 - GL7| error estimates of the panels [lo, hi] of windows w."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    sums = np.empty((2, w.size))
+    n_hi = _NODES_HI.size
+    for i, j in _blocks(np.full(w.size, _NODES.size)):
+        nodes = mid[i:j, None] + half[i:j, None] * _NODES
+        vals = np.asarray(np.reshape(f(w[i:j], nodes), nodes.shape), dtype=float)
+        # One dot per panel: a batched product sums in another order.
+        sums[0, i:j] = [float(np.dot(_WEIGHTS_HI, v[:n_hi])) for v in vals]
+        sums[1, i:j] = [float(np.dot(_WEIGHTS_LO, v[n_hi:])) for v in vals]
+    value, rough = half * sums
+    return value, np.abs(value - rough)
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> tuple[float, float]:
     """Adaptive integral of f over [a, b]; returns (value, err_estimate).
 
-    The interval is pre-split at spec.breakpoints, then panels are bisected
-    until each local error fits its width-proportional share of the global
-    tolerance max(rel_tol * |rough value|, abs_tol).
+    The one-window case of integrate_many: the interval is pre-split at
+    spec.breakpoints, and f is called on 1-d arrays of nodes.
 
     Raises QuadratureError (carrying the partial value) if any panel chain
     exceeds spec.max_depth.
     """
     spec = spec or QuadratureSpec()
-    a = float(a)
-    b = float(b)
-    if b < a:
-        raise ValueError("integrate requires a <= b")
-    if b == a:
-        return 0.0, 0.0
-    width = b - a
-    edges = [a] + [bp for bp in spec.breakpoints if a < bp < b] + [b]
+    (result,) = integrate_many(_one_window(f), [a], [b], [spec.breakpoints], spec)
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
 
-    # Entries are (lo, hi, depth, (value, err) or None): the initial panels keep
-    # the estimate already made for rough, bisected halves are evaluated on pop.
-    panels = [(lo, hi, 0, _panel(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
-    rough = sum(abs(first[0]) for *_, first in panels)
-    tol = max(spec.rel_tol * rough, spec.abs_tol)
 
-    total = 0.0
-    err_total = 0.0
-    # Deterministic LIFO order, left panels first.
-    stack = panels[::-1]
-    while stack:
-        lo, hi, depth, first = stack.pop()
-        value, err = first or _panel(f, lo, hi)
-        if err <= tol * (hi - lo) / width or err <= spec.abs_tol:
-            total += value
-            err_total += err
-            continue
-        if depth >= spec.max_depth:
-            raise QuadratureError(
-                f"quadrature did not converge on [{lo}, {hi}] after depth {depth}",
-                value=total + value,
-                err_estimate=err_total + err,
-            )
-        mid = 0.5 * (lo + hi)
-        stack.append((mid, hi, depth + 1, None))
-        stack.append((lo, mid, depth + 1, None))
-    return total, err_total
+def find_sign_changes_many(f, a, b, n_probe) -> list[list[float]]:
+    """Sorted roots in (a[i], b[i]) of the factors of every window i.
+
+    Window i is probed on n_probe[i] + 1 uniform points, and every bracketed
+    sign change is bisected to a width of 1e-12 * (b[i] - a[i]).  Brackets
+    are decided by signs, not by products, which underflow.  Exact-zero
+    probes count as roots; a factor zero on every probe of a window has none
+    there.  Roots closer together than the probe spacing can be missed;
+    callers should size n_probe from the expected oscillation period.
+    """
+    if any(n < 2 for n in n_probe):
+        raise ValueError("n_probe must be at least 2")
+    out: list[list[float]] = [[] for _ in a]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    windows = np.flatnonzero(b > a)
+    sizes = np.asarray(n_probe)[windows] + 1
+    found = []  # per block of windows: (bracket lo, hi, flo, factor, window), zero probes
+    for i, j in _blocks(sizes):
+        grid = np.concatenate([np.linspace(a[k], b[k], n + 1)
+                               for k, n in zip(windows[i:j].tolist(), sizes[i:j] - 1)])
+        point_win = np.repeat(windows[i:j], sizes[i:j])
+        vals = np.asarray(np.reshape(f(point_win, grid[:, None]), (-1, grid.size)), dtype=float)
+        starts = np.cumsum(sizes[i:j]) - sizes[i:j]
+        # A factor that is zero on every probe of its window has no kinks there.
+        nonzero = np.logical_or.reduceat(vals != 0.0, starts, axis=1)
+        vals = np.where(np.repeat(nonzero, sizes[i:j], axis=1), vals, 1.0)
+        sign = np.sign(vals)
+        pair = (sign[:, :-1] * sign[:, 1:] < 0.0) & (point_win[:-1] == point_win[1:])
+        # Brackets in window order, so each step's midpoints group by window.
+        cols, rows = np.nonzero(pair.T)
+        zero = np.nonzero(vals == 0.0)[1]
+        found.append((grid[cols], grid[cols + 1], vals[rows, cols], rows, point_win[cols],
+                      grid[zero], point_win[zero]))
+    if not found:
+        return out
+    lo, hi, flo, rows, w, zero_t, zero_w = (np.concatenate(x) for x in zip(*found))
+    target = 1e-12 * (b - a)[w]
+    live = np.flatnonzero(hi - lo > target)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = np.asarray(
+            evaluate(f, w[live], mid[:, None], groups=w[live]), dtype=float
+        )[rows[live], np.arange(live.size), 0]
+        # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
+        left = np.sign(flo[live]) * np.sign(fmid) < 0.0
+        hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+        flo[live] = np.where(left, flo[live], fmid)
+        live = live[hi[live] - lo[live] > target[live]]
+    roots = np.concatenate((zero_t, 0.5 * (lo + hi)))
+    root_win = np.concatenate((zero_w, w))
+    order = np.lexsort((roots, root_win))
+    roots, root_win = roots[order], root_win[order]
+    first = np.ones(roots.size, dtype=bool)
+    first[1:] = (roots[1:] != roots[:-1]) | (root_win[1:] != root_win[:-1])
+    inside = first & (a[root_win] < roots) & (roots < b[root_win])
+    for i, r in _by_window(root_win[inside], roots[inside]):
+        out[i] = r.tolist()
+    return out
 
 
 def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
     """Sorted roots in (a, b) of one or more factors, by uniform probing plus bisection.
 
-    f returns one row of values, or a stacked (k, n) array of k factors, for a
-    1-d array of n times.  The probe grid is evaluated once, and every
-    bracketed sign change of every factor is bisected in the same array
-    passes, each to a width of 1e-12 * (b - a); exact-zero probes count as
-    roots.  Roots closer together than (b - a) / n_probe can be missed;
-    callers should size n_probe from the expected oscillation period.
+    The one-window case of find_sign_changes_many: f returns one row of
+    values, or a stacked (k, n) array of k factors, for a 1-d array of n
+    times.
     """
-    if n_probe < 2:
-        raise ValueError("n_probe must be at least 2")
-    a = float(a)
-    b = float(b)
-    if b <= a:
-        return []
-    grid = np.linspace(a, b, n_probe + 1)
-    vals = np.atleast_2d(np.array(f(grid), dtype=float))
-    # An identically zero factor has no kinks, not one root per probe.
-    vals[~vals.any(axis=1)] = 1.0
-    rows, cols = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    lo, hi, flo = grid[cols], grid[cols + 1], vals[rows, cols]
-    target = 1e-12 * (b - a)
-    live = np.flatnonzero(hi - lo > target)
-    while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = np.atleast_2d(f(mid))[rows[live], np.arange(live.size)]
-        # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
-        left = flo[live] * fmid < 0.0
-        hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
-        lo[live] = np.where(left, lo[live], mid)
-        flo[live] = np.where(left, flo[live], fmid)
-        live = live[hi[live] - lo[live] > target]
-    roots = np.union1d(grid[np.nonzero(vals == 0.0)[1]], 0.5 * (lo + hi))
-    return roots[(a < roots) & (roots < b)].tolist()
+    return find_sign_changes_many(_one_window(f), [a], [b], [n_probe])[0]
 
 
 def probe_count_for_period(im_root: float, a: float, b: float, per_period: int = 64) -> int:

@@ -1,7 +1,11 @@
 """Parameter sweeps: ratio surfaces, transition maps, and time series.
 
-Cells and sweep points are independent pure computations, evaluated
-serially in a fixed order.
+Cells and sweep points are independent pure computations.  Each sweep
+hands all of its cells to one batched kink integral (the many-cell forms
+in bounds), which evaluates the closed form for many cells per call, in
+chunks of fewer than 16,384 nodes and in a fixed order, so the result of
+a cell does not depend on which cells share its batch.  Sweeps that stop
+at an error raise the one a cell-by-cell loop would have met first.
 """
 
 from __future__ import annotations
@@ -12,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad
-from .bounds import SPEED_UP_TOL, BoundReport, qsl_ratio, qsl_ratio_evolved
+from .bounds import (
+    SPEED_UP_TOL,
+    BoundReport,
+    qsl_ratio_evolved_many,
+    qsl_ratio_many,
+    raise_first,
+)
 from .model import ModelParams, decay_rate, markov_limit
 from .smatrix import DensityMatrix2
 
@@ -83,16 +93,18 @@ def grid_scan(
     ]
     classification = [["error"] * delta_axis.size for _ in range(gamma0_axis.size)]
     errors: list[list[str | None]] = [[None] * delta_axis.size for _ in range(gamma0_axis.size)]
-    for i, g0 in enumerate(gamma0_axis):
-        for j, delta in enumerate(delta_axis):
-            p = ModelParams(gamma0=float(g0), lam=lam, delta=float(delta))
-            try:
-                report = qsl_ratio(p, rho0, tau_d, spec=spec)
-            except quad.QuadratureError as exc:
-                errors[i][j] = str(exc)
-                continue
-            cells[i][j] = report
-            classification[i][j] = classify(report.ratio)
+    params = [
+        ModelParams(gamma0=g0, lam=lam, delta=delta)
+        for g0 in gamma0_axis.tolist() for delta in delta_axis.tolist()
+    ]
+    results = qsl_ratio_many(params, rho0, tau_d, spec=spec)
+    for k, result in enumerate(results):
+        i, j = divmod(k, delta_axis.size)
+        if isinstance(result, quad.QuadratureError):
+            errors[i][j] = str(result)
+            continue
+        cells[i][j] = result
+        classification[i][j] = classify(result.ratio)
     return ScanGrid(
         gamma0_axis=gamma0_axis,
         delta_axis=delta_axis,
@@ -114,27 +126,38 @@ def transition_boundary(
     strong-coupling regime).  Rows with uniform classification are omitted.
     """
     rho0 = DensityMatrix2.excited()
-    out: list[tuple[float, float, int]] = []
-    for j, delta in enumerate(grid.delta_axis):
+    # One entry per flip, in row order: [delta, lo, hi, lo is speed-up, flip_index].
+    flips = []
+    for j, delta in enumerate(grid.delta_axis.tolist()):
         col = [grid.classification[i][j] for i in range(grid.gamma0_axis.size)]
         flip_index = 0
         for i in range(len(col) - 1):
             if "error" in (col[i], col[i + 1]) or col[i] == col[i + 1]:
                 continue
             lo, hi = float(grid.gamma0_axis[i]), float(grid.gamma0_axis[i + 1])
-            lo_speed = col[i] == "speed_up"
-            # Bisect in log(gamma0) to 1e-3 relative width.
-            while hi / lo > 1.0 + 1e-3:
-                mid = math.sqrt(lo * hi)
-                p = ModelParams(gamma0=mid, lam=grid.lam, delta=float(delta))
-                mid_speed = classify(qsl_ratio(p, rho0, grid.tau_d, spec=spec).ratio) == "speed_up"
-                if mid_speed == lo_speed:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append((float(delta), math.sqrt(lo * hi), flip_index))
+            flips.append([delta, lo, hi, col[i] == "speed_up", flip_index])
             flip_index += 1
-    return out
+    # Bisect every flip in log(gamma0) to 1e-3 relative width, one batch per step.
+    # A failed flip stops the flips after it, as a flip-by-flip loop would.
+    failed: dict[int, Exception] = {}
+    active = [k for k, f in enumerate(flips) if f[2] / f[1] > 1.0 + 1e-3]
+    while active:
+        mids = [math.sqrt(flips[k][1] * flips[k][2]) for k in active]
+        params = [ModelParams(gamma0=mid, lam=grid.lam, delta=flips[k][0])
+                  for k, mid in zip(active, mids)]
+        reports = qsl_ratio_many(params, rho0, grid.tau_d, spec=spec)
+        for k, mid, report in zip(active, mids, reports):
+            if isinstance(report, Exception):
+                failed[k] = report
+            elif (classify(report.ratio) == "speed_up") == flips[k][3]:
+                flips[k][1] = mid
+            else:
+                flips[k][2] = mid
+        stop = min(failed, default=len(flips))
+        active = [k for k in active if k < stop and flips[k][2] / flips[k][1] > 1.0 + 1e-3]
+    if failed:
+        raise failed[min(failed)]
+    return [(delta, math.sqrt(lo * hi), index) for delta, lo, hi, _, index in flips]
 
 
 def sweep_tau(
@@ -148,7 +171,7 @@ def sweep_tau(
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     taus = np.linspace(0.0, tau_max, n_points)
-    values = [qsl_ratio_evolved(p, float(tau), tau_d, spec=spec) for tau in taus]
+    values = raise_first(qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec))
     return TimeSeries(
         times=taus, values=np.asarray(values, dtype=float), kind="ratio_vs_tau", params=p
     )

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import qslkit.bounds as bounds_mod
 import qslkit.model as model_mod
 from qslkit.bounds import (
     bures_comparator,
@@ -170,20 +169,20 @@ class TestQslRatioEvolved:
             assert closed == pytest.approx(general, abs=1e-8)
 
     def test_one_amplitude_call_per_node_set(self, monkeypatch):
-        # Both factors and the integrand share one amplitude_series call, and
-        # the bisection of all brackets shares one call per step.
+        # Both factors share one closed-form call per probe pass and per
+        # bisection step, and the integrand one per round of panels.  Every
+        # closed-form call, scalar or batched, goes through _closed_form.
         calls = []
+        real = model_mod._closed_form
 
-        def counted(p, t):
+        def counted(k, t):
             calls.append(np.size(t))
-            return amplitude_series(p, t)
+            return real(k, t)
 
-        # model's own functions (excited_population) look it up in model.
-        monkeypatch.setattr(bounds_mod, "amplitude_series", counted)
-        monkeypatch.setattr(model_mod, "amplitude_series", counted)
+        monkeypatch.setattr(model_mod, "_closed_form", counted)
         ratio = qsl_ratio_evolved(ModelParams(500.0, LAM, 0.0), 0.0, 0.2)
         assert ratio < 1.0 - 1e-6
-        assert len(calls) <= 100
+        assert len(calls) <= 60
 
     def test_invalid_inputs(self):
         p = ModelParams(5.0, LAM, 0.0)

@@ -2,9 +2,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import qslkit.cli as cli_mod
+import qslkit.quad as quad_mod
+from qslkit.bounds import bures_comparator, qsl_ratio
 from qslkit.cli import run
+from qslkit.model import ModelParams
+from qslkit.quad import QuadratureError, QuadratureSpec
+from qslkit.smatrix import DensityMatrix2
 
 
 def invoke(capsys, *argv):
@@ -123,6 +130,38 @@ class TestCompareBounds:
         assert float(last[1]) < 1.0 - 1e-6
         assert float(last[2]) < 1.0 - 1e-6
 
+    def test_matches_point_by_point(self, capsys):
+        _, out, _ = invoke(capsys, "compare-bounds", "--n-points", "8", "--delta", "200")
+        rows = [tuple(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]
+        expected = []
+        for g0 in np.geomspace(1.0, 1000.0, 8).tolist():
+            p = ModelParams(g0, 50.0, 200.0)
+            expected.append((g0, qsl_ratio(p, DensityMatrix2.excited(), 0.2).ratio,
+                             bures_comparator(p, 0.2)))
+        assert rows == expected
+
+    @pytest.mark.parametrize(
+        "delta, rel_tol, max_depth",
+        # The first failure is the trace ratio at the ninth point; then the
+        # trace and Bures ratios of the first point, which both fail.
+        [(200.0, 1e-11, 4), (300.0, 1e-10, 3)],
+    )
+    def test_raises_first_error_in_serial_order(self, capsys, monkeypatch, delta, rel_tol,
+                                                max_depth):
+        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=0.0, max_depth=max_depth)
+        monkeypatch.setattr(cli_mod, "_quad_spec", lambda opts: spec)
+        code, out, err = invoke(capsys, "compare-bounds", "--n-points", "12", "--delta",
+                                repr(delta))
+        record = json.loads(err)
+        with pytest.raises(QuadratureError) as expected:
+            for g0 in np.geomspace(1.0, 1000.0, 12).tolist():
+                p = ModelParams(g0, 50.0, delta)
+                qsl_ratio(p, DensityMatrix2.excited(), 0.2, spec=spec)
+                bures_comparator(p, 0.2, spec=spec)
+        assert (code, out) == (1, "")
+        assert record["message"] == str(expected.value)
+        assert record["partial_value"] == expected.value.value
+
 
 class TestOracleCheck:
     def test_reports_small_error(self, capsys):
@@ -237,3 +276,20 @@ class TestDeterminism:
 
     def test_repeat_run_byte_identical(self):
         assert self.run_scan() == self.run_scan()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--n-gamma0", "6", "--n-delta", "4"),
+            ("boundary", "--n-gamma0", "8", "--n-delta", "4", "--format", "json"),
+            ("compare-bounds", "--n-points", "8", "--delta", "200"),
+            ("sweep-tau", "--gamma0", "1000", "--delta", "200", "--n-points", "20"),
+            ("ratio", "--gamma0", "500", "--tau", "0.3"),
+        ],
+    )
+    def test_batch_size_does_not_change_bytes(self, capsys, monkeypatch, argv):
+        # One cell per engine call and one panel per round against the default.
+        default = invoke(capsys, *argv)
+        monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 1)
+        monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", 1)
+        assert invoke(capsys, *argv) == default

@@ -4,13 +4,54 @@ import numpy as np
 import pytest
 
 from qslkit.model import ModelParams, population_rate
+import qslkit.quad as quad_mod
 from qslkit.quad import (
     QuadratureError,
     QuadratureSpec,
     find_sign_changes,
     integrate,
+    integrate_many,
     probe_count_for_period,
 )
+
+
+def _depth_first(f, a, b, spec):
+    """Reference: left-first depth-first bisection with one call per node set."""
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values = []
+        for n in (15, 7):
+            nodes, weights = np.polynomial.legendre.leggauss(n)
+            values.append(half * float(np.dot(weights, f(mid + half * nodes))))
+        return values[0], abs(values[0] - values[1])
+
+    edges = [a] + [bp for bp in spec.breakpoints if a < bp < b] + [b]
+    stack = [(lo, hi, 0, panel(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    tol = max(spec.rel_tol * sum(abs(first[0]) for *_, first in stack), spec.abs_tol)
+    total = err_total = 0.0
+    stack.reverse()
+    while stack:
+        lo, hi, depth, first = stack.pop()
+        value, err = first or panel(lo, hi)
+        if err <= tol * (hi - lo) / (b - a) or err <= spec.abs_tol:
+            total += value
+            err_total += err
+            continue
+        if depth >= spec.max_depth:
+            raise QuadratureError(
+                f"quadrature did not converge on [{lo}, {hi}] after depth {depth}",
+                value=total + value, err_estimate=err_total + err,
+            )
+        mid = 0.5 * (lo + hi)
+        stack += [(mid, hi, depth + 1, None), (lo, mid, depth + 1, None)]
+    return total, err_total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QuadratureError as exc:
+        return str(exc), exc.value, exc.err_estimate
 
 
 class TestIntegrate:
@@ -59,7 +100,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_initial_panels_evaluated_once(self, k):
         # Gauss-Legendre 7 is exact for degree 13, so no panel is bisected and
-        # each of the k+1 initial panels costs one 15-node and one 7-node call.
+        # the GL15 and GL7 nodes of all k+1 initial panels share one call.
         calls = []
 
         def f(t):
@@ -69,7 +110,38 @@ class TestIntegrate:
         spec = QuadratureSpec(breakpoints=tuple(np.linspace(0.0, 1.0, k + 2)[1:-1]))
         value, _ = integrate(f, 0.0, 1.0, spec)
         assert value == pytest.approx(1.0 / 14.0 - 1.0 / 3.0 + 1.0, rel=1e-13)
-        assert len(calls) == 2 * (k + 1)
+        assert calls == [22 * (k + 1)]
+
+    @pytest.mark.parametrize("panels_per_round", [1, 16])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            QuadratureSpec(),
+            QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, breakpoints=(0.1, 0.5, 0.77)),
+            QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_depth=3),
+            QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7, breakpoints=(0.3, 0.31)),
+        ],
+    )
+    def test_matches_depth_first_bisection(self, monkeypatch, spec, panels_per_round):
+        # Same panels, same left-to-right sums, same first failure and partial value.
+        monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", panels_per_round)
+        f = lambda t: np.abs(np.sin(50.0 * t)) * np.exp(-t)
+        assert _outcome(integrate, f, 0.0, 1.0, spec) == _outcome(_depth_first, f, 0.0, 1.0, spec)
+
+    def test_many_windows_match_one_at_a_time(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7)
+        # Two windows with kinks inside, an empty one, and one between two kinks.
+        k = math.pi / 50.0
+        a, b = [0.0, 0.2, 0.5, k], [1.0, 0.9, 0.5, 2.0 * k]
+        breakpoints = [(0.3,), (), (), (1.5 * k,)]
+        results = integrate_many(lambda rows, t: np.abs(np.sin(50.0 * t)), a, b, breakpoints, spec)
+        assert [isinstance(r, QuadratureError) for r in results] == [True, True, False, False]
+        for ai, bi, bps, result in zip(a, b, breakpoints, results):
+            one = _outcome(integrate, lambda t: np.abs(np.sin(50.0 * t)), ai, bi,
+                           QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7, breakpoints=bps))
+            if isinstance(result, QuadratureError):
+                result = str(result), result.value, result.err_estimate
+            assert result == one
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -79,7 +151,10 @@ class TestIntegrate:
 
 
 def _bisect_each_bracket(f, a, b, n_probe):
-    """Reference: the one-bracket-at-a-time bisection with single-point calls."""
+    """Reference: the one-bracket-at-a-time bisection with single-point calls.
+
+    Brackets are decided by signs, so values whose product underflows still count.
+    """
     grid = np.linspace(a, b, n_probe + 1)
     vals = f(grid)
     target = 1e-12 * (b - a)
@@ -89,7 +164,7 @@ def _bisect_each_bracket(f, a, b, n_probe):
         if v1 == 0.0:
             roots.append(float(grid[i]))
             continue
-        if v1 * v2 >= 0.0:
+        if np.sign(v1) * np.sign(v2) >= 0.0:
             continue
         lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(v1)
         while hi - lo > target:
@@ -98,7 +173,7 @@ def _bisect_each_bracket(f, a, b, n_probe):
             if fmid == 0.0:
                 lo = hi = mid
                 break
-            if flo * fmid < 0.0:
+            if np.sign(flo) * np.sign(fmid) < 0.0:
                 hi = mid
             else:
                 lo, flo = mid, fmid
@@ -111,8 +186,9 @@ class TestFindSignChanges:
         "f, a, b, n_probe",
         [
             (lambda t: np.cos(50.0 * t), 0.0, 1.0, 64),
-            # flo * fmid underflows to 0 near the roots, so which flo is kept matters.
+            # flo * fmid would underflow to 0 near the roots; the signs do not.
             (lambda t: 1e-160 * np.cos(50.0 * t), 0.0, 1.0, 64),
+            (lambda t: 1e-165 * np.cos(50.0 * t), 0.0, 1.0, 64),
             # An exact-zero probe at t = 1.5, and exact-zero midpoints on the plateaus.
             (lambda t: (t - 1.5) * np.round(np.sin(7.0 * t), 2), 0.0, 3.0, 40),
             (lambda t: population_rate(ModelParams(500.0, 50.0, 0.0), t), 0.0, 0.2, 300),
@@ -122,6 +198,13 @@ class TestFindSignChanges:
     def test_matches_one_bracket_at_a_time_bisection(self, f, a, b, n_probe):
         # Bisecting all brackets as arrays does the same arithmetic per bracket.
         assert find_sign_changes(f, a, b, n_probe) == _bisect_each_bracket(f, a, b, n_probe)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-165])
+    def test_tiny_values_give_the_unscaled_roots(self, scale):
+        # Products of two such values underflow; their signs decide the brackets.
+        unscaled = find_sign_changes(lambda t: np.cos(50.0 * t), 0.0, 1.0, 64)
+        assert len(unscaled) == 16
+        assert find_sign_changes(lambda t: scale * np.cos(50.0 * t), 0.0, 1.0, 64) == unscaled
 
     def test_cosine_single_root(self):
         roots = find_sign_changes(np.cos, 0.0, math.pi, 64)

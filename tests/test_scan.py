@@ -3,23 +3,65 @@ import math
 import numpy as np
 import pytest
 
-import qslkit.scan as scan_mod
+import qslkit.model as model_mod
+import qslkit.quad as quad_mod
+from qslkit.bounds import qsl_ratio, qsl_ratio_evolved
 from qslkit.model import ModelParams, decay_rate, markov_limit
-from qslkit.quad import QuadratureError
+from qslkit.quad import QuadratureError, QuadratureSpec
 from qslkit.scan import (
+    classify,
+    default_delta_axis,
+    default_gamma0_axis,
     grid_scan,
     sweep_decay_rate,
     sweep_tau,
     transition_boundary,
 )
+from qslkit.smatrix import DensityMatrix2
 
 LAM = 50.0
+EXCITED = DensityMatrix2.excited()
 
 
-def small_grid():
+def small_grid(spec=None):
     gamma0_axis = np.geomspace(0.1 * LAM, 20.0 * LAM, 7)
     delta_axis = np.array([0.0, 150.0, 300.0])
-    return grid_scan(gamma0_axis, delta_axis, LAM, 0.2)
+    return grid_scan(gamma0_axis, delta_axis, LAM, 0.2, spec=spec)
+
+
+def one_chunk_per_cell(monkeypatch):
+    """The smallest fan-out: every engine call covers one cell, one round one panel."""
+    monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 1)
+    monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", 1)
+
+
+def serial_boundary(grid, spec):
+    """Reference: the flip-by-flip, step-by-step bisection with one-cell calls."""
+    out = []
+    for j, delta in enumerate(grid.delta_axis):
+        col = [grid.classification[i][j] for i in range(grid.gamma0_axis.size)]
+        flip_index = 0
+        for i in range(len(col) - 1):
+            if "error" in (col[i], col[i + 1]) or col[i] == col[i + 1]:
+                continue
+            lo, hi = float(grid.gamma0_axis[i]), float(grid.gamma0_axis[i + 1])
+            while hi / lo > 1.0 + 1e-3:
+                mid = math.sqrt(lo * hi)
+                report = qsl_ratio(ModelParams(mid, grid.lam, float(delta)), EXCITED, grid.tau_d,
+                                   spec=spec)
+                if (classify(report.ratio) == "speed_up") == (col[i] == "speed_up"):
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((float(delta), math.sqrt(lo * hi), flip_index))
+            flip_index += 1
+    return out
+
+
+def raised(fn, *args, **kwargs):
+    with pytest.raises(QuadratureError) as info:
+        fn(*args, **kwargs)
+    return str(info.value), info.value.value, info.value.err_estimate
 
 
 class TestGridScan:
@@ -36,21 +78,49 @@ class TestGridScan:
         assert all(cell is not None for row in grid.cells for cell in row)
         assert all(err is None for row in grid.errors for err in row)
 
-    def test_cell_failures_recorded_scan_continues(self, monkeypatch):
-        real = scan_mod.qsl_ratio
-        target = {"count": 0}
+    def test_cell_failures_recorded_scan_continues(self):
+        # At max_depth 4 the quadrature fails on some detuned cells only: each
+        # failure is recorded as the one-cell call raises it, and every other
+        # cell completes with the one-cell report.
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        grid = small_grid(spec)
+        failed = set()
+        for i, g0 in enumerate(grid.gamma0_axis.tolist()):
+            for j, delta in enumerate(grid.delta_axis.tolist()):
+                try:
+                    report = qsl_ratio(ModelParams(g0, LAM, delta), EXCITED, 0.2, spec=spec)
+                except QuadratureError as exc:
+                    failed.add((i, j))
+                    assert grid.errors[i][j] == str(exc)
+                    assert grid.cells[i][j] is None
+                    assert grid.classification[i][j] == "error"
+                else:
+                    assert grid.errors[i][j] is None
+                    assert repr(grid.cells[i][j]) == repr(report)
+                    assert grid.classification[i][j] == classify(report.ratio)
+        assert failed == {(0, 2), (1, 2), (4, 2), (5, 2), (6, 2)}
 
-        def flaky(p, rho0, tau_d, **kwargs):
-            target["count"] += 1
-            if target["count"] == 2:
-                raise QuadratureError("synthetic failure", value=0.0, err_estimate=1.0)
-            return real(p, rho0, tau_d, **kwargs)
+    def test_reports_independent_of_batch_size(self, monkeypatch):
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        batched = [repr((g.cells, g.errors)) for g in (small_grid(), small_grid(spec))]
+        one_chunk_per_cell(monkeypatch)
+        assert [repr((g.cells, g.errors)) for g in (small_grid(), small_grid(spec))] == batched
 
-        monkeypatch.setattr(scan_mod, "qsl_ratio", flaky)
-        grid = small_grid()
-        flat_errors = [e for row in grid.errors for e in row]
-        assert sum(e is not None for e in flat_errors) == 1
-        assert sum(c == "error" for row in grid.classification for c in row) == 1
+    def test_default_scan_closed_form_calls(self, monkeypatch):
+        # 630 cells: one scalar reference call each plus a few dozen batches
+        # (49,400 calls when every cell was evaluated on its own).
+        calls = []
+        real = model_mod._closed_form
+
+        def counted(k, t):
+            calls.append(np.size(t))
+            return real(k, t)
+
+        monkeypatch.setattr(model_mod, "_closed_form", counted)
+        grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
+        assert all(err is None for row in grid.errors for err in row)
+        assert len(calls) <= 1500
+        assert max(calls) < 16384
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -79,6 +149,18 @@ class TestTransitionBoundary:
             lo = qsl_ratio(ModelParams(g_star * 0.98, LAM, delta), rho0, 0.2).ratio
             hi = qsl_ratio(ModelParams(g_star * 1.02, LAM, delta), rho0, 0.2).ratio
             assert (lo < 1.0 - 1e-6) != (hi < 1.0 - 1e-6)
+
+    def test_matches_flip_by_flip_bisection(self):
+        grid = small_grid()
+        assert transition_boundary(grid) == serial_boundary(grid, None)
+
+    @pytest.mark.parametrize("max_depth", [3, 5])
+    def test_raises_first_error_in_serial_order(self, max_depth):
+        # At max_depth 3 the second flip fails on its first step and the first
+        # flip on its third; a flip-by-flip loop meets the first flip's error.
+        grid = small_grid()
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_depth=max_depth)
+        assert raised(transition_boundary, grid, spec=spec) == raised(serial_boundary, grid, spec)
 
     def test_large_detuning_speeds_up_whole_row(self):
         # At delta = 6*lam even the weakest sampled coupling accelerates, so
@@ -111,6 +193,28 @@ class TestSweepTau:
     def test_point_count_validation(self):
         with pytest.raises(ValueError):
             sweep_tau(ModelParams(5.0, LAM, 0.0), 1.0, 1, 0.2)
+
+    def test_matches_point_by_point(self, monkeypatch):
+        p = ModelParams(20.0 * LAM, LAM, 4.0 * LAM)
+        series = sweep_tau(p, 2.0, 21, 0.2)
+        expected = [qsl_ratio_evolved(p, tau, 0.2) for tau in np.linspace(0.0, 2.0, 21).tolist()]
+        assert series.values.tolist() == expected
+        one_chunk_per_cell(monkeypatch)
+        assert sweep_tau(p, 2.0, 21, 0.2).values.tolist() == expected
+
+    def test_raises_first_error_in_serial_order(self):
+        # The windows at tau = 0.1 and 0.2 fail; tau = 0 does not.
+        p = ModelParams(20.0 * LAM, LAM, 4.0 * LAM)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        taus = np.linspace(0.0, 2.0, 21).tolist()
+        qsl_ratio_evolved(p, taus[0], 0.2, spec=spec)
+        expected = raised(qsl_ratio_evolved, p, taus[1], 0.2, spec=spec)
+        assert raised(sweep_tau, p, 2.0, 21, 0.2, spec=spec) == expected
+        # A negative tau fails validation only after the points before it.
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            sweep_tau(p, -1.0, 3, 0.2)
+        assert raised(sweep_tau, p, -1.0, 3, 0.2, spec=QuadratureSpec(max_depth=0))[0] == raised(
+            qsl_ratio_evolved, p, 0.0, 0.2, spec=QuadratureSpec(max_depth=0))[0]
 
 
 class TestSweepDecayRate:
