@@ -105,12 +105,10 @@ def _kink_integrals(
     kink wherever one of them changes sign.  Returns per cell (value, err)
     or a QuadratureError naming the model point and the window.
     """
-    if not params:
-        return []
     n_probe = [quad.probe_count_for_period(p.complex_root.imag, lo, hi)
                for p, lo, hi in zip(params, a, b)]
-    roots = quad.find_sign_changes_many(factors, a, b, n_probe)
-    results = quad.integrate_many(integrand, a, b, roots, spec or quad.QuadratureSpec())
+    root_win, roots = quad.find_sign_changes_many(factors, a, b, n_probe)
+    results = quad.integrate_many(integrand, a, b, root_win, roots, spec or quad.QuadratureSpec())
     for i, r in enumerate(results):
         if isinstance(r, quad.QuadratureError):
             p = params[i]

@@ -135,10 +135,9 @@ def _merge_options(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key not in ("subcommand", "config"):
             opts[key] = value
-    if opts["gamma0_min"] is None:
-        opts["gamma0_min"] = 0.02 * opts["lam"]
-    if opts["gamma0_max"] is None:
-        opts["gamma0_max"] = 20.0 * opts["lam"]
+    for key, default in zip(("gamma0_min", "gamma0_max"), scan_mod.gamma0_range(opts["lam"])):
+        if opts[key] is None:
+            opts[key] = default
     return opts
 
 
@@ -171,7 +170,7 @@ def _cmd_ratio(opts: dict) -> Rows:
 
 def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
     gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_gamma0"])
-    delta_axis = np.linspace(0.0, 10.0 * opts["lam"], opts["n_delta"])
+    delta_axis = scan_mod.default_delta_axis(opts["lam"], opts["n_delta"])
     return scan_mod.grid_scan(
         gamma0_axis, delta_axis, opts["lam"], opts["tau_d"], spec=_quad_spec(opts)
     )
@@ -267,6 +266,11 @@ def run(argv=None) -> int:
     try:
         opts = _merge_options(args)
         fields, rows = _COMMANDS[args.subcommand][2](opts)
+        if opts["output"] == "-":
+            _write_rows(sys.stdout, fields, rows, opts["format"])
+        else:
+            with open(opts["output"], "w", newline="") as fh:
+                _write_rows(fh, fields, rows, opts["format"])
     except Exception as exc:  # noqa: BLE001 - converted to a machine-readable record
         record = {"error": type(exc).__name__, "message": str(exc), "subcommand": args.subcommand}
         partial = getattr(exc, "value", None)
@@ -276,11 +280,6 @@ def run(argv=None) -> int:
         json.dump(record, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    if opts["output"] == "-":
-        _write_rows(sys.stdout, fields, rows, opts["format"])
-    else:
-        with open(opts["output"], "w", newline="") as fh:
-            _write_rows(fh, fields, rows, opts["format"])
     return 0
 
 

@@ -4,17 +4,19 @@ One engine serves many windows (one cell's interval [a, b] each).  The
 integrand and the factors are called as f(rows, t): nodes t of shape (m, n),
 row j in window rows[j], in chunks of at most _CHUNK_POINTS nodes.  Factors
 may stack k rows to (k, m, n).  Roots are found by probing every window on
-its own grid, then bisecting every bracket of all windows together.  Panels
-are Gauss-Legendre 15 vs 7, bisected round by round over all windows; each
-window gets the value, error and QuadratureError of a depth-first,
-left-first bisection of that window alone.  integrate and
-find_sign_changes are the one-window cases, for callables of 1-d nodes.
+its own grid, then bisecting every bracket of all windows together, and are
+passed to the panels as arrays (window, value) sorted by window, then value.
+Panels are Gauss-Legendre 15 vs 7, bisected round by round over all windows;
+each window gets the value, error and QuadratureError of a depth-first,
+left-first bisection of that window alone.  QuadratureSpec holds only the
+tolerances and the depth limit.  integrate and find_sign_changes are the
+one-window cases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +38,17 @@ _PANELS_PER_ROUND = 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, depth limit and interior non-smooth points for integrate()."""
+    """Tolerances and depth limit of the adaptive quadrature."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_depth: int = 40
-    breakpoints: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
         if self.abs_tol < 0.0:
             raise ValueError("abs_tol must be nonnegative")
-        bp = tuple(float(b) for b in self.breakpoints)
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
 
 
 class QuadratureError(RuntimeError):
@@ -73,19 +70,13 @@ def _blocks(sizes: np.ndarray):
         i = j
 
 
-def evaluate(f, rows: np.ndarray, t: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+def evaluate(f, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """f(rows, t) over the nodes t (m, n) of cells rows (m,), stacked to (k, m, n).
 
-    Each call covers whole groups (runs of equal entries in groups, by
-    default single rows) of at most _CHUNK_POINTS nodes, or one larger group.
+    Each call covers whole rows: at most _CHUNK_POINTS nodes, or one row.
     """
     m, n = t.shape
-    starts = np.arange(m) if groups is None else np.flatnonzero(np.diff(groups, prepend=-1))
-    bounds = np.append(starts, m)
-    out = []
-    for i, j in _blocks(np.diff(bounds) * n):
-        lo, hi = bounds[i], bounds[j]
-        out.append(np.reshape(f(rows[lo:hi], t[lo:hi]), (-1, hi - lo, n)))
+    out = [np.reshape(f(rows[i:j], t[i:j]), (-1, j - i, n)) for i, j in _blocks(np.full(m, n))]
     return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 
@@ -94,35 +85,38 @@ def _one_window(f):
     return lambda rows, t: f(t.ravel())
 
 
-def integrate_many(f, a, b, breakpoints, spec: QuadratureSpec) -> list:
-    """Adaptive integrals of f over the windows [a[i], b[i]], each pre-split at breakpoints[i].
+def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
+    """Adaptive integrals of f over the windows [a[i], b[i]], pre-split at their breakpoints.
 
-    Each round evaluates the leftmost _PANELS_PER_ROUND pending panels of
-    every window.  A panel is accepted when its error fits its share of
-    max(rel_tol * |rough value|, abs_tol), else bisected; accepted panels are
-    summed per window from left to right.  spec.breakpoints is not used.
+    Breakpoint j lies in window bp_win[j] at bp[j], sorted by window and
+    then value, as find_sign_changes_many returns its roots; those outside
+    their window's interior are ignored.  Each round evaluates the leftmost
+    _PANELS_PER_ROUND pending panels of every window.  A panel is accepted
+    when its error fits its share of max(rel_tol * |rough value|, abs_tol),
+    else bisected; accepted panels are summed per window from left to right.
     Returns per window (value, err_estimate), or the QuadratureError of its
     leftmost panel deeper than max_depth, carrying the sum of the accepted
     panels left of it plus its own estimate.
     """
-    win, lo, hi = [], [], []
-    results: list = [None] * len(a)
-    for i, (ai, bi, bps) in enumerate(zip(a, b, breakpoints)):
-        ai, bi = float(ai), float(bi)
-        if bi < ai:
-            raise ValueError("integrate requires a <= b")
-        if bi == ai:
-            results[i] = (0.0, 0.0)
-            continue
-        edges = [ai] + [bp for bp in bps if ai < bp < bi] + [bi]
-        win += [i] * (len(edges) - 1)
-        lo += edges[:-1]
-        hi += edges[1:]
-    win, lo, hi = np.array(win, dtype=int), np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    bp_win, bp = np.asarray(bp_win, dtype=int), np.asarray(bp, dtype=float)
+    if np.any(b < a):
+        raise ValueError("integrate requires a <= b")
+    # Windows with b != a (NaN ends included) get panels; the others are empty.
+    live = np.flatnonzero(b != a)
+    results: list = [(0.0, 0.0) if empty else None for empty in (b == a).tolist()]
+    inner = (a[bp_win] < bp) & (bp < b[bp_win])
+    # A stable sort by window puts each window's edges in order: a, its breakpoints, b.
+    edge_win = np.concatenate((live, bp_win[inner], live))
+    edge_t = np.concatenate((a[live], bp[inner], b[live]))
+    order = np.argsort(edge_win, kind="stable")
+    edge_win, edge_t = edge_win[order], edge_t[order]
+    pairs = edge_win[:-1] == edge_win[1:]
+    win, lo, hi = edge_win[:-1][pairs], edge_t[:-1][pairs], edge_t[1:][pairs]
     depth = np.zeros(win.size, dtype=int)
-    width = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    tol = np.zeros(len(a))
-    fail_lo = np.full(len(a), np.inf)
+    width = b - a
+    tol = np.zeros(a.size)
+    fail_lo = np.full(a.size, np.inf)
     failures: dict[int, tuple[float, float, int, float, float]] = {}
     done = []  # (win, lo, value, err) of accepted panels, one tuple of arrays per round
     first = True
@@ -157,13 +151,13 @@ def integrate_many(f, a, b, breakpoints, spec: QuadratureSpec) -> list:
         win, lo, hi, depth = (x[keep][order] for x in (win, lo, hi, depth))
     if done:
         w, pl, value, err = (np.concatenate(x) for x in zip(*done))
-        order = np.lexsort((pl, w))
-        w, pl, value, err = w[order], pl[order], value[order], err[order]
+        # Only the panels left of a window's failure count.
+        keep = np.flatnonzero(pl < fail_lo[w])
+        order = keep[np.lexsort((pl[keep], w[keep]))]
+        w, value, err = w[order], value[order], err[order]
         for i, idx in _by_window(w, np.arange(w.size)):
             total = err_total = 0.0
-            for v, e, x in zip(value[idx].tolist(), err[idx].tolist(), pl[idx].tolist()):
-                if x >= fail_lo[i]:
-                    break
+            for v, e in zip(value[idx].tolist(), err[idx].tolist()):
                 total += v
                 err_total += e
             results[i] = (total, err_total)
@@ -200,35 +194,39 @@ def _panels(f, w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return value, np.abs(value - rough)
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> tuple[float, float]:
+def integrate(
+    f, a: float, b: float, spec: QuadratureSpec | None = None, breakpoints=()
+) -> tuple[float, float]:
     """Adaptive integral of f over [a, b]; returns (value, err_estimate).
 
-    The one-window case of integrate_many: the interval is pre-split at
-    spec.breakpoints, and f is called on 1-d arrays of nodes.
-
-    Raises QuadratureError (carrying the partial value) if any panel chain
-    exceeds spec.max_depth.
+    The one-window case of integrate_many, for f of 1-d nodes: the interval is
+    pre-split at the strictly increasing breakpoints inside it.  Raises
+    QuadratureError (carrying the partial value) if any panel chain exceeds
+    spec.max_depth.
     """
-    spec = spec or QuadratureSpec()
-    (result,) = integrate_many(_one_window(f), [a], [b], [spec.breakpoints], spec)
+    bp = np.asarray(breakpoints, dtype=float)
+    if np.any(bp[1:] <= bp[:-1]):
+        raise ValueError("breakpoints must be strictly increasing")
+    (result,) = integrate_many(_one_window(f), [a], [b], np.zeros(bp.size, dtype=int), bp,
+                               spec or QuadratureSpec())
     if isinstance(result, QuadratureError):
         raise result
     return result
 
 
-def find_sign_changes_many(f, a, b, n_probe) -> list[list[float]]:
-    """Sorted roots in (a[i], b[i]) of the factors of every window i.
+def find_sign_changes_many(f, a, b, n_probe) -> tuple[np.ndarray, np.ndarray]:
+    """Roots in (a[i], b[i]) of the factors of every window i, as arrays (window, root).
 
-    Window i is probed on n_probe[i] + 1 uniform points, and every bracketed
-    sign change is bisected to a width of 1e-12 * (b[i] - a[i]).  Brackets
-    are decided by signs, not by products, which underflow.  Exact-zero
-    probes count as roots; a factor zero on every probe of a window has none
-    there.  Roots closer together than the probe spacing can be missed;
-    callers should size n_probe from the expected oscillation period.
+    The arrays are sorted by window and then root.  Window i is probed on
+    n_probe[i] + 1 uniform points, and every bracketed sign change is
+    bisected to a width of 1e-12 * (b[i] - a[i]).  Brackets are decided by
+    signs, not by products, which underflow.  Exact-zero probes count as
+    roots; a factor zero on every probe of a window has none there.  Roots
+    closer together than the probe spacing can be missed; callers should
+    size n_probe from the expected oscillation period.
     """
     if any(n < 2 for n in n_probe):
         raise ValueError("n_probe must be at least 2")
-    out: list[list[float]] = [[] for _ in a]
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     windows = np.flatnonzero(b > a)
     sizes = np.asarray(n_probe)[windows] + 1
@@ -244,21 +242,19 @@ def find_sign_changes_many(f, a, b, n_probe) -> list[list[float]]:
         vals = np.where(np.repeat(nonzero, sizes[i:j], axis=1), vals, 1.0)
         sign = np.sign(vals)
         pair = (sign[:, :-1] * sign[:, 1:] < 0.0) & (point_win[:-1] == point_win[1:])
-        # Brackets in window order, so each step's midpoints group by window.
-        cols, rows = np.nonzero(pair.T)
+        rows, cols = np.nonzero(pair)
         zero = np.nonzero(vals == 0.0)[1]
         found.append((grid[cols], grid[cols + 1], vals[rows, cols], rows, point_win[cols],
                       grid[zero], point_win[zero]))
     if not found:
-        return out
+        return np.zeros(0, dtype=int), np.zeros(0)
     lo, hi, flo, rows, w, zero_t, zero_w = (np.concatenate(x) for x in zip(*found))
     target = 1e-12 * (b - a)[w]
     live = np.flatnonzero(hi - lo > target)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        fmid = np.asarray(
-            evaluate(f, w[live], mid[:, None], groups=w[live]), dtype=float
-        )[rows[live], np.arange(live.size), 0]
+        fmid = np.asarray(evaluate(f, w[live], mid[:, None]), dtype=float)
+        fmid = fmid[rows[live], np.arange(live.size), 0]
         # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
         left = np.sign(flo[live]) * np.sign(fmid) < 0.0
         hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
@@ -272,9 +268,7 @@ def find_sign_changes_many(f, a, b, n_probe) -> list[list[float]]:
     first = np.ones(roots.size, dtype=bool)
     first[1:] = (roots[1:] != roots[:-1]) | (root_win[1:] != root_win[:-1])
     inside = first & (a[root_win] < roots) & (roots < b[root_win])
-    for i, r in _by_window(root_win[inside], roots[inside]):
-        out[i] = r.tolist()
-    return out
+    return root_win[inside], roots[inside]
 
 
 def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
@@ -284,15 +278,15 @@ def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
     values, or a stacked (k, n) array of k factors, for a 1-d array of n
     times.
     """
-    return find_sign_changes_many(_one_window(f), [a], [b], [n_probe])[0]
+    return find_sign_changes_many(_one_window(f), [a], [b], [n_probe])[1].tolist()
 
 
-def probe_count_for_period(im_root: float, a: float, b: float, per_period: int = 64) -> int:
-    """Probe count giving per_period samples per oscillation of the model family.
+def probe_count_for_period(im_root: float, a: float, b: float) -> int:
+    """Probe count giving 64 samples per oscillation of the model family.
 
     The model oscillates with angular frequency |Im d|, i.e. period
     2*pi/|Im d|; weak-coupling (non-oscillatory) windows fall back to the
     base count.
     """
     periods = abs(im_root) * (b - a) / (2.0 * math.pi)
-    return max(per_period, int(math.ceil(per_period * periods)))
+    return max(64, int(math.ceil(64 * periods)))

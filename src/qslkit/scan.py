@@ -33,9 +33,14 @@ def classify(ratio: float) -> str:
     return "speed_up" if ratio < 1.0 - SPEED_UP_TOL else "no_speed_up"
 
 
+def gamma0_range(lam: float) -> tuple[float, float]:
+    """The figure's coupling range, 0.02*lam .. 20*lam."""
+    return 0.02 * lam, 20.0 * lam
+
+
 def default_gamma0_axis(lam: float, n: int = 30) -> np.ndarray:
-    """Log-spaced couplings covering 0.02*lam .. 20*lam (the figure range)."""
-    return np.geomspace(0.02 * lam, 20.0 * lam, n)
+    """Log-spaced couplings covering gamma0_range(lam)."""
+    return np.geomspace(*gamma0_range(lam), n)
 
 
 def default_delta_axis(lam: float, n: int = 21) -> np.ndarray:

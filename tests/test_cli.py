@@ -11,6 +11,7 @@ from qslkit.bounds import bures_comparator, qsl_ratio
 from qslkit.cli import run
 from qslkit.model import ModelParams
 from qslkit.quad import QuadratureError, QuadratureSpec
+from qslkit.scan import default_delta_axis, default_gamma0_axis
 from qslkit.smatrix import DensityMatrix2
 
 
@@ -60,6 +61,15 @@ class TestScan:
         assert len(lines) == 1 + 5 * 3
         classes = {line.split(",")[5] for line in lines[1:]}
         assert classes == {"speed_up", "no_speed_up"}
+
+    def test_default_axes_are_the_scan_modules(self, capsys):
+        code, out, _ = invoke(
+            capsys, "scan", "--lambda", "13.7", "--n-gamma0", "3", "--n-delta", "2", "--tau-d", "0.05"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [float(r[0]) for r in rows[::2]] == default_gamma0_axis(13.7, 3).tolist()
+        assert [float(r[1]) for r in rows[:2]] == default_delta_axis(13.7, 2).tolist()
 
     def test_row_order_gamma0_major(self, capsys):
         _, out, _ = invoke(capsys, "scan", "--n-gamma0", "3", "--n-delta", "2")
@@ -228,6 +238,15 @@ class TestOutputFile:
             assert out == ""
             _, stdout, _ = invoke(capsys, "ratio", "--format", fmt)
             assert path.read_bytes() == stdout.encode()
+
+    def test_unwritable_path_gives_json_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = invoke(capsys, "ratio", "--output", str(path))
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "FileNotFoundError"
+        assert record["subcommand"] == "ratio"
+        assert not path.parent.exists()
 
 
 SMALL_RUNS = {

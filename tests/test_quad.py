@@ -9,13 +9,14 @@ from qslkit.quad import (
     QuadratureError,
     QuadratureSpec,
     find_sign_changes,
+    find_sign_changes_many,
     integrate,
     integrate_many,
     probe_count_for_period,
 )
 
 
-def _depth_first(f, a, b, spec):
+def _depth_first(f, a, b, spec, breakpoints=()):
     """Reference: left-first depth-first bisection with one call per node set."""
     def panel(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -25,7 +26,7 @@ def _depth_first(f, a, b, spec):
             values.append(half * float(np.dot(weights, f(mid + half * nodes))))
         return values[0], abs(values[0] - values[1])
 
-    edges = [a] + [bp for bp in spec.breakpoints if a < bp < b] + [b]
+    edges = [a] + [bp for bp in breakpoints if a < bp < b] + [b]
     stack = [(lo, hi, 0, panel(lo, hi)) for lo, hi in zip(edges, edges[1:])]
     tol = max(spec.rel_tol * sum(abs(first[0]) for *_, first in stack), spec.abs_tol)
     total = err_total = 0.0
@@ -65,15 +66,15 @@ class TestIntegrate:
 
     def test_abs_sine_with_breakpoints(self):
         k = math.pi / 50.0
-        spec = QuadratureSpec(breakpoints=(k, 2 * k, 3 * k))
-        value, err = integrate(lambda t: np.abs(np.sin(50.0 * t)), 0.0, 4 * k, spec)
+        value, err = integrate(lambda t: np.abs(np.sin(50.0 * t)), 0.0, 4 * k,
+                               breakpoints=(k, 2 * k, 3 * k))
         assert value == pytest.approx(4.0 * 2.0 / 50.0, rel=1e-9)
 
     def test_breakpoints_do_not_worsen_error(self):
         k = math.pi / 50.0
         f = lambda t: np.abs(np.sin(50.0 * t))
         _, err_plain = integrate(f, 0.0, 4 * k)
-        _, err_bp = integrate(f, 0.0, 4 * k, QuadratureSpec(breakpoints=(k, 2 * k, 3 * k)))
+        _, err_bp = integrate(f, 0.0, 4 * k, breakpoints=(k, 2 * k, 3 * k))
         assert err_bp <= err_plain
 
     def test_additive_over_subintervals(self):
@@ -107,26 +108,27 @@ class TestIntegrate:
             calls.append(t.size)
             return t**13 - 2.0 * t**5 + 1.0
 
-        spec = QuadratureSpec(breakpoints=tuple(np.linspace(0.0, 1.0, k + 2)[1:-1]))
-        value, _ = integrate(f, 0.0, 1.0, spec)
+        value, _ = integrate(f, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, k + 2)[1:-1])
         assert value == pytest.approx(1.0 / 14.0 - 1.0 / 3.0 + 1.0, rel=1e-13)
         assert calls == [22 * (k + 1)]
 
     @pytest.mark.parametrize("panels_per_round", [1, 16])
     @pytest.mark.parametrize(
-        "spec",
+        "spec, breakpoints",
         [
-            QuadratureSpec(),
-            QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, breakpoints=(0.1, 0.5, 0.77)),
-            QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_depth=3),
-            QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7, breakpoints=(0.3, 0.31)),
+            (QuadratureSpec(), ()),
+            (QuadratureSpec(rel_tol=1e-12, abs_tol=0.0), (0.1, 0.5, 0.77)),
+            (QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_depth=3), ()),
+            (QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7), (0.3, 0.31)),
         ],
+        ids=["spec0", "spec1", "spec2", "spec3"],
     )
-    def test_matches_depth_first_bisection(self, monkeypatch, spec, panels_per_round):
+    def test_matches_depth_first_bisection(self, monkeypatch, spec, breakpoints, panels_per_round):
         # Same panels, same left-to-right sums, same first failure and partial value.
         monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", panels_per_round)
         f = lambda t: np.abs(np.sin(50.0 * t)) * np.exp(-t)
-        assert _outcome(integrate, f, 0.0, 1.0, spec) == _outcome(_depth_first, f, 0.0, 1.0, spec)
+        args = f, 0.0, 1.0, spec, breakpoints
+        assert _outcome(integrate, *args) == _outcome(_depth_first, *args)
 
     def test_many_windows_match_one_at_a_time(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7)
@@ -134,20 +136,37 @@ class TestIntegrate:
         k = math.pi / 50.0
         a, b = [0.0, 0.2, 0.5, k], [1.0, 0.9, 0.5, 2.0 * k]
         breakpoints = [(0.3,), (), (), (1.5 * k,)]
-        results = integrate_many(lambda rows, t: np.abs(np.sin(50.0 * t)), a, b, breakpoints, spec)
+        bp_win = [i for i, bps in enumerate(breakpoints) for _ in bps]
+        bp = [x for bps in breakpoints for x in bps]
+        results = integrate_many(lambda rows, t: np.abs(np.sin(50.0 * t)), a, b, bp_win, bp, spec)
         assert [isinstance(r, QuadratureError) for r in results] == [True, True, False, False]
         for ai, bi, bps, result in zip(a, b, breakpoints, results):
-            one = _outcome(integrate, lambda t: np.abs(np.sin(50.0 * t)), ai, bi,
-                           QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7, breakpoints=bps))
+            one = _outcome(integrate, lambda t: np.abs(np.sin(50.0 * t)), ai, bi, spec, bps)
             if isinstance(result, QuadratureError):
                 result = str(result), result.value, result.err_estimate
             assert result == one
+
+    def test_nan_end_takes_the_panel_path(self):
+        # b != a holds for NaN ends, so the window is refined until max_depth.
+        with pytest.raises(QuadratureError):
+            integrate(lambda t: t, 0.0, math.nan, QuadratureSpec(max_depth=5))
+
+    def test_no_windows(self):
+        unused = lambda rows, t: 1 / 0
+        assert integrate_many(unused, [], [], [], [], QuadratureSpec()) == []
+        root_win, roots = find_sign_changes_many(unused, [], [], [])
+        assert root_win.size == roots.size == 0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(breakpoints=(0.2, 0.1))
+            QuadratureSpec(abs_tol=-1e-12)
+
+    @pytest.mark.parametrize("breakpoints", [(0.2, 0.1), (0.3, 0.3)])
+    def test_breakpoints_must_increase(self, breakpoints):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate(lambda t: t, 0.0, 1.0, breakpoints=breakpoints)
 
 
 def _bisect_each_bracket(f, a, b, n_probe):
@@ -236,6 +255,33 @@ class TestFindSignChanges:
         assert 0.5 in single[1]
         assert single[2] == []
         assert stacked == sorted(set(single[0] + single[1]))
+
+    def test_many_windows_match_one_at_a_time(self, monkeypatch):
+        # A normal window, an empty one, one with an exact-zero probe (t - 0.5
+        # at t = 0.5 on 4 probes) and one whose second factor is identically zero.
+        a, b = np.array([0.0, 0.5, 0.0, 0.2]), np.array([1.0, 0.5, 1.0, 0.9])
+        n_probe = [64, 64, 4, 40]
+        freq, slope = np.array([50.0, 50.0, 9.0, 30.0]), np.array([1.0, 1.0, 1.0, 0.0])
+
+        def factors(rows, t):
+            return np.stack((np.cos(freq[rows, None] * t), slope[rows, None] * (t - 0.5)))
+
+        one = [find_sign_changes(lambda t: factors(np.full(t.size, i), t[:, None]),
+                                 a[i], b[i], n_probe[i]) for i in range(a.size)]
+        assert one[1] == [] and 0.5 in one[2] and 0.5 not in one[3]
+        # At 7 nodes per call each window's probes take a call of their own,
+        # and a bisection step with more than 7 brackets spans several calls.
+        monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 7)
+        calls = []
+
+        def counted(rows, t):
+            calls.append(t.size)
+            return factors(rows, t)
+
+        root_win, roots = find_sign_changes_many(counted, a, b, n_probe)
+        assert calls[:3] == [65, 5, 41] and max(calls[3:]) <= 7
+        assert root_win.tolist() == [i for i, r in enumerate(one) for _ in r]
+        assert roots.tolist() == [x for r in one for x in r]
 
     def test_brackets_bisected_together(self):
         calls = []
