@@ -67,6 +67,14 @@ def raise_first(results: list) -> list:
     return results
 
 
+def _not_finite(**values) -> ValueError | None:
+    """A ValueError naming the first of values that is NaN or infinite, else None."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            return ValueError(f"{name} must be finite, got {v}")
+    return None
+
+
 def _trajectories(params: list[ModelParams], rho0: DensityMatrix2, tau_start: float):
     """Closed-form ingredients of each cell's trajectory displaced from rho(tau_start).
 
@@ -145,6 +153,9 @@ def _lambda_cores(
     spec: quad.QuadratureSpec | None,
 ):
     """Per cell (averaged integral, quadrature error) or its exception; the trajectory terms."""
+    error = _not_finite(tau_d=tau_d, tau_start=tau_start)
+    if error is not None:
+        return [error] * len(params), None
     if tau_d <= 0.0:
         return [ValueError("tau_d must be positive")] * len(params), None
     if tau_start < 0.0:
@@ -247,8 +258,9 @@ def qsl_ratio_evolved_many(
 ) -> list:
     """qsl_ratio_evolved for cells (params[i], taus[i]); a failed cell's entry is its exception."""
     out: list = [
-        ValueError("tau must be nonnegative") if tau < 0.0
-        else ValueError("tau_d must be positive") if tau_d <= 0.0 else None
+        _not_finite(tau=tau, tau_d=tau_d)
+        or (ValueError("tau must be nonnegative") if tau < 0.0
+            else ValueError("tau_d must be positive") if tau_d <= 0.0 else None)
         for tau in taus
     ]
     ok = [i for i, r in enumerate(out) if r is None]
@@ -301,6 +313,9 @@ def bures_comparator_many(
     params: list[ModelParams], tau_d: float, spec: quad.QuadratureSpec | None = None
 ) -> list:
     """bures_comparator for every model point in params; a failed cell's entry is its exception."""
+    error = _not_finite(tau_d=tau_d)
+    if error is not None:
+        return [error] * len(params)
     if tau_d <= 0.0:
         return [ValueError("tau_d must be positive")] * len(params)
     table = coefficient_table(params)

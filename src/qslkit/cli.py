@@ -7,8 +7,11 @@ plain key=value config file (--config); command-line flags take precedence.
 
 `_PARAMS` is the only place a parameter (its flag, type, default and config
 key) is declared, and `_COMMANDS` the only place a subcommand (its name, help
-text, parameters and handler) is.  Each handler returns its column names once
-plus an iterable of value tuples in that order.
+text, parameters, output columns with their kinds, and handler) is.  Each
+handler returns typed columns: one numpy array or list per declared column,
+float, int, bool or str.  The writer formats them in chunks of rows, CSV
+with a header or JSON exactly as json.dump(rows, indent=2) prints a list of
+row objects (NaN, Infinity and -Infinity included).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,25 +66,80 @@ _PARAMS = {
 # Accepted by every subcommand, after its own parameters and --config.
 _COMMON = ("output", "format", "rel_tol", "abs_tol")
 
-Rows = tuple[tuple[str, ...], Iterable[tuple]]
+Columns = tuple  # one numpy array or list per declared column, in declared order
+
+# Rows formatted per write, so the output text is never held whole.
+_CHUNK_ROWS = 4096
+
+# Column kind -> (numpy dtype, CSV conversion, JSON conversion).  "%.17g" prints
+# nan, inf and -inf as format(v, ".17g") does.
+_KINDS = {
+    "float": (float, "%.17g", "%r"),
+    "int": (int, "%d", "%d"),
+    "bool": (bool, "%s", "%s"),
+    "str": (object, "%s", "%s"),
+}
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+class _Bare(str):
+    """A JSON token that %r prints without quotes."""
+
+    def __repr__(self):
+        return str(self)
 
 
-def _write_rows(out, fields: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> None:
+_JSON_NAN, _JSON_INF, _JSON_NEG_INF = _Bare("NaN"), _Bare("Infinity"), _Bare("-Infinity")
+# Indexed by a bool column's bytes: one shared string object per value.
+_TRUE_FALSE = np.array(["false", "true"], dtype=object)
+
+
+def _parse_columns(decl: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Names and kinds of a column declaration "name name:kind ...", float by default."""
+    pairs = [col.partition(":")[::2] for col in decl.split()]
+    return tuple(name for name, _ in pairs), tuple(kind or "float" for _, kind in pairs)
+
+
+def _chunk_values(a: np.ndarray, kind: str, fmt: str) -> list:
+    """The values of one chunk of a column, ready for its conversion spec."""
+    if kind == "bool":
+        return _TRUE_FALSE[a.view(np.uint8)].tolist()
+    values = a.tolist()
+    if fmt == "json" and kind == "str":
+        return [json.dumps(v) for v in values]
+    if fmt == "json" and kind == "float":
+        for k in np.flatnonzero(~np.isfinite(a)).tolist():
+            v = values[k]
+            values[k] = _JSON_NAN if v != v else _JSON_INF if v > 0.0 else _JSON_NEG_INF
+    return values
+
+
+def _write_columns(out, decl: str, columns: Columns, fmt: str) -> None:
+    """Write columns as CSV with a header, or as json.dump(rows, indent=2) would.
+
+    Each chunk of _CHUNK_ROWS rows is one row template repeated over the chunk
+    and applied to the chunk's values, flattened row by row.
+    """
+    names, kinds = _parse_columns(decl)
+    cols = [np.asarray(c, dtype=_KINDS[k][0]) for c, k in zip(columns, kinds)]
+    n_rows = len(cols[0])
     if fmt == "csv":
-        out.write(",".join(fields) + "\n")
-        for row in rows:
-            out.write(",".join(map(_cell, row)) + "\n")
+        out.write(",".join(names) + "\n")
+        row, sep = ",".join(_KINDS[k][1] for k in kinds) + "\n", ""
+    elif n_rows == 0:
+        out.write("[]\n")
+        return
     else:
-        json.dump([dict(zip(fields, row)) for row in rows], out, indent=2, allow_nan=True)
-        out.write("\n")
+        out.write("[\n")
+        fields = [f"    {json.dumps(name)}: {_KINDS[k][2]}" for name, k in zip(names, kinds)]
+        row, sep = "  {\n" + ",\n".join(fields) + "\n  }", ",\n"
+    for i in range(0, n_rows, _CHUNK_ROWS):
+        j = min(i + _CHUNK_ROWS, n_rows)
+        flat = [None] * ((j - i) * len(cols))
+        for c, (col, kind) in enumerate(zip(cols, kinds)):
+            flat[c::len(cols)] = _chunk_values(col[i:j], kind, fmt)
+        out.write((sep if i else "") + sep.join([row] * (j - i)) % tuple(flat))
+    if fmt == "json":
+        out.write("\n]\n")
 
 
 def _load_config(path: str) -> dict:
@@ -109,13 +167,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qslkit", description="Speed-limit datasets for the detuned decay model"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for command, (help_text, names, _) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
-        for name in names:
-            _add_param(sp, name)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            _add_param(sp, param)
         sp.add_argument("--config", default=None, help="key=value file; flags override it")
-        for name in _COMMON:
-            _add_param(sp, name)
+        for param in _COMMON:
+            _add_param(sp, param)
     return parser
 
 
@@ -149,23 +207,19 @@ def _model_params(opts: dict) -> ModelParams:
     return ModelParams(gamma0=opts["gamma0"], lam=opts["lam"], delta=opts["delta"])
 
 
-def _cmd_ratio(opts: dict) -> Rows:
+def _cmd_ratio(opts: dict) -> Columns:
     p = _model_params(opts)
     spec = _quad_spec(opts)
     tau_d = opts["tau_d"]
     report = qsl_ratio(p, DensityMatrix2.excited(), tau_d, tau_start=opts["tau"], spec=spec)
     # The Bures-angle comparator covers the window [0, tau_d] only.
     comparator = bures_comparator(p, tau_d, spec=spec) if opts["tau"] == 0.0 else math.nan
-    fields = (
-        "gamma0", "delta", "lambda", "tau", "tau_d", "lambda1", "lambda2", "lambda_inf",
-        "d_measure", "tau_qsl", "ratio", "comparator_ratio", "stationary", "quad_err",
-    )
     row = (
         p.gamma0, p.delta, p.lam, opts["tau"], report.tau_d, report.lambda1, report.lambda2,
         report.lambda_inf, report.d_measure, report.tau_qsl, report.ratio,
         comparator, report.stationary, report.quadrature_err,
     )
-    return fields, [row]
+    return tuple([v] for v in row)
 
 
 def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
@@ -176,41 +230,41 @@ def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
     )
 
 
-def _cmd_scan(opts: dict) -> Rows:
+def _cmd_scan(opts: dict) -> Columns:
     grid = _scan_grid(opts)
-    fields = ("gamma0", "delta", "lambda", "tau_d", "ratio", "classification", "quad_err")
-    rows = [
-        (g0, delta, grid.lam, grid.tau_d, report.ratio if report else math.nan, label,
-         report.quadrature_err if report else math.nan)
-        for g0, cells, labels in zip(grid.gamma0_axis.tolist(), grid.cells, grid.classification)
-        for delta, report, label in zip(grid.delta_axis.tolist(), cells, labels)
-    ]
-    return fields, rows
+    n_gamma0, n_delta = grid.gamma0_axis.size, grid.delta_axis.size
+    reports = [report for cells in grid.cells for report in cells]
+    return (
+        np.repeat(grid.gamma0_axis, n_delta), np.tile(grid.delta_axis, n_gamma0),
+        np.full(len(reports), grid.lam), np.full(len(reports), grid.tau_d),
+        [report.ratio if report else math.nan for report in reports],
+        [label for labels in grid.classification for label in labels],
+        [report.quadrature_err if report else math.nan for report in reports],
+    )
 
 
-def _cmd_boundary(opts: dict) -> Rows:
+def _cmd_boundary(opts: dict) -> Columns:
     grid = _scan_grid(opts)
     points = scan_mod.transition_boundary(grid, spec=_quad_spec(opts))
-    return ("delta", "gamma0_boundary", "flip_index"), points
+    return tuple(zip(*points)) or ((), (), ())
 
 
-def _cmd_sweep_tau(opts: dict) -> Rows:
+def _cmd_sweep_tau(opts: dict) -> Columns:
     series = scan_mod.sweep_tau(
         _model_params(opts), opts["tau_max"], opts["n_points"], opts["tau_d"],
         spec=_quad_spec(opts),
     )
-    return ("tau", "ratio"), zip(series.times.tolist(), series.values.tolist())
+    return series.times, series.values
 
 
-def _cmd_decay_rate(opts: dict) -> Rows:
+def _cmd_decay_rate(opts: dict) -> Columns:
     series = scan_mod.sweep_decay_rate(
         _model_params(opts), opts["t_max"], opts["n_points"], clip=opts["clip"]
     )
-    rows = zip(series.times.tolist(), series.values.tolist(), series.clipped)
-    return ("t", "gamma_over_gamma0", "clipped"), rows
+    return series.times, series.values, series.clipped
 
 
-def _cmd_compare_bounds(opts: dict) -> Rows:
+def _cmd_compare_bounds(opts: dict) -> Columns:
     gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_points"])
     spec = _quad_spec(opts)
     # Points up to the first invalid one; its error comes after theirs.
@@ -227,37 +281,54 @@ def _cmd_compare_bounds(opts: dict) -> Rows:
     raise_first([r for pair in zip(trace, bures) for r in pair])
     if invalid is not None:
         raise invalid
-    rows = [(p.gamma0, t.ratio, b) for p, t, b in zip(params, trace, bures)]
-    return ("gamma0", "ratio_trace", "ratio_bures"), rows
+    return [p.gamma0 for p in params], [t.ratio for t in trace], bures
 
 
-def _cmd_oracle_check(opts: dict) -> Rows:
+def _cmd_oracle_check(opts: dict) -> Columns:
     p = _model_params(opts)
     times, numeric = oracle_amplitude(p, opts["t_max"], opts["step"])
     analytic, _ = amplitude_series(p, times)
     max_err = float(np.max(np.abs(numeric - analytic)))
-    fields = ("gamma0", "delta", "lambda", "t_max", "step", "max_abs_error")
-    return fields, [(p.gamma0, p.delta, p.lam, opts["t_max"], opts["step"], max_err)]
+    return tuple([v] for v in (p.gamma0, p.delta, p.lam, opts["t_max"], opts["step"], max_err))
 
 
-# Subcommand -> (help text, its own parameters, handler).
-_COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[[dict], Rows]]] = {
-    "ratio": ("one speed-limit report at a parameter point",
-              ("gamma0", "lam", "delta", "tau_d", "tau"), _cmd_ratio),
-    "scan": ("ratio surface over the (gamma0, delta) grid",
-             ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max"), _cmd_scan),
-    "boundary": ("speed-up/no-speed-up transition points",
-                 ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max"),
-                 _cmd_boundary),
-    "sweep-tau": ("evolved-state ratio versus tau",
-                  ("gamma0", "lam", "delta", "tau_d", "tau_max", "n_points"), _cmd_sweep_tau),
-    "decay-rate": ("normalized decay rate versus time",
-                   ("gamma0", "lam", "delta", "t_max", "n_points", "clip"), _cmd_decay_rate),
-    "compare-bounds": ("trace-distance vs Bures-angle ratio sweep",
-                       ("lam", "delta", "tau_d", "n_points", "gamma0_min", "gamma0_max"),
-                       _cmd_compare_bounds),
-    "oracle-check": ("memory-kernel integration vs closed form",
-                     ("gamma0", "lam", "delta", "t_max", "step"), _cmd_oracle_check),
+class _Command(NamedTuple):
+    help: str
+    params: tuple[str, ...]  # its own parameters, before --config and _COMMON
+    columns: str  # output columns "name name:kind ...", kind float unless given
+    handler: Callable[[dict], Columns]  # returns the declared columns, in order
+
+
+_GRID = ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max")
+
+_COMMANDS = {
+    "ratio": _Command(
+        "one speed-limit report at a parameter point",
+        ("gamma0", "lam", "delta", "tau_d", "tau"),
+        "gamma0 delta lambda tau tau_d lambda1 lambda2 lambda_inf d_measure tau_qsl ratio "
+        "comparator_ratio stationary:bool quad_err",
+        _cmd_ratio),
+    "scan": _Command(
+        "ratio surface over the (gamma0, delta) grid", _GRID,
+        "gamma0 delta lambda tau_d ratio classification:str quad_err", _cmd_scan),
+    "boundary": _Command(
+        "speed-up/no-speed-up transition points", _GRID,
+        "delta gamma0_boundary flip_index:int", _cmd_boundary),
+    "sweep-tau": _Command(
+        "evolved-state ratio versus tau",
+        ("gamma0", "lam", "delta", "tau_d", "tau_max", "n_points"), "tau ratio", _cmd_sweep_tau),
+    "decay-rate": _Command(
+        "normalized decay rate versus time",
+        ("gamma0", "lam", "delta", "t_max", "n_points", "clip"),
+        "t gamma_over_gamma0 clipped:bool", _cmd_decay_rate),
+    "compare-bounds": _Command(
+        "trace-distance vs Bures-angle ratio sweep",
+        ("lam", "delta", "tau_d", "n_points", "gamma0_min", "gamma0_max"),
+        "gamma0 ratio_trace ratio_bures", _cmd_compare_bounds),
+    "oracle-check": _Command(
+        "memory-kernel integration vs closed form",
+        ("gamma0", "lam", "delta", "t_max", "step"),
+        "gamma0 delta lambda t_max step max_abs_error", _cmd_oracle_check),
 }
 
 
@@ -265,12 +336,13 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        fields, rows = _COMMANDS[args.subcommand][2](opts)
+        command = _COMMANDS[args.subcommand]
+        columns = command.handler(opts)
         if opts["output"] == "-":
-            _write_rows(sys.stdout, fields, rows, opts["format"])
+            _write_columns(sys.stdout, command.columns, columns, opts["format"])
         else:
             with open(opts["output"], "w", newline="") as fh:
-                _write_rows(fh, fields, rows, opts["format"])
+                _write_columns(fh, command.columns, columns, opts["format"])
     except Exception as exc:  # noqa: BLE001 - converted to a machine-readable record
         record = {"error": type(exc).__name__, "message": str(exc), "subcommand": args.subcommand}
         partial = getattr(exc, "value", None)

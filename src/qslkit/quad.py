@@ -45,9 +45,10 @@ class QuadratureSpec:
     max_depth: int = 40
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0:
+        # Written so that NaN fails them.
+        if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
+        if not self.abs_tol >= 0.0:
             raise ValueError("abs_tol must be nonnegative")
 
 
@@ -95,8 +96,9 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
     when its error fits its share of max(rel_tol * |rough value|, abs_tol),
     else bisected; accepted panels are summed per window from left to right.
     Returns per window (value, err_estimate), or the QuadratureError of its
-    leftmost panel deeper than max_depth, carrying the sum of the accepted
-    panels left of it plus its own estimate.
+    leftmost failed panel (deeper than max_depth, or with a lower end that is
+    not finite), carrying the sum of the accepted panels left of it plus its
+    own estimate.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     bp_win, bp = np.asarray(bp_win, dtype=int), np.asarray(bp, dtype=float)
@@ -134,10 +136,11 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
             first = False
         ok = (err <= tol[w] * (ph - pl) / width[w]) | (err <= spec.abs_tol)
         done.append((w[ok], pl[ok], value[ok], err[ok]))
-        split = ~ok & (pd < spec.max_depth)
-        for j in np.flatnonzero(~ok & (pd >= spec.max_depth)):
+        # A panel whose lower end is not finite never converges: it fails at once.
+        split = ~ok & (pd < spec.max_depth) & np.isfinite(pl)
+        for j in np.flatnonzero(~ok & ~split):
             i = int(w[j])
-            if pl[j] < fail_lo[i]:
+            if i not in failures or pl[j] < fail_lo[i]:
                 fail_lo[i] = pl[j]
                 failures[i] = (float(pl[j]), float(ph[j]), int(pd[j]), value[j], err[j])
         mid = 0.5 * (pl[split] + ph[split])

@@ -90,6 +90,8 @@ def grid_scan(
         raise ValueError("scan axes must be non-empty")
     if np.any(np.diff(gamma0_axis) <= 0.0) or np.any(np.diff(delta_axis) <= 0.0):
         raise ValueError("scan axes must be strictly increasing")
+    if not math.isfinite(tau_d):
+        raise ValueError(f"tau_d must be finite, got {tau_d}")
     if tau_d <= 0.0:
         raise ValueError("tau_d must be positive")
     rho0 = DensityMatrix2.excited()
@@ -175,6 +177,8 @@ def sweep_tau(
     """Evolved-initial-state ratio on a uniform tau grid."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if not math.isfinite(tau_max):
+        raise ValueError(f"tau_max must be finite, got {tau_max}")
     taus = np.linspace(0.0, tau_max, n_points)
     values = raise_first(qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec))
     return TimeSeries(
@@ -191,7 +195,9 @@ def sweep_decay_rate(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    if clip <= 0.0:
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
+    if not clip > 0.0:  # NaN fails too
         raise ValueError("clip must be positive")
     times = np.linspace(0.0, t_max, n_points)
     raw = np.asarray(decay_rate(p, times), dtype=float) / p.gamma0

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import subprocess
 import sys
 
@@ -312,3 +314,120 @@ class TestDeterminism:
         monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 1)
         monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", 1)
         assert invoke(capsys, *argv) == default
+
+
+def _old_cell(v) -> str:
+    # The per-value formatting the column writer replaced.
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def reference_text(names, columns, fmt: str) -> str:
+    """The output of rows formatted one value at a time, or by json.dump."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns)))
+    if fmt == "csv":
+        return "".join(",".join(map(_old_cell, row)) + "\n" for row in [names, *rows])
+    buf = io.StringIO()
+    json.dump([dict(zip(names, row)) for row in rows], buf, indent=2, allow_nan=True)
+    return buf.getvalue() + "\n"
+
+
+def written_text(decl: str, columns, fmt: str) -> str:
+    buf = io.StringIO()
+    cli_mod._write_columns(buf, decl, columns, fmt)
+    return buf.getvalue()
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_matches_row_by_row_reference(self, capsys, command, fmt):
+        argv = [command, *SMALL_RUNS[command], "--format", fmt]
+        spec = cli_mod._COMMANDS[command]
+        names, _ = cli_mod._parse_columns(spec.columns)
+        opts = cli_mod._merge_options(cli_mod._build_parser().parse_args(argv))
+        expected = reference_text(names, spec.handler(opts), fmt)
+        assert invoke(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_values(self, fmt):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e300, 5e-324, -1.5]
+        columns = (
+            np.array(floats),
+            list(range(-4, 5)),
+            [True, False] * 4 + [True],
+            ["speed_up", 'quote"d', "back\\slash", "tab\t", "é", "", "a,b", "%s", "%%"],
+        )
+        decl = "x n:int flag:bool label:str"
+        names, _ = cli_mod._parse_columns(decl)
+        assert written_text(decl, columns, fmt) == reference_text(names, columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_rows(self, fmt):
+        columns = ((), (), ())
+        names = ("delta", "gamma0_boundary", "flip_index")
+        expected = reference_text(names, columns, fmt)
+        assert written_text("delta gamma0_boundary flip_index:int", columns, fmt) == expected
+        assert expected == ("delta,gamma0_boundary,flip_index\n" if fmt == "csv" else "[]\n")
+
+    def test_infinite_clip_prints_json_infinity(self, capsys):
+        argv = ["decay-rate", "--gamma0", "500", "--t-max", "3", "--n-points", "3001",
+                "--clip", "inf"]
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert any(row["gamma_over_gamma0"] == math.inf for row in rows)
+        assert '"gamma_over_gamma0": Infinity,' in out
+        _, csv_out, _ = invoke(capsys, *argv)
+        assert ",inf,true\n" in csv_out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decay-rate", "--gamma0", "500", "--t-max", "3", "--n-points", "1001",
+             "--clip", "inf"),
+            ("scan", "--n-gamma0", "3", "--n-delta", "2"),
+            ("ratio", "--gamma0", "500"),
+            ("boundary", "--n-gamma0", "3", "--n-delta", "1", "--gamma0-max", "2"),
+        ],
+    )
+    def test_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, argv, fmt):
+        default = invoke(capsys, *argv, "--format", fmt)
+        for rows in (1, 7):
+            monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", rows)
+            assert invoke(capsys, *argv, "--format", fmt) == default
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("ratio", "--tau", "nan"), "tau_start must be finite"),
+            (("ratio", "--tau", "inf"), "tau_start must be finite"),
+            (("ratio", "--tau-d", "nan"), "tau_d must be finite"),
+            (("ratio", "--tau-d", "inf"), "tau_d must be finite"),
+            (("sweep-tau", "--tau-max", "nan"), "tau_max must be finite"),
+            (("sweep-tau", "--tau-d", "inf"), "tau_d must be finite"),
+            (("scan", "--tau-d", "nan", "--n-gamma0", "2", "--n-delta", "2"),
+             "tau_d must be finite"),
+            (("boundary", "--tau-d", "nan", "--n-gamma0", "2", "--n-delta", "2"),
+             "tau_d must be finite"),
+            (("compare-bounds", "--tau-d", "nan", "--n-points", "3"), "tau_d must be finite"),
+            (("oracle-check", "--t-max", "nan"), "t_max must be finite"),
+            (("oracle-check", "--step", "nan"), "step must be positive"),
+            (("decay-rate", "--t-max", "nan"), "t_max must be finite"),
+            (("decay-rate", "--clip", "nan"), "clip must be positive"),
+            (("ratio", "--rel-tol", "nan"), "rel_tol must be positive"),
+            (("ratio", "--abs-tol", "nan"), "abs_tol must be nonnegative"),
+        ],
+    )
+    def test_rejected_with_a_named_error(self, capsys, argv, name):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(name)

@@ -8,6 +8,8 @@ from qslkit.model import (
     Amplitude,
     ModelParams,
     _amplitude_cddot,
+    _coefficients,
+    _sinhc,
     amplitude,
     amplitude_series,
     decay_rate,
@@ -138,6 +140,35 @@ class TestAmplitude:
             scale = 0.5 * p.gamma0 * p.lam
             res = np.abs(cdd + (p.lam - 1j * p.delta) * cd + scale * c) / scale
             assert np.max(res) < 1e-9
+
+    @pytest.mark.parametrize("gamma0, delta", [(0.1 * LAM, 6.0 * LAM), (10.0 * LAM, 0.0)])
+    @pytest.mark.parametrize("t", [np.linspace(0.0, 50.0 / LAM, 20001), 30.0 / LAM, 0.01 / LAM])
+    def test_split_form_selected_in_place_is_bit_identical(self, gamma0, delta, t):
+        # The closed form as it was before the split values were written in place.
+        p = ModelParams(gamma0, LAM, delta)
+        k = _coefficients(p)
+        t = np.asarray(t, dtype=float)
+        x = k.half_d * t
+        big = np.abs(x) > 25.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            env = np.exp(k.neg_mu * t)
+            shc = _sinhc(x)
+            c_mid = env * (np.cosh(x) + k.mu * t * shc)
+            cdot_mid = k.cdot_scale * t * shc * env
+            e_plus = np.exp(k.s_plus * t)
+            e_minus = np.exp(k.s_minus * t)
+            c_big = k.a_plus * e_plus + k.a_minus * e_minus
+            cdot_big = k.as_plus * e_plus + k.as_minus * e_minus
+        if not np.any(big):
+            expected = (c_mid + 0j, cdot_mid + 0j)
+        else:
+            expected = (np.where(big, c_big, c_mid), np.where(big, cdot_big, cdot_mid))
+        if t.ndim:
+            assert 0 < np.count_nonzero(big) < t.size
+        for got, want in zip(amplitude_series(p, t), expected):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                                  np.atleast_1d(want).view(np.uint64))
 
 
 class TestOracleAmplitude:

@@ -151,6 +151,19 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(lambda t: t, 0.0, math.nan, QuadratureSpec(max_depth=5))
 
+    @pytest.mark.parametrize("a, b", [(math.nan, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_non_finite_start_fails_at_once(self, a, b):
+        # Such a panel never converges, so it fails at depth 0 instead of splitting.
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return t
+
+        with pytest.raises(QuadratureError, match="after depth 0"), np.errstate(invalid="ignore"):
+            integrate(f, a, b)
+        assert len(calls) == 1
+
     def test_no_windows(self):
         unused = lambda rows, t: 1 / 0
         assert integrate_many(unused, [], [], [], [], QuadratureSpec()) == []
@@ -162,6 +175,10 @@ class TestIntegrate:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1e-12)
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=math.nan)
+        with pytest.raises(ValueError, match="abs_tol"):
+            QuadratureSpec(abs_tol=math.nan)
 
     @pytest.mark.parametrize("breakpoints", [(0.2, 0.1), (0.3, 0.3)])
     def test_breakpoints_must_increase(self, breakpoints):
