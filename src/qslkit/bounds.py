@@ -10,9 +10,16 @@ against the generic matrix-norm path.
 The trace-distance integral, its population-only closed form and the
 Bures-angle comparator all integrate |displacement| * |rate| (or |rate|
 alone), which has a kink wherever a factor changes sign; Pdot does so where
-energy starts or stops flowing back from the reservoir.  One helper,
-_kink_integrals, locates those breakpoints and integrates for all three,
-for many cells (model point plus window) at once.
+energy starts or stops flowing back from the reservoir.  All three run on
+one cell set, _Cells, for many cells (model point plus window) at once: it
+validates each window once, builds one coefficient table, evaluates each
+cell's start-point amplitude C(start) once, locates the sign changes of the
+one factor (Pdot, P - P_ref) and integrates; an estimator adds only its
+integrand and its epilogue.  Two host facts bind it.  A 0-d closed-form call
+and a batched one can differ in last bits, so C(start) stays a 0-d call.
+numpy's scalar abs and its ufunc np.abs can differ in the last bit, so each
+estimator keeps its own P_ref: ree0 * abs(C)**2 on the trace path,
+np.abs(C)**2 on the evolved one.
 
 Each estimator has a many-cell form (qsl_ratio_many, qsl_ratio_evolved_many,
 bures_comparator_many) that returns one entry per cell: the result, or the
@@ -29,11 +36,7 @@ import numpy as np
 
 from . import quad
 from .model import (
-    ModelParams,
-    amplitude_cells,
-    amplitude_series,
-    coefficient_table,
-    excited_population,
+    ModelParams, amplitude_cells, amplitude_series, coefficient_table, excited_population,
 )
 from .smatrix import DensityMatrix2
 
@@ -67,67 +70,81 @@ def raise_first(results: list) -> list:
     return results
 
 
-def _not_finite(**values) -> ValueError | None:
-    """A ValueError naming the first of values that is NaN or infinite, else None."""
-    for name, v in values.items():
-        if not math.isfinite(v):
-            return ValueError(f"{name} must be finite, got {v}")
+def _window_error(name: str, start: float, tau_d: float) -> ValueError | None:
+    """Why the window [start, start + tau_d] is rejected, name being start's input; else None."""
+    if not math.isfinite(tau_d):
+        return ValueError(f"tau_d must be finite, got {tau_d}")
+    if not math.isfinite(start):
+        return ValueError(f"{name} must be finite, got {start}")
+    if tau_d <= 0.0:
+        return ValueError("tau_d must be positive")
+    if start < 0.0:
+        return ValueError(f"{name} must be nonnegative")
+    if start + tau_d == start:
+        return ValueError(f"{name}={start} and tau_d={tau_d} give a window with no width")
     return None
 
 
-def _trajectories(params: list[ModelParams], rho0: DensityMatrix2, tau_start: float):
-    """Closed-form ingredients of each cell's trajectory displaced from rho(tau_start).
+class _Cells:
+    """The cells (model point, window [start, start + tau_d]) of one estimator call.
 
-    Returns terms(rows, t): the displacement and rate terms of cells rows at nodes t.
+    Validates every window once, builds one coefficient table of the valid
+    cells and, given p_ref (C(start) -> P_ref), evaluates each valid cell's
+    start-point amplitude c_ref once, as a 0-d closed-form call, and P_ref
+    from it.  scale multiplies P and Pdot (the initial excited population).
     """
-    ree0 = rho0.excited_population
-    coh0 = rho0.coherence
-    table = coefficient_table(params)
-    pop_ref, coh_ref = [], []
-    for p in params:
-        c_ref, _ = amplitude_series(p, tau_start)
-        pop_ref.append(ree0 * abs(c_ref) ** 2)
-        coh_ref.append(coh0 * complex(c_ref))
-    pop_ref, coh_ref = np.array(pop_ref, dtype=float), np.array(coh_ref, dtype=complex)
 
-    def terms(rows: np.ndarray, t: np.ndarray):
-        c, cdot = amplitude_cells(table, rows, t)
-        disp_pop = ree0 * np.abs(c) ** 2 - pop_ref[rows, None]
-        disp_coh = coh0 * c - coh_ref[rows, None]
-        pdot = ree0 * 2.0 * (np.conj(c) * cdot).real
-        cohdot = coh0 * cdot
-        return disp_pop, disp_coh, pdot, cohdot
+    def __init__(self, params, starts, tau_d: float, name: str, p_ref=None, scale: float = 1.0):
+        self.out: list = [_window_error(name, s, tau_d) for s in starts]
+        self.ok = [i for i, e in enumerate(self.out) if e is None]
+        self.params = [params[i] for i in self.ok]
+        self.a = [starts[i] for i in self.ok]
+        self.b = [s + tau_d for s in self.a]
+        self.table = coefficient_table(self.params)
+        self.scale = scale
+        self.c_ref = [amplitude_series(p, s)[0] for p, s in zip(self.params, self.a) if p_ref]
+        self.p_ref = [p_ref(c) for c in self.c_ref]
+        self._p_ref_col = np.array(self.p_ref, dtype=float)[:, None] if p_ref else None
 
-    return terms
+    def terms(self, rows: np.ndarray, t: np.ndarray):
+        """C, Cdot and the kink factors of cells rows at nodes t: Pdot, and P - P_ref if set."""
+        c, cdot = amplitude_cells(self.table, rows, t)
+        # population_rate and excited_population, scaled.
+        pdot = self.scale * 2.0 * (np.conj(c) * cdot).real
+        if self._p_ref_col is None:
+            return c, cdot, pdot[None]
+        return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self._p_ref_col[rows]))
 
+    def integrate(self, integrand, spec: quad.QuadratureSpec | None) -> list:
+        """Per valid cell, the adaptive integral of integrand over its window, split at kinks.
 
-def _kink_integrals(
-    params: list[ModelParams], integrand, factors, a: list[float], b: list[float],
-    spec: quad.QuadratureSpec | None,
-) -> list:
-    """Adaptive integral of integrand over each window [a[i], b[i]], split at factor sign changes.
+        integrand(rows, t) is a product of absolute values of the factors
+        terms returns, so it has a kink wherever one of them changes sign.
+        Returns (value, err), or a QuadratureError naming the model point and
+        the window.
+        """
+        n_probe = [quad.probe_count_for_period(p.complex_root.imag, lo, hi)
+                   for p, lo, hi in zip(self.params, self.a, self.b)]
+        root_win, roots = quad.find_sign_changes_many(
+            lambda rows, t: self.terms(rows, t)[2], self.a, self.b, n_probe)
+        results = quad.integrate_many(integrand, self.a, self.b, root_win, roots,
+                                      spec or quad.QuadratureSpec())
+        for j, (p, r) in enumerate(zip(self.params, results)):
+            if isinstance(r, quad.QuadratureError):
+                results[j] = quad.QuadratureError(
+                    f"speed-limit integral failed for gamma0={p.gamma0}, delta={p.delta}, "
+                    f"window [{self.a[j]}, {self.b[j]}]: {r}",
+                    value=r.value,
+                    err_estimate=r.err_estimate,
+                )
+                results[j].__cause__ = r
+        return results
 
-    Cell i is the model point params[i] with its window.  factors(rows, t)
-    returns the stacked factor values (one row per factor) of cells rows at
-    nodes t, and integrand a product of their absolute values, so it has a
-    kink wherever one of them changes sign.  Returns per cell (value, err)
-    or a QuadratureError naming the model point and the window.
-    """
-    n_probe = [quad.probe_count_for_period(p.complex_root.imag, lo, hi)
-               for p, lo, hi in zip(params, a, b)]
-    root_win, roots = quad.find_sign_changes_many(factors, a, b, n_probe)
-    results = quad.integrate_many(integrand, a, b, root_win, roots, spec or quad.QuadratureSpec())
-    for i, r in enumerate(results):
-        if isinstance(r, quad.QuadratureError):
-            p = params[i]
-            results[i] = quad.QuadratureError(
-                f"speed-limit integral failed for gamma0={p.gamma0}, delta={p.delta}, "
-                f"window [{a[i]}, {b[i]}]: {r}",
-                value=r.value,
-                err_estimate=r.err_estimate,
-            )
-            results[i].__cause__ = r
-    return results
+    def merge(self, results: list, epilogue) -> list:
+        """Per cell: its rejection, its exception among results, or epilogue(j, value, err)."""
+        for j, (i, r) in enumerate(zip(self.ok, results)):
+            self.out[i] = r if isinstance(r, Exception) else epilogue(j, *r)
+        return self.out
 
 
 def lambda_integrals(
@@ -144,7 +161,8 @@ def lambda_integrals(
     global initial state; the reference state is the trajectory point at
     tau_start.
     """
-    value = raise_first(_lambda_cores([p], rho0, tau_start, tau_d, spec)[0])[0][0]
+    cells, cores, _ = _lambda_cores([p], rho0, tau_start, tau_d, spec)
+    value = raise_first(cells.merge(cores, lambda j, value, err: value))[0]
     return value, value, value
 
 
@@ -152,31 +170,29 @@ def _lambda_cores(
     params: list[ModelParams], rho0: DensityMatrix2, tau_start: float, tau_d: float,
     spec: quad.QuadratureSpec | None,
 ):
-    """Per cell (averaged integral, quadrature error) or its exception; the trajectory terms."""
-    error = _not_finite(tau_d=tau_d, tau_start=tau_start)
-    if error is not None:
-        return [error] * len(params), None
-    if tau_d <= 0.0:
-        return [ValueError("tau_d must be positive")] * len(params), None
-    if tau_start < 0.0:
-        return [ValueError("tau_start must be nonnegative")] * len(params), None
-    terms = _trajectories(params, rho0, tau_start)
+    """The cells; per valid cell (averaged integral, quadrature error) or its QuadratureError;
+    and the displacement (P - P_ref, coherence - its reference) of cells rows at nodes t."""
+    ree0 = rho0.excited_population
+    coh0 = rho0.coherence
+    cells = _Cells(params, [tau_start] * len(params), tau_d, "tau_start",
+                   p_ref=lambda c: ree0 * abs(c) ** 2, scale=ree0)
+    coh_ref = np.array([coh0 * complex(c) for c in cells.c_ref], dtype=complex)
 
     def integrand(rows, t):
-        disp_pop, disp_coh, pdot, cohdot = terms(rows, t)
-        disp = 2.0 * np.sqrt(disp_pop**2 + np.abs(disp_coh) ** 2)
-        rate = np.sqrt(pdot**2 + np.abs(cohdot) ** 2)
+        c, cdot, (pdot, disp_pop) = cells.terms(rows, t)
+        disp = 2.0 * np.sqrt(disp_pop**2 + np.abs(coh0 * c - coh_ref[rows, None]) ** 2)
+        rate = np.sqrt(pdot**2 + np.abs(coh0 * cdot) ** 2)
         return disp * rate
 
-    def factors(rows, t):
-        disp_pop, _, pdot, _ = terms(rows, t)
-        return np.stack((pdot, disp_pop))
+    def displacement(rows, t):
+        # disp_pop is real, so stacking it with the complex coherence loses nothing.
+        c, _, (_, disp_pop) = cells.terms(rows, t)
+        return np.stack((disp_pop, coh0 * c - coh_ref[rows, None]))
 
-    n = len(params)
-    results = _kink_integrals(params, integrand, factors, [tau_start] * n,
-                              [tau_start + tau_d] * n, spec)
+    results = cells.integrate(integrand, spec)
     # 1, sqrt(2)*sqrt(2), 2x the operator-norm integrand all give 2*I/tau_d.
-    return [r if isinstance(r, Exception) else (2.0 * r[0] / tau_d, r[1]) for r in results], terms
+    cores = [r if isinstance(r, Exception) else (2.0 * r[0] / tau_d, r[1]) for r in results]
+    return cells, cores, displacement
 
 
 def qsl_ratio(
@@ -204,16 +220,12 @@ def qsl_ratio_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio for every model point in params; a failed cell's entry is its exception."""
-    cores, terms = _lambda_cores(params, rho0, tau_start, tau_d, spec)
-    ok = [i for i, r in enumerate(cores) if not isinstance(r, Exception)]
-    if ok:
-        rows = np.array(ok)
-        end = np.full((rows.size, 1), tau_start + tau_d)
-        # disp_pop is real, so stacking it with disp_coh as complex loses nothing.
-        disp = quad.evaluate(lambda r, t: np.stack(terms(r, t)[:2]), rows, end)[:, :, 0]
-    out = list(cores)
-    for j, i in enumerate(ok):
-        lam_val, err = cores[i]
+    cells, cores, displacement = _lambda_cores(params, rho0, tau_start, tau_d, spec)
+    if cells.ok:
+        end = np.full((len(cells.ok), 1), tau_start + tau_d)
+        disp = quad.evaluate(displacement, np.arange(len(cells.ok)), end)[:, :, 0]
+
+    def report(j, lam_val, err):
         disp_norm = 2.0 * math.sqrt(float(disp[0, j].real) ** 2 + abs(complex(disp[1, j])) ** 2)
         d_measure = 1.0 - 0.25 * disp_norm**2
         stationary = lam_val < _STATIONARY_TOL
@@ -222,7 +234,7 @@ def qsl_ratio_many(
             lam_val, tau_qsl = 0.0, tau_d
         else:
             tau_qsl = 2.0 * abs(1.0 - d_measure) / lam_val
-        out[i] = BoundReport(
+        return BoundReport(
             lambda1=lam_val,
             lambda2=lam_val,
             lambda_inf=lam_val,
@@ -233,7 +245,8 @@ def qsl_ratio_many(
             quadrature_err=err,
             stationary=stationary,
         )
-    return out
+
+    return cells.merge(cores, report)
 
 
 def qsl_ratio_evolved(
@@ -257,38 +270,19 @@ def qsl_ratio_evolved_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio_evolved for cells (params[i], taus[i]); a failed cell's entry is its exception."""
-    out: list = [
-        _not_finite(tau=tau, tau_d=tau_d)
-        or (ValueError("tau must be nonnegative") if tau < 0.0
-            else ValueError("tau_d must be positive") if tau_d <= 0.0 else None)
-        for tau in taus
-    ]
-    ok = [i for i, r in enumerate(out) if r is None]
-    cells = [params[i] for i in ok]
-    a = [taus[i] for i in ok]
-    b = [tau + tau_d for tau in a]
-    table = coefficient_table(cells)
-    p_ref = [excited_population(p, tau) for p, tau in zip(cells, a)]
-    p_ref_col = np.array(p_ref, dtype=float)
-
-    def factors(rows, t):
-        # Pdot and P - P_ref, as in population_rate and excited_population.
-        c, cdot = amplitude_cells(table, rows, t)
-        return np.stack((2.0 * (np.conj(c) * cdot).real, np.abs(c) ** 2 - p_ref_col[rows, None]))
+    cells = _Cells(params, taus, tau_d, "tau", p_ref=lambda c: float(np.abs(c) ** 2))
 
     def integrand(rows, t):
-        pdot, pdisp = factors(rows, t)
+        pdot, pdisp = cells.terms(rows, t)[2]
         return np.abs(pdisp * pdot)
 
-    results = _kink_integrals(cells, integrand, factors, a, b, spec)
-    for i, p, bi, ref, r in zip(ok, cells, b, p_ref, results):
-        if isinstance(r, Exception):
-            out[i] = r
-            continue
-        num = (excited_population(p, bi) - ref) ** 2
-        den = 2.0 * r[0]
-        out[i] = 1.0 if den < _STATIONARY_TOL else num / den
-    return out
+    def ratio(j, value, err):
+        den = 2.0 * value
+        if den < _STATIONARY_TOL:
+            return 1.0
+        return (excited_population(cells.params[j], cells.b[j]) - cells.p_ref[j]) ** 2 / den
+
+    return cells.merge(cells.integrate(integrand, spec), ratio)
 
 
 def bures_comparator(
@@ -313,29 +307,13 @@ def bures_comparator_many(
     params: list[ModelParams], tau_d: float, spec: quad.QuadratureSpec | None = None
 ) -> list:
     """bures_comparator for every model point in params; a failed cell's entry is its exception."""
-    error = _not_finite(tau_d=tau_d)
-    if error is not None:
-        return [error] * len(params)
-    if tau_d <= 0.0:
-        return [ValueError("tau_d must be positive")] * len(params)
-    table = coefficient_table(params)
+    cells = _Cells(params, [0.0] * len(params), tau_d, "tau_start")
 
-    def pdot(rows, t):
-        # population_rate, for cells rows.
-        c, cdot = amplitude_cells(table, rows, t)
-        return 2.0 * (np.conj(c) * cdot).real
-
-    def abs_pdot(rows, t):
-        return np.abs(pdot(rows, t))
+    def ratio(j, value, err):
+        if value < _STATIONARY_TOL:
+            return 1.0
+        return (1.0 - excited_population(cells.params[j], tau_d)) / value
 
     # For the excited trajectory rhod is diagonal, so ||rhod||_inf = |Pdot|.
-    n = len(params)
-    results = _kink_integrals(params, abs_pdot, pdot, [0.0] * n, [tau_d] * n, spec)
-    out: list = []
-    for p, r in zip(params, results):
-        if isinstance(r, Exception):
-            out.append(r)
-            continue
-        sin2_b = 1.0 - excited_population(p, tau_d)
-        out.append(1.0 if r[0] < _STATIONARY_TOL else sin2_b / r[0])
-    return out
+    results = cells.integrate(lambda rows, t: np.abs(cells.terms(rows, t)[2]), spec)
+    return cells.merge(results, ratio)

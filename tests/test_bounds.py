@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-import qslkit.model as model_mod
 from qslkit.bounds import (
     bures_comparator,
+    bures_comparator_many,
     lambda_integrals,
     qsl_ratio,
     qsl_ratio_evolved,
+    qsl_ratio_evolved_many,
+    qsl_ratio_many,
 )
 from qslkit.model import (
     ModelParams,
@@ -29,6 +31,29 @@ from qslkit.smatrix import DensityMatrix2, schatten_norm
 
 LAM = 50.0
 EXCITED = DensityMatrix2.excited()
+NAN, INF = math.nan, math.inf
+
+# (start, tau_d, message) of invalid windows [start, start + tau_d]; {name} is
+# the start's input name.  The checks run in one order: tau_d finite, start
+# finite, tau_d positive, start nonnegative, and the window has width.
+INVALID_WINDOWS = [
+    (0.2, NAN, "tau_d must be finite, got nan"),
+    (0.2, INF, "tau_d must be finite, got inf"),
+    (-1.0, -INF, "tau_d must be finite, got -inf"),
+    (NAN, NAN, "tau_d must be finite, got nan"),
+    (INF, -INF, "tau_d must be finite, got -inf"),
+    (NAN, 0.2, "{name} must be finite, got nan"),
+    (INF, 0.2, "{name} must be finite, got inf"),
+    (-INF, 0.0, "{name} must be finite, got -inf"),
+    (NAN, -1.0, "{name} must be finite, got nan"),
+    (0.2, 0.0, "tau_d must be positive"),
+    (0.0, -1.0, "tau_d must be positive"),
+    (-1.0, 0.0, "tau_d must be positive"),
+    (-1.0, 0.2, "{name} must be nonnegative"),
+    (1e17, 0.2, "{name}=1e+17 and tau_d=0.2 give a window with no width"),
+    (1e300, 0.2, "{name}=1e+300 and tau_d=0.2 give a window with no width"),
+    (0.2, 1e-17, "{name}=0.2 and tau_d=1e-17 give a window with no width"),
+]
 
 
 class TestLambdaIntegrals:
@@ -90,6 +115,50 @@ class TestLambdaIntegrals:
             lambda_integrals(p, EXCITED, -0.1, 0.2)
 
 
+class TestWindowValidation:
+    P = ModelParams(5.0, LAM, 0.0)
+
+    @pytest.mark.parametrize("start, tau_d, message", INVALID_WINDOWS)
+    def test_trace_path(self, start, tau_d, message):
+        message = message.format(name="tau_start")
+        for call in (lambda: qsl_ratio(self.P, EXCITED, tau_d, start),
+                     lambda: lambda_integrals(self.P, EXCITED, start, tau_d)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        # Every cell of a many-cell call shares the window.
+        cells = qsl_ratio_many([self.P, self.P], EXCITED, tau_d, start)
+        assert [(type(c), str(c)) for c in cells] == [(ValueError, message)] * 2
+
+    @pytest.mark.parametrize("start, tau_d, message", INVALID_WINDOWS)
+    def test_evolved_path(self, start, tau_d, message):
+        message = message.format(name="tau")
+        with pytest.raises(ValueError) as info:
+            qsl_ratio_evolved(self.P, start, tau_d)
+        assert str(info.value) == message
+        # The cell at tau = 0 gets what its one-cell call gives: a ratio, or
+        # the tau_d error.
+        valid, invalid = qsl_ratio_evolved_many([self.P, self.P], [0.0, start], tau_d)
+        assert (type(invalid), str(invalid)) == (ValueError, message)
+        try:
+            expected = qsl_ratio_evolved(self.P, 0.0, tau_d)
+        except ValueError as exc:
+            assert (type(valid), str(valid)) == (ValueError, str(exc))
+        else:
+            assert valid == expected
+
+    @pytest.mark.parametrize(
+        "tau_d, message", [(t, m) for _, t, m in INVALID_WINDOWS if m.startswith("tau_d")]
+    )
+    def test_bures_path(self, tau_d, message):
+        # The Bures window starts at 0, so only tau_d can make it invalid.
+        with pytest.raises(ValueError) as info:
+            bures_comparator(self.P, tau_d)
+        assert str(info.value) == message
+        cells = bures_comparator_many([self.P, self.P], tau_d)
+        assert [(type(c), str(c)) for c in cells] == [(ValueError, message)] * 2
+
+
 class TestQslRatio:
     def test_weak_coupling_plateau(self):
         p = ModelParams(0.1 * LAM, LAM, 0.0)
@@ -124,6 +193,15 @@ class TestQslRatio:
         p = ModelParams(500.0, LAM, 300.0)
         report = qsl_ratio(p, rho0, 0.2)
         assert 0.0 < report.ratio <= 1.0 + 1e-9
+
+    def test_reference_expressions_pinned(self):
+        # Each path forms P_ref from the same 0-d amplitude C(start) in its
+        # own way: Python's abs on the trace path, np.abs on the evolved one.
+        # The two differ in the last bit for some amplitudes, which moves
+        # these values (to ...868 and 1.0 when the expressions are swapped).
+        p = ModelParams(500.0, LAM, 100.0)
+        assert qsl_ratio(p, EXCITED, 0.2, tau_start=0.1).ratio == 0.9999999999999865
+        assert qsl_ratio_evolved(p, 0.1, 0.2) == 0.9999999999999999
 
     def test_scaling_covariance(self):
         # Scaling all rates by s and times by 1/s leaves every ratio unchanged.
@@ -168,21 +246,12 @@ class TestQslRatioEvolved:
             closed = qsl_ratio_evolved(p, tau, 0.2)
             assert closed == pytest.approx(general, abs=1e-8)
 
-    def test_one_amplitude_call_per_node_set(self, monkeypatch):
+    def test_one_amplitude_call_per_node_set(self, closed_form_calls):
         # Both factors share one closed-form call per probe pass and per
-        # bisection step, and the integrand one per round of panels.  Every
-        # closed-form call, scalar or batched, goes through _closed_form.
-        calls = []
-        real = model_mod._closed_form
-
-        def counted(k, t):
-            calls.append(np.size(t))
-            return real(k, t)
-
-        monkeypatch.setattr(model_mod, "_closed_form", counted)
+        # bisection step, and the integrand one per round of panels.
         ratio = qsl_ratio_evolved(ModelParams(500.0, LAM, 0.0), 0.0, 0.2)
         assert ratio < 1.0 - 1e-6
-        assert len(calls) <= 60
+        assert len(closed_form_calls) <= 60
 
     def test_invalid_inputs(self):
         p = ModelParams(5.0, LAM, 0.0)

@@ -152,6 +152,15 @@ class TestCompareBounds:
                              bures_comparator(p, 0.2)))
         assert rows == expected
 
+    def test_closed_form_calls(self, capsys, closed_form_calls):
+        # 30 points, each a trace and a Bures cell: one 0-d start-point
+        # amplitude per trace cell (Bures needs none), one 0-d end-point
+        # population per non-stationary Bures cell, and the batched calls.
+        # An extra per-cell call would exceed the bound.
+        code, _, _ = invoke(capsys, "compare-bounds", "--delta", "200", "--n-points", "30")
+        assert code == 0
+        assert len(closed_form_calls) <= 145
+
     @pytest.mark.parametrize(
         "delta, rel_tol, max_depth",
         # The first failure is the trace ratio at the ninth point; then the
@@ -423,6 +432,11 @@ class TestNonFiniteInputs:
             (("decay-rate", "--clip", "nan"), "clip must be positive"),
             (("ratio", "--rel-tol", "nan"), "rel_tol must be positive"),
             (("ratio", "--abs-tol", "nan"), "abs_tol must be nonnegative"),
+            # Finite, but tau + tau_d rounds to tau: the window has no width.
+            (("ratio", "--tau", "1e300"),
+             "tau_start=1e+300 and tau_d=0.2 give a window with no width"),
+            (("sweep-tau", "--tau-max", "1e300", "--n-points", "3"),
+             "tau=5e+299 and tau_d=0.2 give a window with no width"),
         ],
     )
     def test_rejected_with_a_named_error(self, capsys, argv, name):

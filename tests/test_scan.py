@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import qslkit.model as model_mod
 import qslkit.quad as quad_mod
 from qslkit.bounds import qsl_ratio, qsl_ratio_evolved
 from qslkit.model import ModelParams, decay_rate, markov_limit
@@ -106,21 +105,13 @@ class TestGridScan:
         one_chunk_per_cell(monkeypatch)
         assert [repr((g.cells, g.errors)) for g in (small_grid(), small_grid(spec))] == batched
 
-    def test_default_scan_closed_form_calls(self, monkeypatch):
+    def test_default_scan_closed_form_calls(self, closed_form_calls):
         # 630 cells: one scalar reference call each plus a few dozen batches
         # (49,400 calls when every cell was evaluated on its own).
-        calls = []
-        real = model_mod._closed_form
-
-        def counted(k, t):
-            calls.append(np.size(t))
-            return real(k, t)
-
-        monkeypatch.setattr(model_mod, "_closed_form", counted)
         grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
         assert all(err is None for row in grid.errors for err in row)
-        assert len(calls) <= 1500
-        assert max(calls) < 16384
+        assert len(closed_form_calls) <= 1500
+        assert max(closed_form_calls) < 16384
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -201,6 +192,13 @@ class TestSweepTau:
         assert series.values.tolist() == expected
         one_chunk_per_cell(monkeypatch)
         assert sweep_tau(p, 2.0, 21, 0.2).values.tolist() == expected
+
+    def test_closed_form_calls(self, closed_form_calls):
+        # 200 windows: one 0-d start-point amplitude each, one 0-d end-point
+        # population per non-stationary window, and the batched calls.  An
+        # extra per-window call would exceed the bound.
+        sweep_tau(ModelParams(500.0, LAM, 0.0), 2.0, 200, 0.2)
+        assert len(closed_form_calls) <= 474
 
     def test_raises_first_error_in_serial_order(self):
         # The windows at tau = 0.1 and 0.2 fail; tau = 0 does not.
