@@ -82,6 +82,8 @@ def _window_error(name: str, start: float, tau_d: float) -> ValueError | None:
         return ValueError(f"{name} must be nonnegative")
     if start + tau_d == start:
         return ValueError(f"{name}={start} and tau_d={tau_d} give a window with no width")
+    if not math.isfinite(start + tau_d):
+        return ValueError(f"{name}={start} and tau_d={tau_d} give a window whose end is not finite")
     return None
 
 

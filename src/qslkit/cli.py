@@ -1,17 +1,20 @@
 """Command-line front end: figure datasets, validation oracles, CSV/JSON output.
 
-Identical configurations produce byte-identical output: floats are printed
-with 17 significant digits, rows are emitted in a fixed order, and no
-timestamps appear in data rows.  All parameters can also be supplied via a
-plain key=value config file (--config); command-line flags take precedence.
+Identical configurations produce byte-identical output: each CSV float is
+Python's '%.17g' % v and each JSON float repr(v), rows are emitted in a
+fixed order, and no timestamps appear in data rows.  All parameters can
+also be supplied via a plain key=value config file (--config); command-line
+flags take precedence.
 
 `_PARAMS` is the only place a parameter (its flag, type, default and config
 key) is declared, and `_COMMANDS` the only place a subcommand (its name, help
 text, parameters, output columns with their kinds, and handler) is.  Each
 handler returns typed columns: one numpy array or list per declared column,
-float, int, bool or str.  The writer formats them in chunks of rows, CSV
-with a header or JSON exactly as json.dump(rows, indent=2) prints a list of
-row objects (NaN, Infinity and -Infinity included).
+float, int, bool or str.  The writer formats them in chunks of rows.  A CSV
+chunk, after the header, is built as byte fields in numpy (csvbytes).  A
+JSON chunk is one row template repeated over the chunk and applied with %,
+exactly as json.dump(rows, indent=2) prints a list of row objects (NaN,
+Infinity and -Infinity included).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import csvbytes
 from . import scan as scan_mod
 from .bounds import bures_comparator, bures_comparator_many, qsl_ratio, qsl_ratio_many, raise_first
 from .model import ModelParams, amplitude_series, oracle_amplitude
@@ -71,13 +75,12 @@ Columns = tuple  # one numpy array or list per declared column, in declared orde
 # Rows formatted per write, so the output text is never held whole.
 _CHUNK_ROWS = 4096
 
-# Column kind -> (numpy dtype, CSV conversion, JSON conversion).  "%.17g" prints
-# nan, inf and -inf as format(v, ".17g") does.
+# Column kind -> (numpy dtype, JSON conversion).
 _KINDS = {
-    "float": (float, "%.17g", "%r"),
-    "int": (int, "%d", "%d"),
-    "bool": (bool, "%s", "%s"),
-    "str": (object, "%s", "%s"),
+    "float": (float, "%r"),
+    "int": (int, "%d"),
+    "bool": (bool, "%s"),
+    "str": (object, "%s"),
 }
 
 
@@ -99,14 +102,14 @@ def _parse_columns(decl: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(name for name, _ in pairs), tuple(kind or "float" for _, kind in pairs)
 
 
-def _chunk_values(a: np.ndarray, kind: str, fmt: str) -> list:
-    """The values of one chunk of a column, ready for its conversion spec."""
+def _json_values(a: np.ndarray, kind: str) -> list:
+    """The values of one chunk of a column, ready for its JSON conversion spec."""
     if kind == "bool":
         return _TRUE_FALSE[a.view(np.uint8)].tolist()
     values = a.tolist()
-    if fmt == "json" and kind == "str":
+    if kind == "str":
         return [json.dumps(v) for v in values]
-    if fmt == "json" and kind == "float":
+    if kind == "float":
         for k in np.flatnonzero(~np.isfinite(a)).tolist():
             v = values[k]
             values[k] = _JSON_NAN if v != v else _JSON_INF if v > 0.0 else _JSON_NEG_INF
@@ -116,30 +119,32 @@ def _chunk_values(a: np.ndarray, kind: str, fmt: str) -> list:
 def _write_columns(out, decl: str, columns: Columns, fmt: str) -> None:
     """Write columns as CSV with a header, or as json.dump(rows, indent=2) would.
 
-    Each chunk of _CHUNK_ROWS rows is one row template repeated over the chunk
-    and applied to the chunk's values, flattened row by row.
+    Rows are written _CHUNK_ROWS at a time.  A CSV chunk is built as byte
+    fields (csvbytes.RowWriter).  A JSON chunk is one row template repeated
+    over the chunk and applied to the chunk's values, flattened row by row.
     """
     names, kinds = _parse_columns(decl)
     cols = [np.asarray(c, dtype=_KINDS[k][0]) for c, k in zip(columns, kinds)]
     n_rows = len(cols[0])
     if fmt == "csv":
         out.write(",".join(names) + "\n")
-        row, sep = ",".join(_KINDS[k][1] for k in kinds) + "\n", ""
-    elif n_rows == 0:
+        writer = csvbytes.RowWriter()
+        for i in range(0, n_rows, _CHUNK_ROWS):
+            out.write(writer.rows([col[i:i + _CHUNK_ROWS] for col in cols], kinds))
+        return
+    if n_rows == 0:
         out.write("[]\n")
         return
-    else:
-        out.write("[\n")
-        fields = [f"    {json.dumps(name)}: {_KINDS[k][2]}" for name, k in zip(names, kinds)]
-        row, sep = "  {\n" + ",\n".join(fields) + "\n  }", ",\n"
+    out.write("[\n")
+    fields = [f"    {json.dumps(name)}: {_KINDS[k][1]}" for name, k in zip(names, kinds)]
+    row, sep = "  {\n" + ",\n".join(fields) + "\n  }", ",\n"
     for i in range(0, n_rows, _CHUNK_ROWS):
         j = min(i + _CHUNK_ROWS, n_rows)
         flat = [None] * ((j - i) * len(cols))
         for c, (col, kind) in enumerate(zip(cols, kinds)):
-            flat[c::len(cols)] = _chunk_values(col[i:j], kind, fmt)
+            flat[c::len(cols)] = _json_values(col[i:j], kind)
         out.write((sep if i else "") + sep.join([row] * (j - i)) % tuple(flat))
-    if fmt == "json":
-        out.write("\n]\n")
+    out.write("\n]\n")
 
 
 def _load_config(path: str) -> dict:

@@ -23,6 +23,9 @@ from .smatrix import DensityMatrix2, as_matrix2
 # |C| below this is treated as a zero of the amplitude when forming Cdot/C.
 AMPLITUDE_SINGULAR_TOL = 1e-12
 
+# The most complex values one numpy array can hold: its size in bytes must fit an intp.
+MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -232,7 +235,12 @@ def oracle_amplitude(p: ModelParams, t_max: float, step: float) -> tuple[np.ndar
             f"step {step} too coarse for lam={p.lam}; choose step <= {0.1 / p.lam:.3g} "
             "(lam * step <= 0.1) so the kernel is resolved"
         )
-    n = int(round(t_max / step))
+    n = t_max / step
+    if not n < MAX_GRID_POINTS:  # inf fails too
+        raise ValueError(
+            f"t_max={t_max} and step={step} ask for {n:.6g} steps, more than an array can hold"
+        )
+    n = int(round(n))
     f0 = 0.5 * p.gamma0 * p.lam
     decay = p.lam - 1j * p.delta
     h = step

@@ -23,7 +23,7 @@ from .bounds import (
     qsl_ratio_many,
     raise_first,
 )
-from .model import ModelParams, decay_rate, markov_limit
+from .model import MAX_GRID_POINTS, ModelParams, decay_rate, markov_limit
 from .smatrix import DensityMatrix2
 
 DEFAULT_CLIP = 25.0
@@ -195,6 +195,8 @@ def sweep_decay_rate(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if n_points > MAX_GRID_POINTS:
+        raise ValueError(f"n_points={n_points} asks for more points than an array can hold")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
     if not clip > 0.0:  # NaN fails too

@@ -363,16 +363,26 @@ class TestColumnWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_edge_values(self, fmt):
-        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e300, 5e-324, -1.5]
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e300, 5e-324, -1.5, 1e17]
         columns = (
             np.array(floats),
-            list(range(-4, 5)),
-            [True, False] * 4 + [True],
-            ["speed_up", 'quote"d', "back\\slash", "tab\t", "é", "", "a,b", "%s", "%%"],
+            list(range(-4, 6)),
+            [True, False] * 5,
+            ["speed_up", 'quote"d', "back\\slash", "tab\t", "é", "", "a,b", "%s", "%%", "nul\x00"],
         )
         decl = "x n:int flag:bool label:str"
         names, _ = cli_mod._parse_columns(decl)
         assert written_text(decl, columns, fmt) == reference_text(names, columns, fmt)
+
+    @pytest.mark.parametrize("delta", ["300", "-300"])
+    def test_large_decay_rate_matches_reference(self, capsys, delta):
+        argv = ["decay-rate", "--gamma0", "500", "--delta", delta, "--t-max", "1",
+                "--n-points", "200000", "--clip", "inf"]
+        spec = cli_mod._COMMANDS["decay-rate"]
+        names, _ = cli_mod._parse_columns(spec.columns)
+        opts = cli_mod._merge_options(cli_mod._build_parser().parse_args(argv))
+        expected = reference_text(names, spec.handler(opts), "csv")
+        assert invoke(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_rows(self, fmt):
@@ -437,6 +447,18 @@ class TestNonFiniteInputs:
              "tau_start=1e+300 and tau_d=0.2 give a window with no width"),
             (("sweep-tau", "--tau-max", "1e300", "--n-points", "3"),
              "tau=5e+299 and tau_d=0.2 give a window with no width"),
+            # Finite, but tau + tau_d overflows: the window has no finite end.
+            (("ratio", "--tau", "1e308", "--tau-d", "1e308"),
+             "tau_start=1e+308 and tau_d=1e+308 give a window whose end is not finite"),
+            (("sweep-tau", "--tau-max", "1e308", "--tau-d", "1e308", "--n-points", "2"),
+             "tau=1e+308 and tau_d=1e+308 give a window whose end is not finite"),
+            # Grids larger than an array can hold, rejected before anything is allocated.
+            (("oracle-check", "--t-max", "1e300"),
+             "t_max=1e+300 and step=0.0001 ask for 1e+304 steps, more than an array can hold"),
+            (("oracle-check", "--t-max", "1e300", "--step", "1e-10", "--lambda", "1"),
+             "t_max=1e+300 and step=1e-10 ask for inf steps, more than an array can hold"),
+            (("decay-rate", "--n-points", "100000000000000000000"),
+             "n_points=100000000000000000000 asks for more points than an array can hold"),
         ],
     )
     def test_rejected_with_a_named_error(self, capsys, argv, name):

@@ -1,0 +1,99 @@
+"""The CSV byte-field writer against Python's own formatting, value by value."""
+
+import math
+
+import numpy as np
+import pytest
+
+import qslkit.csvbytes as csvbytes
+
+
+def written(values, kind: str = "float") -> list[str]:
+    """One formatted value per element, through the writer's one-column rows."""
+    col = np.asarray(values, dtype={"float": float, "int": np.int64}[kind])
+    writer = csvbytes.RowWriter()
+    text = "".join(writer.rows([col[i:i + 4096]], (kind,)) for i in range(0, col.size, 4096))
+    return text.split("\n")[:-1]
+
+
+def percent_g(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def mismatches(values) -> list:
+    got, want = written(values), percent_g(values)
+    return [(v, g, w) for v, g, w in zip(np.asarray(values).tolist(), got, want) if g != w]
+
+
+def ulps_around(x: np.ndarray, k: int) -> np.ndarray:
+    """x and its k neighbouring doubles on either side."""
+    out, up, down = [x], x, x
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def exact_ties(rng, per_exponent: int) -> np.ndarray:
+    """Doubles whose exact decimal has 18 significant digits, the last a 5.
+
+    m * 2**-k, m odd, is exactly m * 5**k / 10**k, so it is such a tie when
+    m * 5**k has 18 digits; that needs 2 <= k <= 25.
+    """
+    ties = []
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        for m in rng.integers(lo, hi, per_exponent).tolist():
+            m |= 1
+            if len(str(m * 5**k)) == 18:
+                ties.append(math.ldexp(m, -k))
+    return np.array(ties)
+
+
+class TestExactPercentG:
+    def test_two_million_values(self):
+        rng = np.random.default_rng(20261018)
+        powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        rounding_up = np.array(
+            [float(f"9.9999999999999999{d}e{k}") for k in range(-324, 308) for d in range(10)]
+        )
+        switches = ulps_around(np.array([1e-5, 1e-4, 1e16, 1e17]), 1000)
+        specials = np.array([5e-324, 1.7976931348623157e308, 0.0, -0.0, np.nan, np.inf, -np.inf])
+        ties = exact_ties(rng, 500)
+        sets = {
+            "random bit patterns": rng.integers(0, 2**64, 2_000_000, dtype=np.uint64).view(float),
+            "powers of ten, 3 ulps around": ulps_around(powers_of_ten, 3),
+            "just below a power of ten": rounding_up,
+            "powers of two": np.ldexp(1.0, np.arange(-1074, 1024)),
+            "notation switches": switches,
+            "specials": specials,
+            "exact ties": np.concatenate([ties, -ties]),
+        }
+        total = 0
+        for name, values in sets.items():
+            assert mismatches(values) == [], name
+            total += values.size
+        assert total >= 2_000_000
+        assert ties.size > 10_000
+
+    def test_forced_fallback_matches(self, monkeypatch):
+        # Every remainder is then "near 1/2", so Python formats every element.
+        monkeypatch.setattr(csvbytes, "_TIE", 1.0)
+        rng = np.random.default_rng(7)
+        values = np.concatenate([rng.uniform(-25.0, 25.0, 5000), [1e-300, -3.5e17, 0.1]])
+        assert mismatches(values) == []
+
+    def test_ints(self):
+        values = [0, 7, -7, 10, -10**8, 10**16, 2**63 - 1, -2**63, 12345678901234567]
+        assert written(values, "int") == ["%d" % v for v in values]
+
+    def test_any_float(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        strategies = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(strategies.floats())
+        def check(v):
+            assert written([v]) == percent_g([v])
+
+        check()
