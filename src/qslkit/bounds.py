@@ -22,9 +22,9 @@ estimator keeps its own P_ref: ree0 * abs(C)**2 on the trace path,
 np.abs(C)**2 on the evolved one.
 
 Each estimator has a many-cell form (qsl_ratio_many, qsl_ratio_evolved_many,
-bures_comparator_many) that returns one entry per cell: the result, or the
-exception the one-cell form would raise for it.  The one-cell forms are the
-single-cell case and raise that exception.
+bures_comparator_many) that raises the first invalid window, in cell order,
+before any work, and returns per cell the result or its QuadratureError.
+The one-cell forms are the single-cell case and raise that error.
 """
 
 from __future__ import annotations
@@ -70,37 +70,35 @@ def raise_first(results: list) -> list:
     return results
 
 
-def _window_error(name: str, start: float, tau_d: float) -> ValueError | None:
-    """Why the window [start, start + tau_d] is rejected, name being start's input; else None."""
+def _check_window(name: str, start: float, tau_d: float) -> None:
+    """Raise ValueError if the window [start, start + tau_d] is invalid; name is start's input."""
     if not math.isfinite(tau_d):
-        return ValueError(f"tau_d must be finite, got {tau_d}")
+        raise ValueError(f"tau_d must be finite, got {tau_d}")
     if not math.isfinite(start):
-        return ValueError(f"{name} must be finite, got {start}")
+        raise ValueError(f"{name} must be finite, got {start}")
     if tau_d <= 0.0:
-        return ValueError("tau_d must be positive")
+        raise ValueError("tau_d must be positive")
     if start < 0.0:
-        return ValueError(f"{name} must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
     if start + tau_d == start:
-        return ValueError(f"{name}={start} and tau_d={tau_d} give a window with no width")
+        raise ValueError(f"{name}={start} and tau_d={tau_d} give a window with no width")
     if not math.isfinite(start + tau_d):
-        return ValueError(f"{name}={start} and tau_d={tau_d} give a window whose end is not finite")
-    return None
+        raise ValueError(f"{name}={start} and tau_d={tau_d} give a window whose end is not finite")
 
 
 class _Cells:
     """The cells (model point, window [start, start + tau_d]) of one estimator call.
 
-    Validates every window once, builds one coefficient table of the valid
-    cells and, given p_ref (C(start) -> P_ref), evaluates each valid cell's
-    start-point amplitude c_ref once, as a 0-d closed-form call, and P_ref
-    from it.  scale multiplies P and Pdot (the initial excited population).
+    Checks every window, in cell order, builds one coefficient table and,
+    given p_ref (C(start) -> P_ref), evaluates each cell's start-point
+    amplitude c_ref once, as a 0-d closed-form call, and P_ref from it.
+    scale multiplies P and Pdot (the initial excited population).
     """
 
     def __init__(self, params, starts, tau_d: float, name: str, p_ref=None, scale: float = 1.0):
-        self.out: list = [_window_error(name, s, tau_d) for s in starts]
-        self.ok = [i for i, e in enumerate(self.out) if e is None]
-        self.params = [params[i] for i in self.ok]
-        self.a = [starts[i] for i in self.ok]
+        for s in starts:
+            _check_window(name, s, tau_d)
+        self.params, self.a = params, starts
         self.b = [s + tau_d for s in self.a]
         self.table = coefficient_table(self.params)
         self.scale = scale
@@ -118,7 +116,7 @@ class _Cells:
         return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self._p_ref_col[rows]))
 
     def integrate(self, integrand, spec: quad.QuadratureSpec | None) -> list:
-        """Per valid cell, the adaptive integral of integrand over its window, split at kinks.
+        """Per cell, the adaptive integral of integrand over its window, split at kinks.
 
         integrand(rows, t) is a product of absolute values of the factors
         terms returns, so it has a kink wherever one of them changes sign.
@@ -142,11 +140,10 @@ class _Cells:
                 results[j].__cause__ = r
         return results
 
-    def merge(self, results: list, epilogue) -> list:
-        """Per cell: its rejection, its exception among results, or epilogue(j, value, err)."""
-        for j, (i, r) in enumerate(zip(self.ok, results)):
-            self.out[i] = r if isinstance(r, Exception) else epilogue(j, *r)
-        return self.out
+    @staticmethod
+    def merge(results: list, epilogue) -> list:
+        """Per cell j: its QuadratureError among results, or epilogue(j, value, err)."""
+        return [r if isinstance(r, Exception) else epilogue(j, *r) for j, r in enumerate(results)]
 
 
 def lambda_integrals(
@@ -172,7 +169,7 @@ def _lambda_cores(
     params: list[ModelParams], rho0: DensityMatrix2, tau_start: float, tau_d: float,
     spec: quad.QuadratureSpec | None,
 ):
-    """The cells; per valid cell (averaged integral, quadrature error) or its QuadratureError;
+    """The cells; per cell (averaged integral, quadrature error) or its QuadratureError;
     and the displacement (P - P_ref, coherence - its reference) of cells rows at nodes t."""
     ree0 = rho0.excited_population
     coh0 = rho0.coherence
@@ -221,11 +218,11 @@ def qsl_ratio_many(
     tau_start: float = 0.0,
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
-    """qsl_ratio for every model point in params; a failed cell's entry is its exception."""
+    """qsl_ratio for every model point in params; a failed cell's entry is its error."""
     cells, cores, displacement = _lambda_cores(params, rho0, tau_start, tau_d, spec)
-    if cells.ok:
-        end = np.full((len(cells.ok), 1), tau_start + tau_d)
-        disp = quad.evaluate(displacement, np.arange(len(cells.ok)), end)[:, :, 0]
+    if params:
+        end = np.full((len(params), 1), tau_start + tau_d)
+        disp = quad.evaluate(displacement, np.arange(len(params)), end)[:, :, 0]
 
     def report(j, lam_val, err):
         disp_norm = 2.0 * math.sqrt(float(disp[0, j].real) ** 2 + abs(complex(disp[1, j])) ** 2)
@@ -271,7 +268,7 @@ def qsl_ratio_evolved_many(
     tau_d: float,
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
-    """qsl_ratio_evolved for cells (params[i], taus[i]); a failed cell's entry is its exception."""
+    """qsl_ratio_evolved for cells (params[i], taus[i]); a failed cell's entry is its error."""
     cells = _Cells(params, taus, tau_d, "tau", p_ref=lambda c: float(np.abs(c) ** 2))
 
     def integrand(rows, t):
@@ -308,7 +305,7 @@ def bures_comparator(
 def bures_comparator_many(
     params: list[ModelParams], tau_d: float, spec: quad.QuadratureSpec | None = None
 ) -> list:
-    """bures_comparator for every model point in params; a failed cell's entry is its exception."""
+    """bures_comparator for every model point in params; a failed cell's entry is its error."""
     cells = _Cells(params, [0.0] * len(params), tau_d, "tau_start")
 
     def ratio(j, value, err):

@@ -15,6 +15,11 @@ chunk, after the header, is built as byte fields in numpy (csvbytes).  A
 JSON chunk is one row template repeated over the chunk and applied with %,
 exactly as json.dump(rows, indent=2) prints a list of row objects (NaN,
 Infinity and -Infinity included).
+
+Invalid input fails the request with one JSON error record on stderr.  A
+point that does not converge is left by its handler as its QuadratureError
+in a float column: its row is written with NaN there, and then its record,
+with the data row (from 0) and column, in row order.  Either exits with 1.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import numpy as np
 
 from . import csvbytes
 from . import scan as scan_mod
-from .bounds import bures_comparator, bures_comparator_many, qsl_ratio, qsl_ratio_many, raise_first
-from .model import ModelParams, amplitude_series, oracle_amplitude
+from .bounds import bures_comparator, bures_comparator_many, qsl_ratio, qsl_ratio_many
+from .model import ModelParams, amplitude_series, check_grid_size, oracle_amplitude
 from .quad import QuadratureSpec
 from .smatrix import DensityMatrix2
 
@@ -114,6 +119,20 @@ def _json_values(a: np.ndarray, kind: str) -> list:
             v = values[k]
             values[k] = _JSON_NAN if v != v else _JSON_INF if v > 0.0 else _JSON_NEG_INF
     return values
+
+
+def _failed_points(decl: str, columns: Columns) -> tuple[list, list]:
+    """The columns with each exception in a float column turned into NaN, and per
+    such value (exception, {"row", "column"}), in row and then column order."""
+    names, kinds = _parse_columns(decl)
+    out, failed = [], []
+    for name, kind, col in zip(names, kinds, columns):
+        if kind == "float" and not isinstance(col, np.ndarray):  # arrays hold floats only
+            failed += [(v, {"row": i, "column": name})
+                       for i, v in enumerate(col) if isinstance(v, Exception)]
+            col = [math.nan if isinstance(v, Exception) else v for v in col]
+        out.append(col)
+    return out, sorted(failed, key=lambda f: f[1]["row"])  # stable: columns stay in order
 
 
 def _write_columns(out, decl: str, columns: Columns, fmt: str) -> None:
@@ -228,6 +247,8 @@ def _cmd_ratio(opts: dict) -> Columns:
 
 
 def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
+    check_grid_size("n_gamma0", opts["n_gamma0"])
+    check_grid_size("n_delta", opts["n_delta"])
     gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_gamma0"])
     delta_axis = scan_mod.default_delta_axis(opts["lam"], opts["n_delta"])
     return scan_mod.grid_scan(
@@ -239,10 +260,11 @@ def _cmd_scan(opts: dict) -> Columns:
     grid = _scan_grid(opts)
     n_gamma0, n_delta = grid.gamma0_axis.size, grid.delta_axis.size
     reports = [report for cells in grid.cells for report in cells]
+    errors = [error for row in grid.errors for error in row]
     return (
         np.repeat(grid.gamma0_axis, n_delta), np.tile(grid.delta_axis, n_gamma0),
         np.full(len(reports), grid.lam), np.full(len(reports), grid.tau_d),
-        [report.ratio if report else math.nan for report in reports],
+        [report.ratio if report else error for report, error in zip(reports, errors)],
         [label for labels in grid.classification for label in labels],
         [report.quadrature_err if report else math.nan for report in reports],
     )
@@ -259,7 +281,7 @@ def _cmd_sweep_tau(opts: dict) -> Columns:
         _model_params(opts), opts["tau_max"], opts["n_points"], opts["tau_d"],
         spec=_quad_spec(opts),
     )
-    return series.times, series.values
+    return series.times, [v if e is None else e for v, e in zip(series.values, series.errors)]
 
 
 def _cmd_decay_rate(opts: dict) -> Columns:
@@ -270,23 +292,14 @@ def _cmd_decay_rate(opts: dict) -> Columns:
 
 
 def _cmd_compare_bounds(opts: dict) -> Columns:
+    check_grid_size("n_points", opts["n_points"])
     gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_points"])
     spec = _quad_spec(opts)
-    # Points up to the first invalid one; its error comes after theirs.
-    params, invalid = [], None
-    for g0 in gamma0_axis.tolist():
-        try:
-            params.append(ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"]))
-        except ValueError as exc:
-            invalid = exc
-            break
+    params = [ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"])
+              for g0 in gamma0_axis.tolist()]
     trace = qsl_ratio_many(params, DensityMatrix2.excited(), opts["tau_d"], spec=spec)
-    bures = bures_comparator_many(params, opts["tau_d"], spec=spec)
-    # A point-by-point loop computes the trace ratio, then the Bures ratio.
-    raise_first([r for pair in zip(trace, bures) for r in pair])
-    if invalid is not None:
-        raise invalid
-    return [p.gamma0 for p in params], [t.ratio for t in trace], bures
+    return (gamma0_axis, [t if isinstance(t, Exception) else t.ratio for t in trace],
+            bures_comparator_many(params, opts["tau_d"], spec=spec))
 
 
 def _cmd_oracle_check(opts: dict) -> Columns:
@@ -301,7 +314,7 @@ class _Command(NamedTuple):
     help: str
     params: tuple[str, ...]  # its own parameters, before --config and _COMMON
     columns: str  # output columns "name name:kind ...", kind float unless given
-    handler: Callable[[dict], Columns]  # returns the declared columns, in order
+    handler: Callable[[dict], Columns]  # the declared columns; a failed float is its error
 
 
 _GRID = ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max")
@@ -342,22 +355,24 @@ def run(argv=None) -> int:
     try:
         opts = _merge_options(args)
         command = _COMMANDS[args.subcommand]
-        columns = command.handler(opts)
+        columns, failed = _failed_points(command.columns, command.handler(opts))
         if opts["output"] == "-":
             _write_columns(sys.stdout, command.columns, columns, opts["format"])
         else:
             with open(opts["output"], "w", newline="") as fh:
                 _write_columns(fh, command.columns, columns, opts["format"])
     except Exception as exc:  # noqa: BLE001 - converted to a machine-readable record
-        record = {"error": type(exc).__name__, "message": str(exc), "subcommand": args.subcommand}
+        failed = [(exc, {})]
+    for exc, where in failed:
+        record = {"error": type(exc).__name__, "message": str(exc),
+                  "subcommand": args.subcommand, **where}
         partial = getattr(exc, "value", None)
         if partial is not None:
             record["partial_value"] = partial
             record["resume"] = "rerun with the same config; partial values are not reused"
         json.dump(record, sys.stderr)
         sys.stderr.write("\n")
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def main() -> None:

@@ -4,8 +4,8 @@ A chunk of rows becomes one uint8 matrix: each column contributes a
 fixed-width field matrix, followed by one "," or "\n" column.  A field
 fills the bytes a row does not use with 0xFF, a byte UTF-8 never contains,
 so compacting the matrix to its other bytes and decoding it once gives the
-rows' text.  Floats are written as '%.17g' % v, ints as '%d' % v, bools as
-true/false and strs as their UTF-8 bytes, NULs included.
+rows' text.  Floats are written as '%.17g' % v, bools as true/false, and
+ints and strs as the UTF-8 bytes of str(v), NULs included.
 
 Floats.  A finite nonzero v = +-m * 2**q, with m a 53-bit integer, is
 rounded to 17 significant digits D * 10**(E - 16) through one double-double
@@ -218,23 +218,6 @@ def _float_field(x: np.ndarray, tables: _FloatTables) -> np.ndarray:
     return field
 
 
-def _int_field(a: np.ndarray) -> np.ndarray:
-    """a as '%d' % v per element."""
-    neg = a < 0
-    magnitude = a.astype(np.int64).view(np.uint64)
-    magnitude[neg] = 0 - magnitude[neg]  # two's complement, so -2**63 too
-    words = np.empty((a.size, 3), dtype=np.uint64)
-    words[:, 0], rest = np.divmod(magnitude, 10**16)
-    words[:, 1], words[:, 2] = np.divmod(rest, 10**8)
-    digits = _ascii8(words).astype(_LE, copy=False).view(np.uint8)
-    leading = np.cumsum(digits != ord("0"), axis=1) == 0
-    leading[:, -1] = False
-    field = np.empty((a.size, 1 + digits.shape[1]), dtype=np.uint8)
-    field[:, 0] = np.where(neg, ord("-"), _FILL)
-    field[:, 1:] = np.where(leading, _FILL, digits)
-    return field
-
-
 class RowWriter:
     """Formats chunks of typed columns (float, int, bool, str) as CSV rows."""
 
@@ -255,8 +238,6 @@ class RowWriter:
         for c, (col, kind) in enumerate(zip(cols, kinds)):
             if kind == "float":
                 field = next(float_fields)
-            elif kind == "int":
-                field = _int_field(col)
             elif kind == "bool":
                 field = _BOOL_BYTES[col.view(np.uint8)]
             else:

@@ -27,6 +27,12 @@ AMPLITUDE_SINGULAR_TOL = 1e-12
 MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
+def check_grid_size(name: str, n: int) -> None:
+    """Reject a grid of n points, input name, that no array can hold, before it is allocated."""
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"{name}={n} asks for more points than an array can hold")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the detuned Lorentzian reservoir model.

@@ -4,8 +4,10 @@ Cells and sweep points are independent pure computations.  Each sweep
 hands all of its cells to one batched kink integral (the many-cell forms
 in bounds), which evaluates the closed form for many cells per call, in
 chunks of fewer than 16,384 nodes and in a fixed order, so the result of
-a cell does not depend on which cells share its batch.  Sweeps that stop
-at an error raise the one a cell-by-cell loop would have met first.
+a cell does not depend on which cells share its batch.  Invalid input (a
+model point, an axis or a window) raises ValueError before any work.  A
+point whose quadrature does not converge is recorded in its place, as its
+QuadratureError, and the sweep carries on.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad
-from .bounds import (
-    SPEED_UP_TOL,
-    BoundReport,
-    qsl_ratio_evolved_many,
-    qsl_ratio_many,
-    raise_first,
-)
-from .model import MAX_GRID_POINTS, ModelParams, decay_rate, markov_limit
+from .bounds import SPEED_UP_TOL, BoundReport, qsl_ratio_evolved_many, qsl_ratio_many
+from .model import ModelParams, check_grid_size, decay_rate, markov_limit
 from .smatrix import DensityMatrix2
 
 DEFAULT_CLIP = 25.0
@@ -58,12 +54,15 @@ class ScanGrid:
     tau_d: float
     cells: list[list[BoundReport | None]]
     classification: list[list[str]]
-    errors: list[list[str | None]]
+    errors: list[list[quad.QuadratureError | None]]
 
 
 @dataclass
 class TimeSeries:
-    """A sampled scalar time series with optional per-point clip markers."""
+    """A sampled scalar time series with optional per-point clip markers and errors.
+
+    A point whose value failed holds NaN, and its exception in errors.
+    """
 
     times: np.ndarray
     values: np.ndarray
@@ -71,6 +70,7 @@ class TimeSeries:
     params: ModelParams
     clip: float | None = None
     clipped: list[bool] | None = None
+    errors: list[quad.QuadratureError | None] | None = None
 
 
 def grid_scan(
@@ -82,7 +82,8 @@ def grid_scan(
 ) -> ScanGrid:
     """qsl_ratio over the (gamma0, delta) grid with the excited initial state.
 
-    Individual cell failures are recorded and the scan continues.
+    A cell whose quadrature fails has no report, the classification "error"
+    and its QuadratureError in errors; the scan carries on.
     """
     gamma0_axis = np.asarray(gamma0_axis, dtype=float)
     delta_axis = np.asarray(delta_axis, dtype=float)
@@ -90,50 +91,36 @@ def grid_scan(
         raise ValueError("scan axes must be non-empty")
     if np.any(np.diff(gamma0_axis) <= 0.0) or np.any(np.diff(delta_axis) <= 0.0):
         raise ValueError("scan axes must be strictly increasing")
-    if not math.isfinite(tau_d):
-        raise ValueError(f"tau_d must be finite, got {tau_d}")
-    if tau_d <= 0.0:
-        raise ValueError("tau_d must be positive")
-    rho0 = DensityMatrix2.excited()
-    cells: list[list[BoundReport | None]] = [
-        [None] * delta_axis.size for _ in range(gamma0_axis.size)
-    ]
-    classification = [["error"] * delta_axis.size for _ in range(gamma0_axis.size)]
-    errors: list[list[str | None]] = [[None] * delta_axis.size for _ in range(gamma0_axis.size)]
     params = [
         ModelParams(gamma0=g0, lam=lam, delta=delta)
         for g0 in gamma0_axis.tolist() for delta in delta_axis.tolist()
     ]
-    results = qsl_ratio_many(params, rho0, tau_d, spec=spec)
-    for k, result in enumerate(results):
-        i, j = divmod(k, delta_axis.size)
-        if isinstance(result, quad.QuadratureError):
-            errors[i][j] = str(result)
-            continue
-        cells[i][j] = result
-        classification[i][j] = classify(result.ratio)
+    results = qsl_ratio_many(params, DensityMatrix2.excited(), tau_d, spec=spec)
+    rows = [results[k:k + delta_axis.size] for k in range(0, len(results), delta_axis.size)]
+    cells = [[r if isinstance(r, BoundReport) else None for r in row] for row in rows]
     return ScanGrid(
         gamma0_axis=gamma0_axis,
         delta_axis=delta_axis,
         lam=lam,
         tau_d=tau_d,
         cells=cells,
-        classification=classification,
-        errors=errors,
+        classification=[[classify(r.ratio) if r else "error" for r in row] for row in cells],
+        errors=[[None if isinstance(r, BoundReport) else r for r in row] for row in rows],
     )
 
 
 def transition_boundary(
     grid: ScanGrid, spec: quad.QuadratureSpec | None = None
-) -> list[tuple[float, float, int]]:
+) -> list[tuple[float, float | quad.QuadratureError, int]]:
     """Classification flips per detuning row, refined by bisection on gamma0.
 
     Returns (delta, gamma0_boundary, flip_index) triples; flip_index counts
     flips within the row (rows can flip more than once in the
     strong-coupling regime).  Rows with uniform classification are omitted.
+    A flip whose bisection fails has its QuadratureError as gamma0_boundary.
     """
     rho0 = DensityMatrix2.excited()
-    # One entry per flip, in row order: [delta, lo, hi, lo is speed-up, flip_index].
+    # One entry per flip, in row order: [delta, lo, hi, lo is speed-up, flip_index, error].
     flips = []
     for j, delta in enumerate(grid.delta_axis.tolist()):
         col = [grid.classification[i][j] for i in range(grid.gamma0_axis.size)]
@@ -142,11 +129,10 @@ def transition_boundary(
             if "error" in (col[i], col[i + 1]) or col[i] == col[i + 1]:
                 continue
             lo, hi = float(grid.gamma0_axis[i]), float(grid.gamma0_axis[i + 1])
-            flips.append([delta, lo, hi, col[i] == "speed_up", flip_index])
+            flips.append([delta, lo, hi, col[i] == "speed_up", flip_index, None])
             flip_index += 1
-    # Bisect every flip in log(gamma0) to 1e-3 relative width, one batch per step.
-    # A failed flip stops the flips after it, as a flip-by-flip loop would.
-    failed: dict[int, Exception] = {}
+    # Bisect every flip in log(gamma0) to 1e-3 relative width, one batch per
+    # step.  A flip whose step fails stops there, keeping the QuadratureError.
     active = [k for k, f in enumerate(flips) if f[2] / f[1] > 1.0 + 1e-3]
     while active:
         mids = [math.sqrt(flips[k][1] * flips[k][2]) for k in active]
@@ -155,16 +141,15 @@ def transition_boundary(
         reports = qsl_ratio_many(params, rho0, grid.tau_d, spec=spec)
         for k, mid, report in zip(active, mids, reports):
             if isinstance(report, Exception):
-                failed[k] = report
+                flips[k][5] = report
             elif (classify(report.ratio) == "speed_up") == flips[k][3]:
                 flips[k][1] = mid
             else:
                 flips[k][2] = mid
-        stop = min(failed, default=len(flips))
-        active = [k for k in active if k < stop and flips[k][2] / flips[k][1] > 1.0 + 1e-3]
-    if failed:
-        raise failed[min(failed)]
-    return [(delta, math.sqrt(lo * hi), index) for delta, lo, hi, _, index in flips]
+        active = [k for k in active
+                  if flips[k][5] is None and flips[k][2] / flips[k][1] > 1.0 + 1e-3]
+    return [(delta, math.sqrt(lo * hi) if error is None else error, index)
+            for delta, lo, hi, _, index, error in flips]
 
 
 def sweep_tau(
@@ -174,16 +159,17 @@ def sweep_tau(
     tau_d: float,
     spec: quad.QuadratureSpec | None = None,
 ) -> TimeSeries:
-    """Evolved-initial-state ratio on a uniform tau grid."""
+    """Evolved-initial-state ratio on a uniform tau grid; a failed tau's value is NaN."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    check_grid_size("n_points", n_points)
     if not math.isfinite(tau_max):
         raise ValueError(f"tau_max must be finite, got {tau_max}")
     taus = np.linspace(0.0, tau_max, n_points)
-    values = raise_first(qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec))
-    return TimeSeries(
-        times=taus, values=np.asarray(values, dtype=float), kind="ratio_vs_tau", params=p
-    )
+    results = qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec)
+    errors = [r if isinstance(r, Exception) else None for r in results]
+    values = np.array([r if e is None else math.nan for r, e in zip(results, errors)], dtype=float)
+    return TimeSeries(times=taus, values=values, kind="ratio_vs_tau", params=p, errors=errors)
 
 
 def sweep_decay_rate(
@@ -195,8 +181,7 @@ def sweep_decay_rate(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    if n_points > MAX_GRID_POINTS:
-        raise ValueError(f"n_points={n_points} asks for more points than an array can hold")
+    check_grid_size("n_points", n_points)
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
     if not clip > 0.0:  # NaN fails too

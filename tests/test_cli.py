@@ -9,6 +9,7 @@ import pytest
 
 import qslkit.cli as cli_mod
 import qslkit.quad as quad_mod
+import qslkit.scan as scan_mod
 from qslkit.bounds import bures_comparator, qsl_ratio
 from qslkit.cli import run
 from qslkit.model import ModelParams
@@ -79,6 +80,28 @@ class TestScan:
         deltas = [float(r[1]) for r in rows]
         assert deltas == [0.0, 500.0] * 3
 
+    def test_failed_cells_give_records(self, capsys):
+        # Every cell fails at rel_tol 1e-16 without an absolute floor: the rows
+        # are still written, each with NaN ratio and one record on stderr.
+        argv = ("scan", "--rel-tol", "1e-16", "--abs-tol", "0", "--n-gamma0", "6",
+                "--n-delta", "4")
+        code, out, err = invoke(capsys, *argv)
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        records = [json.loads(line) for line in err.splitlines()]
+        assert code == 1
+        assert len(rows) == 24
+        assert all(row[4] == "nan" and row[5] == "error" and row[6] == "nan" for row in rows)
+        assert [(r["row"], r["column"]) for r in records] == [(i, "ratio") for i in range(24)]
+        for row, record in zip(rows, records):
+            p = ModelParams(float(row[0]), float(row[2]), float(row[1]))
+            with pytest.raises(QuadratureError) as expected:
+                qsl_ratio(p, DensityMatrix2.excited(), float(row[3]),
+                          spec=QuadratureSpec(rel_tol=1e-16, abs_tol=0.0))
+            assert record["error"] == "QuadratureError"
+            assert record["subcommand"] == "scan"
+            assert record["message"] == str(expected.value)
+            assert record["partial_value"] == expected.value.value
+
 
 class TestBoundary:
     def test_on_resonance_boundary_value(self, capsys):
@@ -92,6 +115,26 @@ class TestBoundary:
         on_res = [r for r in rows if float(r[0]) == 0.0]
         assert len(on_res) == 1
         assert float(on_res[0][1]) == pytest.approx(32.2, rel=0.02)
+
+    def test_failed_flip_gives_record(self, capsys, monkeypatch):
+        # At max_depth 5 the bisection of the flip at delta = 150 fails: its row
+        # is written with NaN, and its record follows the rows.
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_depth=5)
+        monkeypatch.setattr(cli_mod, "_quad_spec", lambda opts: spec)
+        code, out, err = invoke(capsys, "boundary", "--n-gamma0", "7", "--gamma0-min", "5",
+                                "--gamma0-max", "1000", "--n-delta", "11")
+        grid = scan_mod.grid_scan(np.geomspace(5.0, 1000.0, 7), default_delta_axis(50.0, 11),
+                                  50.0, 0.2, spec=spec)
+        points = scan_mod.transition_boundary(grid, spec=spec)
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        records = [json.loads(line) for line in err.splitlines()]
+        assert code == 1
+        assert len(rows) == len(points) == 4
+        failed = [k for k, (_, g, _) in enumerate(points) if isinstance(g, QuadratureError)]
+        assert [(r["row"], r["column"]) for r in records] == [(3, "gamma0_boundary")]
+        assert failed == [3] and rows[3][:2] == ["150", "nan"]
+        assert records[0]["message"] == str(points[3][1])
+        assert records[0]["partial_value"] == points[3][1].value
 
 
 class TestSweepTau:
@@ -163,25 +206,39 @@ class TestCompareBounds:
 
     @pytest.mark.parametrize(
         "delta, rel_tol, max_depth",
-        # The first failure is the trace ratio at the ninth point; then the
-        # trace and Bures ratios of the first point, which both fail.
+        # At delta 200 only the trace ratio of the ninth point fails; at
+        # delta 300 both ratios of every point fail.
         [(200.0, 1e-11, 4), (300.0, 1e-10, 3)],
     )
-    def test_raises_first_error_in_serial_order(self, capsys, monkeypatch, delta, rel_tol,
-                                                max_depth):
+    def test_failed_points_recorded(self, capsys, monkeypatch, delta, rel_tol, max_depth):
+        # Every row is written; a failed ratio is NaN in its row, and its record
+        # carries the one-cell call's message and partial value.
         spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=0.0, max_depth=max_depth)
         monkeypatch.setattr(cli_mod, "_quad_spec", lambda opts: spec)
         code, out, err = invoke(capsys, "compare-bounds", "--n-points", "12", "--delta",
                                 repr(delta))
-        record = json.loads(err)
-        with pytest.raises(QuadratureError) as expected:
-            for g0 in np.geomspace(1.0, 1000.0, 12).tolist():
-                p = ModelParams(g0, 50.0, delta)
-                qsl_ratio(p, DensityMatrix2.excited(), 0.2, spec=spec)
-                bures_comparator(p, 0.2, spec=spec)
-        assert (code, out) == (1, "")
-        assert record["message"] == str(expected.value)
-        assert record["partial_value"] == expected.value.value
+        records = [json.loads(line) for line in err.splitlines()]
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        expected_records = []
+        for i, g0 in enumerate(np.geomspace(1.0, 1000.0, 12).tolist()):
+            p = ModelParams(g0, 50.0, delta)
+            assert float(rows[i][0]) == g0
+            calls = (lambda: qsl_ratio(p, DensityMatrix2.excited(), 0.2, spec=spec).ratio,
+                     lambda: bures_comparator(p, 0.2, spec=spec))
+            for column, call, text in zip(("ratio_trace", "ratio_bures"), calls, rows[i][1:]):
+                try:
+                    value = call()
+                except QuadratureError as exc:
+                    assert text == "nan"
+                    expected_records.append((i, column, str(exc), exc.value))
+                else:
+                    assert float(text) == value
+        assert code == 1
+        assert len(rows) == 12
+        assert [(r["row"], r["column"], r["message"], r["partial_value"]) for r in records] == (
+            expected_records)
+        assert {r["error"] for r in records} == {"QuadratureError"}
+        assert len(records) == (1 if delta == 200.0 else 24)
 
 
 class TestOracleCheck:
@@ -315,6 +372,10 @@ class TestDeterminism:
             ("compare-bounds", "--n-points", "8", "--delta", "200"),
             ("sweep-tau", "--gamma0", "1000", "--delta", "200", "--n-points", "20"),
             ("ratio", "--gamma0", "500", "--tau", "0.3"),
+            # Failing points: the rows, the records and the exit code.
+            ("sweep-tau", "--rel-tol", "1e-16", "--abs-tol", "0", "--gamma0", "1000",
+             "--delta", "200", "--n-points", "20"),
+            ("compare-bounds", "--rel-tol", "1e-16", "--abs-tol", "0", "--n-points", "10"),
         ],
     )
     def test_batch_size_does_not_change_bytes(self, capsys, monkeypatch, argv):
@@ -459,6 +520,14 @@ class TestNonFiniteInputs:
              "t_max=1e+300 and step=1e-10 ask for inf steps, more than an array can hold"),
             (("decay-rate", "--n-points", "100000000000000000000"),
              "n_points=100000000000000000000 asks for more points than an array can hold"),
+            (("sweep-tau", "--n-points", "100000000000000000000"),
+             "n_points=100000000000000000000 asks for more points than an array can hold"),
+            (("compare-bounds", "--n-points", "100000000000000000000"),
+             "n_points=100000000000000000000 asks for more points than an array can hold"),
+            (("scan", "--n-gamma0", "100000000000000000000", "--n-delta", "2"),
+             "n_gamma0=100000000000000000000 asks for more points than an array can hold"),
+            (("boundary", "--n-gamma0", "2", "--n-delta", "100000000000000000000"),
+             "n_delta=100000000000000000000 asks for more points than an array can hold"),
         ],
     )
     def test_rejected_with_a_named_error(self, capsys, argv, name):

@@ -35,7 +35,10 @@ def one_chunk_per_cell(monkeypatch):
 
 
 def serial_boundary(grid, spec):
-    """Reference: the flip-by-flip, step-by-step bisection with one-cell calls."""
+    """Reference: the flip-by-flip, step-by-step bisection with one-cell calls.
+
+    A flip whose step raises QuadratureError gets it as its boundary.
+    """
     out = []
     for j, delta in enumerate(grid.delta_axis):
         col = [grid.classification[i][j] for i in range(grid.gamma0_axis.size)]
@@ -44,23 +47,28 @@ def serial_boundary(grid, spec):
             if "error" in (col[i], col[i + 1]) or col[i] == col[i + 1]:
                 continue
             lo, hi = float(grid.gamma0_axis[i]), float(grid.gamma0_axis[i + 1])
-            while hi / lo > 1.0 + 1e-3:
-                mid = math.sqrt(lo * hi)
-                report = qsl_ratio(ModelParams(mid, grid.lam, float(delta)), EXCITED, grid.tau_d,
-                                   spec=spec)
-                if (classify(report.ratio) == "speed_up") == (col[i] == "speed_up"):
-                    lo = mid
-                else:
-                    hi = mid
-            out.append((float(delta), math.sqrt(lo * hi), flip_index))
+            try:
+                while hi / lo > 1.0 + 1e-3:
+                    mid = math.sqrt(lo * hi)
+                    report = qsl_ratio(ModelParams(mid, grid.lam, float(delta)), EXCITED,
+                                       grid.tau_d, spec=spec)
+                    if (classify(report.ratio) == "speed_up") == (col[i] == "speed_up"):
+                        lo = mid
+                    else:
+                        hi = mid
+            except QuadratureError as exc:
+                out.append((float(delta), exc, flip_index))
+            else:
+                out.append((float(delta), math.sqrt(lo * hi), flip_index))
             flip_index += 1
     return out
 
 
-def raised(fn, *args, **kwargs):
-    with pytest.raises(QuadratureError) as info:
-        fn(*args, **kwargs)
-    return str(info.value), info.value.value, info.value.err_estimate
+def outcome(v):
+    """v, or for a QuadratureError its message, partial value and error estimate."""
+    if isinstance(v, QuadratureError):
+        return str(v), v.value, v.err_estimate
+    return v
 
 
 class TestGridScan:
@@ -90,7 +98,7 @@ class TestGridScan:
                     report = qsl_ratio(ModelParams(g0, LAM, delta), EXCITED, 0.2, spec=spec)
                 except QuadratureError as exc:
                     failed.add((i, j))
-                    assert grid.errors[i][j] == str(exc)
+                    assert outcome(grid.errors[i][j]) == outcome(exc)
                     assert grid.cells[i][j] is None
                     assert grid.classification[i][j] == "error"
                 else:
@@ -146,12 +154,19 @@ class TestTransitionBoundary:
         assert transition_boundary(grid) == serial_boundary(grid, None)
 
     @pytest.mark.parametrize("max_depth", [3, 5])
-    def test_raises_first_error_in_serial_order(self, max_depth):
+    def test_failed_flips_recorded(self, max_depth):
         # At max_depth 3 the second flip fails on its first step and the first
-        # flip on its third; a flip-by-flip loop meets the first flip's error.
+        # flip on its third; at max_depth 5 only the second flip fails.  Each
+        # flip holds what the flip-by-flip loop gives it: its boundary, or the
+        # error of its failed step.
         grid = small_grid()
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_depth=max_depth)
-        assert raised(transition_boundary, grid, spec=spec) == raised(serial_boundary, grid, spec)
+        points = transition_boundary(grid, spec=spec)
+        expected = serial_boundary(grid, spec)
+        assert [tuple(map(outcome, pt)) for pt in points] == [
+            tuple(map(outcome, pt)) for pt in expected]
+        n_failed = sum(isinstance(g, QuadratureError) for _, g, _ in points)
+        assert n_failed == (2 if max_depth == 3 else 1)
 
     def test_large_detuning_speeds_up_whole_row(self):
         # At delta = 6*lam even the weakest sampled coupling accelerates, so
@@ -200,19 +215,29 @@ class TestSweepTau:
         sweep_tau(ModelParams(500.0, LAM, 0.0), 2.0, 200, 0.2)
         assert len(closed_form_calls) <= 474
 
-    def test_raises_first_error_in_serial_order(self):
-        # The windows at tau = 0.1 and 0.2 fail; tau = 0 does not.
+    def test_failed_points_recorded(self):
+        # The windows at tau = 0.1 and 0.2 fail; every other point gets its
+        # one-cell value, and a failed one NaN and its one-cell error.
         p = ModelParams(20.0 * LAM, LAM, 4.0 * LAM)
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
-        taus = np.linspace(0.0, 2.0, 21).tolist()
-        qsl_ratio_evolved(p, taus[0], 0.2, spec=spec)
-        expected = raised(qsl_ratio_evolved, p, taus[1], 0.2, spec=spec)
-        assert raised(sweep_tau, p, 2.0, 21, 0.2, spec=spec) == expected
-        # A negative tau fails validation only after the points before it.
-        with pytest.raises(ValueError, match="tau must be nonnegative"):
-            sweep_tau(p, -1.0, 3, 0.2)
-        assert raised(sweep_tau, p, -1.0, 3, 0.2, spec=QuadratureSpec(max_depth=0))[0] == raised(
-            qsl_ratio_evolved, p, 0.0, 0.2, spec=QuadratureSpec(max_depth=0))[0]
+        series = sweep_tau(p, 2.0, 21, 0.2, spec=spec)
+        failed = []
+        for k, tau in enumerate(np.linspace(0.0, 2.0, 21).tolist()):
+            try:
+                expected = qsl_ratio_evolved(p, tau, 0.2, spec=spec)
+            except QuadratureError as exc:
+                failed.append(k)
+                assert math.isnan(series.values[k])
+                assert outcome(series.errors[k]) == outcome(exc)
+            else:
+                assert series.errors[k] is None
+                assert series.values[k] == expected
+        assert failed == [1, 2]
+        # A negative tau is invalid input: it fails the sweep before any work,
+        # also where the point before it would not converge.
+        for spec in (None, QuadratureSpec(max_depth=0)):
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                sweep_tau(p, -1.0, 3, 0.2, spec=spec)
 
 
 class TestSweepDecayRate:
