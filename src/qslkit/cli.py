@@ -1,10 +1,10 @@
 """Command-line front end: figure datasets, validation oracles, CSV/JSON output.
 
 Identical configurations produce byte-identical output: each CSV float is
-Python's '%.17g' % v and each JSON float repr(v), rows are emitted in a
-fixed order, and no timestamps appear in data rows.  All parameters can
-also be supplied via a plain key=value config file (--config); command-line
-flags take precedence.
+Python's '%.17g' % v and each JSON value is spelled by json itself, rows
+are emitted in a fixed order, and no timestamps appear in data rows.  All
+parameters can also be supplied via a plain key=value config file
+(--config); command-line flags take precedence.
 
 `_PARAMS` is the only place a parameter (its flag, type, default and config
 key) is declared, and `_COMMANDS` the only place a subcommand (its name, help
@@ -12,9 +12,9 @@ text, parameters, output columns with their kinds, and handler) is.  Each
 handler returns typed columns: one numpy array or list per declared column,
 float, int, bool or str.  The writer formats them in chunks of rows.  A CSV
 chunk, after the header, is built as byte fields in numpy (csvbytes).  A
-JSON chunk is one row template repeated over the chunk and applied with %,
-exactly as json.dump(rows, indent=2) prints a list of row objects (NaN,
-Infinity and -Infinity included).
+JSON chunk's values come from json.dumps (NaN, Infinity and -Infinity
+included); only the row template is ours, repeated over the chunk and
+applied with %, exactly as json.dump(rows, indent=2) lays out row objects.
 
 Invalid input fails the request with one JSON error record on stderr.  A
 point that does not converge is left by its handler as its QuadratureError
@@ -80,25 +80,8 @@ Columns = tuple  # one numpy array or list per declared column, in declared orde
 # Rows formatted per write, so the output text is never held whole.
 _CHUNK_ROWS = 4096
 
-# Column kind -> (numpy dtype, JSON conversion).
-_KINDS = {
-    "float": (float, "%r"),
-    "int": (int, "%d"),
-    "bool": (bool, "%s"),
-    "str": (object, "%s"),
-}
-
-
-class _Bare(str):
-    """A JSON token that %r prints without quotes."""
-
-    def __repr__(self):
-        return str(self)
-
-
-_JSON_NAN, _JSON_INF, _JSON_NEG_INF = _Bare("NaN"), _Bare("Infinity"), _Bare("-Infinity")
-# Indexed by a bool column's bytes: one shared string object per value.
-_TRUE_FALSE = np.array(["false", "true"], dtype=object)
+# Column kind -> numpy dtype.
+_KINDS = {"float": float, "int": int, "bool": bool, "str": object}
 
 
 def _parse_columns(decl: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -107,18 +90,14 @@ def _parse_columns(decl: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(name for name, _ in pairs), tuple(kind or "float" for _, kind in pairs)
 
 
-def _json_values(a: np.ndarray, kind: str) -> list:
-    """The values of one chunk of a column, ready for its JSON conversion spec."""
-    if kind == "bool":
-        return _TRUE_FALSE[a.view(np.uint8)].tolist()
-    values = a.tolist()
+def _json_values(a: np.ndarray, kind: str) -> list[str]:
+    """The JSON tokens of one chunk of a column, as json spells them.
+
+    A number or bool list is dumped whole and split: no token holds ", ".
+    """
     if kind == "str":
-        return [json.dumps(v) for v in values]
-    if kind == "float":
-        for k in np.flatnonzero(~np.isfinite(a)).tolist():
-            v = values[k]
-            values[k] = _JSON_NAN if v != v else _JSON_INF if v > 0.0 else _JSON_NEG_INF
-    return values
+        return [json.dumps(v) for v in a.tolist()]
+    return json.dumps(a.tolist())[1:-1].split(", ")
 
 
 def _failed_points(decl: str, columns: Columns) -> tuple[list, list]:
@@ -143,7 +122,7 @@ def _write_columns(out, decl: str, columns: Columns, fmt: str) -> None:
     over the chunk and applied to the chunk's values, flattened row by row.
     """
     names, kinds = _parse_columns(decl)
-    cols = [np.asarray(c, dtype=_KINDS[k][0]) for c, k in zip(columns, kinds)]
+    cols = [np.asarray(c, dtype=_KINDS[k]) for c, k in zip(columns, kinds)]
     n_rows = len(cols[0])
     if fmt == "csv":
         out.write(",".join(names) + "\n")
@@ -155,7 +134,7 @@ def _write_columns(out, decl: str, columns: Columns, fmt: str) -> None:
         out.write("[]\n")
         return
     out.write("[\n")
-    fields = [f"    {json.dumps(name)}: {_KINDS[k][1]}" for name, k in zip(names, kinds)]
+    fields = [f"    {json.dumps(name)}: %s" for name in names]
     row, sep = "  {\n" + ",\n".join(fields) + "\n  }", ",\n"
     for i in range(0, n_rows, _CHUNK_ROWS):
         j = min(i + _CHUNK_ROWS, n_rows)
@@ -246,10 +225,18 @@ def _cmd_ratio(opts: dict) -> Columns:
     return tuple([v] for v in row)
 
 
+def _gamma0_axis(opts: dict, n_name: str) -> np.ndarray:
+    """The log-spaced gamma0 axis of n_name points, its inputs checked by name first."""
+    check_grid_size(n_name, opts[n_name])
+    for name in ("lam", "gamma0_min", "gamma0_max"):
+        if not 0.0 < opts[name] < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {opts[name]}")
+    return np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts[n_name])
+
+
 def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
-    check_grid_size("n_gamma0", opts["n_gamma0"])
+    gamma0_axis = _gamma0_axis(opts, "n_gamma0")
     check_grid_size("n_delta", opts["n_delta"])
-    gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_gamma0"])
     delta_axis = scan_mod.default_delta_axis(opts["lam"], opts["n_delta"])
     return scan_mod.grid_scan(
         gamma0_axis, delta_axis, opts["lam"], opts["tau_d"], spec=_quad_spec(opts)
@@ -292,8 +279,7 @@ def _cmd_decay_rate(opts: dict) -> Columns:
 
 
 def _cmd_compare_bounds(opts: dict) -> Columns:
-    check_grid_size("n_points", opts["n_points"])
-    gamma0_axis = np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts["n_points"])
+    gamma0_axis = _gamma0_axis(opts, "n_points")
     spec = _quad_spec(opts)
     params = [ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"])
               for g0 in gamma0_axis.tolist()]

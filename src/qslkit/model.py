@@ -27,8 +27,10 @@ AMPLITUDE_SINGULAR_TOL = 1e-12
 MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
-def check_grid_size(name: str, n: int) -> None:
-    """Reject a grid of n points, input name, that no array can hold, before it is allocated."""
+def check_grid_size(name: str, n: int, minimum: int = 1) -> None:
+    """Reject a grid of n points, input name, below minimum or that no array can hold."""
+    if n < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
     if n > MAX_GRID_POINTS:
         raise ValueError(f"{name}={n} asks for more points than an array can hold")
 

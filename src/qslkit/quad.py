@@ -60,6 +60,9 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.err_estimate = err_estimate
 
+    def __reduce__(self):  # pickle calls __init__ with all three arguments
+        return type(self), (*self.args, self.value, self.err_estimate)
+
 
 def _blocks(sizes: np.ndarray):
     """[i, j) ranges of consecutive groups of sizes nodes: at most _CHUNK_POINTS, or one group."""

@@ -115,25 +115,31 @@ def transition_boundary(
     """Classification flips per detuning row, refined by bisection on gamma0.
 
     Returns (delta, gamma0_boundary, flip_index) triples; flip_index counts
-    flips within the row (rows can flip more than once in the
+    the entries of the row (rows can flip more than once in the
     strong-coupling regime).  Rows with uniform classification are omitted.
-    A flip whose bisection fails has its QuadratureError as gamma0_boundary.
+    A failed scan cell has its own entry, in gamma0 order, with its
+    QuadratureError as gamma0_boundary; no flip is searched across it.  A
+    flip whose bisection fails has its QuadratureError as gamma0_boundary.
     """
     rho0 = DensityMatrix2.excited()
-    # One entry per flip, in row order: [delta, lo, hi, lo is speed-up, flip_index, error].
+    # One entry per flip or failed cell, in row order:
+    # [delta, lo, hi, lo is speed-up, flip_index, error].
     flips = []
+    gamma0s = grid.gamma0_axis.tolist()
     for j, delta in enumerate(grid.delta_axis.tolist()):
-        col = [grid.classification[i][j] for i in range(grid.gamma0_axis.size)]
+        col = [grid.classification[i][j] for i in range(len(gamma0s))]
         flip_index = 0
-        for i in range(len(col) - 1):
-            if "error" in (col[i], col[i + 1]) or col[i] == col[i + 1]:
+        for i, g0 in enumerate(gamma0s):
+            if col[i] == "error":
+                flips.append([delta, g0, g0, False, flip_index, grid.errors[i][j]])
+            elif i + 1 < len(col) and col[i + 1] not in ("error", col[i]):
+                flips.append([delta, g0, gamma0s[i + 1], col[i] == "speed_up", flip_index, None])
+            else:
                 continue
-            lo, hi = float(grid.gamma0_axis[i]), float(grid.gamma0_axis[i + 1])
-            flips.append([delta, lo, hi, col[i] == "speed_up", flip_index, None])
             flip_index += 1
     # Bisect every flip in log(gamma0) to 1e-3 relative width, one batch per
     # step.  A flip whose step fails stops there, keeping the QuadratureError.
-    active = [k for k, f in enumerate(flips) if f[2] / f[1] > 1.0 + 1e-3]
+    active = [k for k, f in enumerate(flips) if f[5] is None and f[2] / f[1] > 1.0 + 1e-3]
     while active:
         mids = [math.sqrt(flips[k][1] * flips[k][2]) for k in active]
         params = [ModelParams(gamma0=mid, lam=grid.lam, delta=flips[k][0])
@@ -160,9 +166,7 @@ def sweep_tau(
     spec: quad.QuadratureSpec | None = None,
 ) -> TimeSeries:
     """Evolved-initial-state ratio on a uniform tau grid; a failed tau's value is NaN."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    check_grid_size("n_points", n_points)
+    check_grid_size("n_points", n_points, 2)
     if not math.isfinite(tau_max):
         raise ValueError(f"tau_max must be finite, got {tau_max}")
     taus = np.linspace(0.0, tau_max, n_points)
@@ -179,11 +183,11 @@ def sweep_decay_rate(
 
     For detuned parameters the tail settles at markov_limit(p)/gamma0.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    check_grid_size("n_points", n_points)
+    check_grid_size("n_points", n_points, 2)
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
+    if t_max < 0.0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if not clip > 0.0:  # NaN fails too
         raise ValueError("clip must be positive")
     times = np.linspace(0.0, t_max, n_points)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -329,3 +330,15 @@ class TestQuadratureErrorContext:
             assert "gamma0=500.0" in message
             assert "delta=0.0" in message
             assert "window [0.0, 0.2]" in message
+
+    def test_errors_survive_pickle(self):
+        # Worker processes send results back by pickle: a failed cell's error,
+        # and the engine error it wraps, must come back whole.
+        spec = QuadratureSpec(max_depth=0, rel_tol=1e-15, abs_tol=0.0)
+        [wrapped] = qsl_ratio_many([ModelParams(500.0, LAM, 0.0)], EXCITED, 0.2, spec=spec)
+        engine = wrapped.__cause__
+        assert isinstance(engine, QuadratureError) and str(engine) != str(wrapped)
+        for exc in (engine, wrapped):
+            copy = pickle.loads(pickle.dumps(exc))
+            assert (type(copy), str(copy), copy.value, copy.err_estimate) == (
+                QuadratureError, str(exc), exc.value, exc.err_estimate)

@@ -117,8 +117,9 @@ class TestBoundary:
         assert float(on_res[0][1]) == pytest.approx(32.2, rel=0.02)
 
     def test_failed_flip_gives_record(self, capsys, monkeypatch):
-        # At max_depth 5 the bisection of the flip at delta = 150 fails: its row
-        # is written with NaN, and its record follows the rows.
+        # At max_depth 5 the bisection of the flip at delta = 150 fails, and so
+        # do 13 scan cells at delta 400 to 500: each has its own row, written
+        # with NaN, and its record follows the rows.
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_depth=5)
         monkeypatch.setattr(cli_mod, "_quad_spec", lambda opts: spec)
         code, out, err = invoke(capsys, "boundary", "--n-gamma0", "7", "--gamma0-min", "5",
@@ -129,12 +130,32 @@ class TestBoundary:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         records = [json.loads(line) for line in err.splitlines()]
         assert code == 1
-        assert len(rows) == len(points) == 4
+        assert len(rows) == len(points) == 17
         failed = [k for k, (_, g, _) in enumerate(points) if isinstance(g, QuadratureError)]
-        assert [(r["row"], r["column"]) for r in records] == [(3, "gamma0_boundary")]
-        assert failed == [3] and rows[3][:2] == ["150", "nan"]
-        assert records[0]["message"] == str(points[3][1])
-        assert records[0]["partial_value"] == points[3][1].value
+        assert failed == [3, *range(4, 17)]
+        assert sum(e is not None for row in grid.errors for e in row) == 13
+        assert [(r["row"], r["column"]) for r in records] == [(k, "gamma0_boundary")
+                                                               for k in failed]
+        assert rows[3][:2] == ["150", "nan"]
+        for row, (delta, g, index) in zip(rows, points):
+            expected = "nan" if isinstance(g, QuadratureError) else format(g, ".17g")
+            assert row == [format(delta, ".17g"), expected, str(index)]
+        for k, record in zip(failed, records):
+            assert record["message"] == str(points[k][1])
+            assert record["partial_value"] == points[k][1].value
+
+    def test_failed_cells_give_records(self, capsys):
+        # Every cell of the inner scan fails: each is a row with NaN and a record.
+        code, out, err = invoke(capsys, "boundary", "--rel-tol", "1e-16", "--abs-tol", "0",
+                                "--n-gamma0", "6", "--n-delta", "4")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        records = [json.loads(line) for line in err.splitlines()]
+        assert code == 1
+        assert len(rows) == 24
+        assert [row[1:] for row in rows] == [["nan", str(i)] for _ in range(4) for i in range(6)]
+        assert [(r["row"], r["column"]) for r in records] == [(i, "gamma0_boundary")
+                                                               for i in range(24)]
+        assert all(r["error"] == "QuadratureError" for r in records)
 
 
 class TestSweepTau:
@@ -424,12 +445,17 @@ class TestColumnWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_edge_values(self, fmt):
-        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e300, 5e-324, -1.5, 1e17]
+        # Ten edge rows, then 10^5 rows whose floats have random bit patterns
+        # (NaN payloads, subnormals and both signs included).
+        edges = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e300, 5e-324, -1.5, 1e17]
+        bits = np.random.default_rng(12).integers(0, 2**64, 10**5, dtype=np.uint64)
+        reps = 1 + bits.size // 10
         columns = (
-            np.array(floats),
-            list(range(-4, 6)),
-            [True, False] * 5,
-            ["speed_up", 'quote"d', "back\\slash", "tab\t", "é", "", "a,b", "%s", "%%", "nul\x00"],
+            np.concatenate([edges, bits.view(float)]),
+            list(range(-4, 6)) * reps,
+            [True, False] * 5 * reps,
+            ["speed_up", 'quote"d', "back\\slash", "tab\t", "é", "", "a,b", "%s", "%%",
+             "nul\x00"] * reps,
         )
         decl = "x n:int flag:bool label:str"
         names, _ = cli_mod._parse_columns(decl)
@@ -528,8 +554,28 @@ class TestNonFiniteInputs:
              "n_gamma0=100000000000000000000 asks for more points than an array can hold"),
             (("boundary", "--n-gamma0", "2", "--n-delta", "100000000000000000000"),
              "n_delta=100000000000000000000 asks for more points than an array can hold"),
+            # Sweep axes: sizes and gamma0 ends checked before numpy builds the axis.
+            (("scan", "--n-gamma0", "-2"), "n_gamma0 must be at least 1"),
+            (("scan", "--n-delta", "0"), "n_delta must be at least 1"),
+            (("compare-bounds", "--n-points", "-1"), "n_points must be at least 1"),
+            (("compare-bounds", "--n-points", "0"), "n_points must be at least 1"),
+            (("sweep-tau", "--n-points", "1"), "n_points must be at least 2"),
+            (("decay-rate", "--n-points", "1"), "n_points must be at least 2"),
+            (("decay-rate", "--t-max", "-1"), "t_max must be nonnegative, got -1.0"),
+            (("scan", "--gamma0-min", "0"), "gamma0_min must be finite and positive, got 0.0"),
+            (("scan", "--gamma0-min", "-1"), "gamma0_min must be finite and positive"),
+            (("compare-bounds", "--gamma0-min", "0"), "gamma0_min must be finite and positive"),
+            (("scan", "--lambda", "0"), "lam must be finite and positive, got 0.0"),
+            (("scan", "--lambda", "-5"), "lam must be finite and positive, got -5.0"),
+            (("scan", "--lambda", "inf"), "lam must be finite and positive, got inf"),
+            (("scan", "--gamma0-max", "inf"), "gamma0_max must be finite and positive, got inf"),
+            (("boundary", "--gamma0-max", "inf"), "gamma0_max must be finite and positive"),
+            (("compare-bounds", "--gamma0-max", "inf"), "gamma0_max must be finite and positive"),
         ],
     )
+    # A warning (numpy's RuntimeWarning, say) fails the test: stderr must hold
+    # the one record and nothing else.
+    @pytest.mark.filterwarnings("error")
     def test_rejected_with_a_named_error(self, capsys, argv, name):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,14 +38,19 @@ def one_chunk_per_cell(monkeypatch):
 def serial_boundary(grid, spec):
     """Reference: the flip-by-flip, step-by-step bisection with one-cell calls.
 
-    A flip whose step raises QuadratureError gets it as its boundary.
+    A failed scan cell gets its own entry with its error, and a flip whose
+    step raises QuadratureError gets it as its boundary.
     """
     out = []
     for j, delta in enumerate(grid.delta_axis):
         col = [grid.classification[i][j] for i in range(grid.gamma0_axis.size)]
         flip_index = 0
-        for i in range(len(col) - 1):
-            if "error" in (col[i], col[i + 1]) or col[i] == col[i + 1]:
+        for i in range(len(col)):
+            if col[i] == "error":
+                out.append((float(delta), grid.errors[i][j], flip_index))
+                flip_index += 1
+                continue
+            if i + 1 == len(col) or col[i + 1] in ("error", col[i]):
                 continue
             lo, hi = float(grid.gamma0_axis[i]), float(grid.gamma0_axis[i + 1])
             try:
@@ -167,6 +173,35 @@ class TestTransitionBoundary:
             tuple(map(outcome, pt)) for pt in expected]
         n_failed = sum(isinstance(g, QuadratureError) for _, g, _ in points)
         assert n_failed == (2 if max_depth == 3 else 1)
+
+    def test_failed_cells_recorded(self):
+        # At max_depth 4 five cells of the delta = 300 row fail: each is its own
+        # entry with the cell's error, in gamma0 order.
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        grid = small_grid(spec)
+        points = transition_boundary(grid, spec=spec)
+        assert [tuple(map(outcome, pt)) for pt in points] == [
+            tuple(map(outcome, pt)) for pt in serial_boundary(grid, spec)]
+        assert [(d, outcome(g), k) for d, g, k in points if d == 300.0] == [
+            (300.0, outcome(grid.errors[i][2]), k) for k, i in enumerate((0, 1, 4, 5, 6))]
+
+    @pytest.mark.parametrize("failed, n_flips", [(1, 1), (3, 0)])
+    def test_failed_cell_next_to_flip(self, failed, n_flips):
+        # The on-resonance row flips between cells 2 and 3.  A failed cell 1
+        # takes flip_index 0 and the flip 1; a failed cell 3 leaves no flip.
+        grid = small_grid()
+        error = QuadratureError("cell failed", value=0.5, err_estimate=0.1)
+        tables = [[list(row) for row in table]
+                  for table in (grid.cells, grid.classification, grid.errors)]
+        for table, v in zip(tables, (None, "error", error)):
+            table[failed][0] = v
+        grid = dataclasses.replace(grid, cells=tables[0], classification=tables[1],
+                                   errors=tables[2])
+        points = transition_boundary(grid)
+        assert points == serial_boundary(grid, None)
+        on_res = [pt for pt in points if pt[0] == 0.0]
+        assert on_res[0] == (0.0, error, 0)
+        assert [(g, k) for _, g, k in on_res[1:]] == [(pytest.approx(32.2, rel=0.02), 1)] * n_flips
 
     def test_large_detuning_speeds_up_whole_row(self):
         # At delta = 6*lam even the weakest sampled coupling accelerates, so
