@@ -36,7 +36,8 @@ import numpy as np
 
 from . import quad
 from .model import (
-    ModelParams, amplitude_cells, amplitude_series, coefficient_table, excited_population,
+    MAX_GRID_POINTS, ModelParams, amplitude_bounds, amplitude_cells, amplitude_series,
+    coefficient_table, excited_population,
 )
 from .smatrix import DensityMatrix2
 
@@ -45,6 +46,12 @@ from .smatrix import DensityMatrix2
 SPEED_UP_TOL = 1e-6
 
 _STATIONARY_TOL = 1e-30
+
+# Exclusion thresholds are inflated by this relative margin, which covers the
+# rounding of the bounds and of the sums compared against them, and floored
+# above the subnormals, where the bounds lose their relative accuracy.
+_MARGIN = 2.0**-20
+_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,11 @@ def _check_window(name: str, start: float, tau_d: float) -> None:
 class _Cells:
     """The cells (model point, window [start, start + tau_d]) of one estimator call.
 
-    Checks every window, in cell order, builds one coefficient table and,
-    given p_ref (C(start) -> P_ref), evaluates each cell's start-point
-    amplitude c_ref once, as a 0-d closed-form call, and P_ref from it.
-    scale multiplies P and Pdot (the initial excited population).
+    Checks every window, in cell order, and its probe count, builds one
+    coefficient table and, given p_ref (C(start) -> P_ref), evaluates each
+    cell's start-point amplitude c_ref once, as a 0-d closed-form call, and
+    P_ref from it.  scale multiplies P and Pdot (the initial excited
+    population).
     """
 
     def __init__(self, params, starts, tau_d: float, name: str, p_ref=None, scale: float = 1.0):
@@ -100,6 +108,14 @@ class _Cells:
             _check_window(name, s, tau_d)
         self.params, self.a = params, starts
         self.b = [s + tau_d for s in self.a]
+        self.n_probe = [quad.probe_count_for_period(p.complex_root.imag, lo, hi)
+                        for p, lo, hi in zip(self.params, self.a, self.b)]
+        for p, lo, hi, n in zip(self.params, self.a, self.b, self.n_probe):
+            if not n <= MAX_GRID_POINTS:
+                raise ValueError(
+                    f"gamma0={p.gamma0}, delta={p.delta} and window [{lo}, {hi}] ask for "
+                    f"{n:.6g} probes, more than an array can hold"
+                )
         self.table = coefficient_table(self.params)
         self.scale = scale
         self.c_ref = [amplitude_series(p, s)[0] for p, s in zip(self.params, self.a) if p_ref]
@@ -115,18 +131,44 @@ class _Cells:
             return c, cdot, pdot[None]
         return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self._p_ref_col[rows]))
 
+    def thresholds(self, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Per factor of terms and interval [t0[i], t1[i]] of cell rows[i], the exclusion threshold.
+
+        Where |f(t0)| + |f(t1)| exceeds it, with f as terms computes it, f
+        computes to neither zero nor both signs anywhere in [t0, t1]: a point
+        where |f| <= err would bound that sum by slope * h + 4 * err
+        (Lipschitz exclusion), with slope bounding |f'|, h = t1 - t0 and err
+        the rounding error of f there.  |Pddot| <= 2 (|Cdot|^2 + |C| |Cddot|)
+        and |(P - P_ref)'| = |Pdot| <= 2 |C| |Cdot|, times scale.
+        """
+        c, cdot, cddot, err_c, err_cdot = amplitude_bounds(self.table, rows, t0, t1)
+        # Bounds on |C| and |Cdot| as computed; they cover the products' own rounding.
+        c_hat, cdot_hat = c + err_c, cdot + err_cdot
+        s = self.scale
+        # Infinite bounds (d = 0) give NaN thresholds, which exclude nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = [2.0 * s * (cdot * cdot + c * cddot)]
+            err = [2.0 * s * (c_hat * cdot_hat - c * cdot)]
+            if self._p_ref_col is not None:
+                slope.append(2.0 * s * c * cdot)
+                # P_ref is one computed constant; only the subtraction rounds it.
+                err.append(s * (c_hat * c_hat - c * c)
+                           + 2.0**-52 * np.abs(self._p_ref_col[rows, 0]))
+            bound = np.array(slope) * (t1 - t0) + 4.0 * np.array(err)
+            return bound * (1.0 + _MARGIN) + _FLOOR
+
     def integrate(self, integrand, spec: quad.QuadratureSpec | None) -> list:
         """Per cell, the adaptive integral of integrand over its window, split at kinks.
 
         integrand(rows, t) is a product of absolute values of the factors
         terms returns, so it has a kink wherever one of them changes sign.
-        Returns (value, err), or a QuadratureError naming the model point and
-        the window.
+        Their sign changes are found with the probes that thresholds cannot
+        exclude.  Returns (value, err), or a QuadratureError naming the model
+        point and the window.
         """
-        n_probe = [quad.probe_count_for_period(p.complex_root.imag, lo, hi)
-                   for p, lo, hi in zip(self.params, self.a, self.b)]
         root_win, roots = quad.find_sign_changes_many(
-            lambda rows, t: self.terms(rows, t)[2], self.a, self.b, n_probe)
+            lambda rows, t: self.terms(rows, t)[2], self.a, self.b, self.n_probe,
+            bound=self.thresholds)
         results = quad.integrate_many(integrand, self.a, self.b, root_win, roots,
                                       spec or quad.QuadratureSpec())
         for j, (p, r) in enumerate(zip(self.params, results)):

@@ -23,6 +23,10 @@ from .smatrix import DensityMatrix2, as_matrix2
 # |C| below this is treated as a zero of the amplitude when forming Cdot/C.
 AMPLITUDE_SINGULAR_TOL = 1e-12
 
+# Relative rounding error of _closed_form's values, per unit of 1 + t (|mu| + |d| / 2):
+# 4,096 ulps, well above the few ulps of each of its operations.
+_ROUNDING = 2.0**-40
+
 # The most complex values one numpy array can hold: its size in bytes must fit an intp.
 MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
@@ -60,6 +64,11 @@ class ModelParams:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
+        if not cmath.isfinite(self.complex_root):
+            raise ValueError(
+                f"gamma0={self.gamma0}, lam={self.lam} and delta={self.delta} give a complex "
+                "root d that is not finite"
+            )
 
     @property
     def weak_coupling(self) -> bool:
@@ -119,13 +128,13 @@ class _Coefficients(NamedTuple):
     neg_mu: complex
     half_d: complex
     mu: complex
-    cdot_scale: float  # -gamma0 * lam / 2
     s_plus: complex
     s_minus: complex
     a_plus: complex
     a_minus: complex
     as_plus: complex  # a_plus * s_plus
     as_minus: complex  # a_minus * s_minus
+    cdot_scale: float  # -gamma0 * lam / 2
 
 
 def _coefficients(p: ModelParams) -> _Coefficients:
@@ -138,16 +147,25 @@ def _coefficients(p: ModelParams) -> _Coefficients:
     a_plus = 0.5 * (1.0 + 2.0 * mu / d) if d else 0j
     a_minus = 0.5 * (1.0 - 2.0 * mu / d) if d else 0j
     return _Coefficients(
-        -mu, 0.5 * d, mu, -0.5 * p.gamma0 * p.lam, s_plus, s_minus, a_plus, a_minus,
-        a_plus * s_plus, a_minus * s_minus,
+        -mu, 0.5 * d, mu, s_plus, s_minus, a_plus, a_minus, a_plus * s_plus, a_minus * s_minus,
+        -0.5 * p.gamma0 * p.lam,
     )
 
 
-def coefficient_table(params: list[ModelParams]) -> _Coefficients:
-    """Every cell's scalars as arrays, one entry per ModelParams in params."""
+def coefficient_table(params: list[ModelParams]) -> np.ndarray:
+    """Every cell's scalars as one complex array, one row per _Coefficients field.
+
+    Column j holds the cell params[j]; the real cdot_scale is stored exactly,
+    with imaginary part 0.
+    """
     cells = [_coefficients(p) for p in params]
-    columns = (np.array([c[k] for c in cells]) for k in range(len(_Coefficients._fields)))
-    return _Coefficients(*columns)
+    return np.array(cells, dtype=complex).reshape(len(cells), len(_Coefficients._fields)).T.copy()
+
+
+def _gather(table: np.ndarray, rows: np.ndarray) -> _Coefficients:
+    """The scalars of the cells table[:, rows], in one gather; cdot_scale back as reals."""
+    k = table[:, rows]
+    return _Coefficients(*k[:-1], k[-1].real)
 
 
 def _closed_form(k: _Coefficients, t) -> tuple[np.ndarray, np.ndarray]:
@@ -197,12 +215,53 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     return _closed_form(_coefficients(p), t)
 
 
-def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
-    """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
+def amplitude_cells(table: np.ndarray, rows: np.ndarray, t: np.ndarray):
+    """C and Cdot of the cells table[:, rows] at times t of shape (len(rows), n).
 
     Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
     """
-    return _closed_form(_Coefficients(*(col[rows, None] for col in table)), t)
+    return _closed_form(_gather(table, rows[:, None]), t)
+
+
+def amplitude_bounds(table: np.ndarray, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """Bounds over the intervals [t0[i], t1[i]] of the cells table[:, rows[i]].
+
+    Returns an array (5, len(rows)): bounds on |C|, |Cdot| and |Cddot| there,
+    and on the absolute errors of the C and Cdot that _closed_form computes
+    there.  C is the cosh/sinhc form with the table's mu and d taken as exact,
+    Cdot that form's cdot_scale t sinhc(d t / 2) e^(-mu t) and Cddot its
+    derivative.  Away from d = 0 each is a sum of e^(s+ t) and e^(s- t) terms,
+    with coefficients a±, ±cdot_scale / d and ±s± cdot_scale / d, and |e^(s t)|
+    is largest at an end of the interval.  Relative to those sums of moduli,
+    errors grow as rel = _ROUNDING (1 + t1 (|mu| + |d| / 2)): the phases s t
+    carry errors that grow with t, and the split form's products a± s± lose up
+    to eps (|mu| + |d| / 2)(|a+| + |a-|) to cancellation.  The bounds cover
+    both forms of _closed_form.  At d = 0 the split form does not exist, and
+    every bound is inf.
+    """
+    k = _gather(table, rows)
+    rate = np.abs(k.mu) + np.abs(k.half_d)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rel = _ROUNDING * (1.0 + t1 * rate)
+        # The larger exponent gives the sup; + rel covers the rounding of s±.
+        e_plus = np.exp(np.maximum(k.s_plus.real * t0, k.s_plus.real * t1) + rel)
+        e_minus = np.exp(np.maximum(k.s_minus.real * t0, k.s_minus.real * t1) + rel)
+        e_sum = e_plus + e_minus
+        a_sum = np.abs(k.a_plus) + np.abs(k.a_minus)
+        # |a± s±| = |cdot_scale / d|, but the split form computes a± s± with an
+        # error up to about rate * a_sum * eps.
+        q = np.abs(k.cdot_scale) / (2.0 * np.abs(k.half_d))
+        err_c = rel * a_sum * e_sum
+        err_cdot = rel * (q + rate * a_sum) * e_sum
+        out = np.stack((
+            np.abs(k.a_plus) * e_plus + np.abs(k.a_minus) * e_minus + err_c,
+            q * e_sum + err_cdot,
+            q * (np.abs(k.s_plus) * e_plus + np.abs(k.s_minus) * e_minus + rel * rate * e_sum),
+            err_c,
+            err_cdot,
+        ))
+    out[:, k.half_d == 0] = np.inf
+    return out
 
 
 def amplitude(p: ModelParams, t: float) -> Amplitude:

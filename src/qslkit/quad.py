@@ -6,6 +6,9 @@ row j in window rows[j], in chunks of at most _CHUNK_POINTS nodes.  Factors
 may stack k rows to (k, m, n).  Roots are found by probing every window on
 its own grid, then bisecting every bracket of all windows together, and are
 passed to the panels as arrays (window, value) sorted by window, then value.
+Given a bound on the factors' slopes, probing is coarse-then-fine: every
+8th probe first, then the others only where the bound cannot exclude a root,
+with the same roots to the last bit.
 Panels are Gauss-Legendre 15 vs 7, bisected round by round over all windows;
 each window gets the value, error and QuadratureError of a depth-first,
 left-first bisection of that window alone.  QuadratureSpec holds only the
@@ -31,6 +34,11 @@ _NODES = np.concatenate((_NODES_HI, _NODES_LO))
 # that, a node's values do not depend on how the nodes are chunked; 4,096 keeps
 # the temporaries of one call near 1 MB in all.
 _CHUNK_POINTS = 4096
+# Probes per coarse interval when a window is probed coarse-then-fine.
+_STRIDE = 8
+# numpy's temporary-reuse threshold: a window with this many probes is evaluated
+# in one call of its own, as the whole grid, since its last bits depend on the call.
+_REUSE_POINTS = 16384
 # Panels per window evaluated per round.  Without a cap, a window whose panels
 # never converge would double its pending panels on every level.
 _PANELS_PER_ROUND = 16
@@ -64,12 +72,12 @@ class QuadratureError(RuntimeError):
         return type(self), (*self.args, self.value, self.err_estimate)
 
 
-def _blocks(sizes: np.ndarray):
-    """[i, j) ranges of consecutive groups of sizes nodes: at most _CHUNK_POINTS, or one group."""
+def _blocks(sizes: np.ndarray, limit: int):
+    """[i, j) ranges of consecutive groups of sizes nodes: at most limit, or one group."""
     ends = np.cumsum(sizes)
     i = 0
     while i < ends.size:
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - sizes[i] + _CHUNK_POINTS, side="right")))
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - sizes[i] + limit, side="right")))
         yield i, j
         i = j
 
@@ -80,7 +88,8 @@ def evaluate(f, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     Each call covers whole rows: at most _CHUNK_POINTS nodes, or one row.
     """
     m, n = t.shape
-    out = [np.reshape(f(rows[i:j], t[i:j]), (-1, j - i, n)) for i, j in _blocks(np.full(m, n))]
+    out = [np.reshape(f(rows[i:j], t[i:j]), (-1, j - i, n))
+           for i, j in _blocks(np.full(m, n), _CHUNK_POINTS)]
     return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 
@@ -190,12 +199,13 @@ def _panels(f, w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (hi - lo)
     sums = np.empty((2, w.size))
     n_hi = _NODES_HI.size
-    for i, j in _blocks(np.full(w.size, _NODES.size)):
+    for i, j in _blocks(np.full(w.size, _NODES.size), _CHUNK_POINTS):
         nodes = mid[i:j, None] + half[i:j, None] * _NODES
         vals = np.asarray(np.reshape(f(w[i:j], nodes), nodes.shape), dtype=float)
-        # One dot per panel: a batched product sums in another order.
-        sums[0, i:j] = [float(np.dot(_WEIGHTS_HI, v[:n_hi])) for v in vals]
-        sums[1, i:j] = [float(np.dot(_WEIGHTS_LO, v[n_hi:])) for v in vals]
+        # vecdot takes one dot per row, each summed as np.dot sums it; a matrix
+        # product or einsum sums in another order.
+        sums[0, i:j] = np.vecdot(vals[:, :n_hi], _WEIGHTS_HI)
+        sums[1, i:j] = np.vecdot(vals[:, n_hi:], _WEIGHTS_LO)
     value, rough = half * sums
     return value, np.abs(value - rough)
 
@@ -220,38 +230,38 @@ def integrate(
     return result
 
 
-def find_sign_changes_many(f, a, b, n_probe) -> tuple[np.ndarray, np.ndarray]:
+def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np.ndarray]:
     """Roots in (a[i], b[i]) of the factors of every window i, as arrays (window, root).
 
     The arrays are sorted by window and then root.  Window i is probed on
     n_probe[i] + 1 uniform points, and every bracketed sign change is
-    bisected to a width of 1e-12 * (b[i] - a[i]).  Brackets are decided by
+    bisected to a width of 1e-12 * (b[i] - a[i]), or until no double lies
+    between its ends.  Brackets are decided by
     signs, not by products, which underflow.  Exact-zero probes count as
     roots; a factor zero on every probe of a window has none there.  Roots
     closer together than the probe spacing can be missed; callers should
     size n_probe from the expected oscillation period.
+
+    Given bound, a window with fewer than _REUSE_POINTS probes is probed
+    coarse-then-fine: first on every _STRIDE-th probe and its last one, then
+    on the other probes only inside the coarse intervals [t0, t1] that bound
+    cannot exclude.  bound(rows, t0, t1) gives per factor and interval a
+    threshold; an interval is excluded when every factor's |f(t0)| + |f(t1)|
+    exceeds it, which must certify that no probe inside it is a zero of that
+    factor or on the other side of zero.  A node's value does not depend on
+    its call below 16,384 nodes, so the brackets, and every root, are then
+    bit for bit those of the full grid.  Larger windows, and every window
+    without bound, are probed on the full grid, in one call per block.
     """
     if any(n < 2 for n in n_probe):
         raise ValueError("n_probe must be at least 2")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     windows = np.flatnonzero(b > a)
     sizes = np.asarray(n_probe)[windows] + 1
-    found = []  # per block of windows: (bracket lo, hi, flo, factor, window), zero probes
-    for i, j in _blocks(sizes):
-        grid = np.concatenate([np.linspace(a[k], b[k], n + 1)
-                               for k, n in zip(windows[i:j].tolist(), sizes[i:j] - 1)])
-        point_win = np.repeat(windows[i:j], sizes[i:j])
-        vals = np.asarray(np.reshape(f(point_win, grid[:, None]), (-1, grid.size)), dtype=float)
-        starts = np.cumsum(sizes[i:j]) - sizes[i:j]
-        # A factor that is zero on every probe of its window has no kinks there.
-        nonzero = np.logical_or.reduceat(vals != 0.0, starts, axis=1)
-        vals = np.where(np.repeat(nonzero, sizes[i:j], axis=1), vals, 1.0)
-        sign = np.sign(vals)
-        pair = (sign[:, :-1] * sign[:, 1:] < 0.0) & (point_win[:-1] == point_win[1:])
-        rows, cols = np.nonzero(pair)
-        zero = np.nonzero(vals == 0.0)[1]
-        found.append((grid[cols], grid[cols + 1], vals[rows, cols], rows, point_win[cols],
-                      grid[zero], point_win[zero]))
+    # Coarse-then-fine blocks hold twice as many probes: most are never evaluated.
+    limit = 2 * _CHUNK_POINTS if bound is not None else _CHUNK_POINTS
+    found = [_probe_block(f, bound, a, b, windows[i:j], sizes[i:j])
+             for i, j in _blocks(sizes, limit)]
     if not found:
         return np.zeros(0, dtype=int), np.zeros(0)
     lo, hi, flo, rows, w, zero_t, zero_w = (np.concatenate(x) for x in zip(*found))
@@ -259,6 +269,9 @@ def find_sign_changes_many(f, a, b, n_probe) -> tuple[np.ndarray, np.ndarray]:
     live = np.flatnonzero(hi - lo > target)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
+        # Where doubles are spaced wider than the target, a bracket ends when
+        # no double lies between its ends: bisecting it would change nothing.
+        inner = (lo[live] < mid) & (mid < hi[live])
         fmid = np.asarray(evaluate(f, w[live], mid[:, None]), dtype=float)
         fmid = fmid[rows[live], np.arange(live.size), 0]
         # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
@@ -266,7 +279,7 @@ def find_sign_changes_many(f, a, b, n_probe) -> tuple[np.ndarray, np.ndarray]:
         hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
         lo[live] = np.where(left, lo[live], mid)
         flo[live] = np.where(left, flo[live], fmid)
-        live = live[hi[live] - lo[live] > target[live]]
+        live = live[inner & (hi[live] - lo[live] > target[live])]
     roots = np.concatenate((zero_t, 0.5 * (lo + hi)))
     root_win = np.concatenate((zero_w, w))
     order = np.lexsort((roots, root_win))
@@ -275,6 +288,70 @@ def find_sign_changes_many(f, a, b, n_probe) -> tuple[np.ndarray, np.ndarray]:
     first[1:] = (roots[1:] != roots[:-1]) | (root_win[1:] != root_win[:-1])
     inside = first & (a[root_win] < roots) & (roots < b[root_win])
     return root_win[inside], roots[inside]
+
+
+def _probe_block(f, bound, a, b, windows, sizes):
+    """The brackets (lo, hi, flo, factor, window) and zero probes (t, window) of windows.
+
+    Window windows[k] has sizes[k] probes; see find_sign_changes_many.
+    """
+    grid = np.concatenate([np.linspace(a[k], b[k], n + 1)
+                           for k, n in zip(windows.tolist(), sizes - 1)])
+    if bound is None or sizes[0] >= _REUSE_POINTS:
+        probe = np.arange(grid.size)
+        point_win = np.repeat(windows, sizes)
+        vals = np.asarray(np.reshape(f(point_win, grid[:, None]), (-1, grid.size)), dtype=float)
+    else:
+        probe, point_win, vals = _coarse_then_fine(f, bound, grid, windows, sizes)
+        grid = grid[probe]
+    # Every window keeps its first probe.
+    starts = np.flatnonzero(np.diff(point_win, prepend=-1))
+    counts = np.diff(np.append(starts, grid.size))
+    # A factor that is zero on every probe of its window has no kinks there.
+    nonzero = np.logical_or.reduceat(vals != 0.0, starts, axis=1)
+    vals = np.where(np.repeat(nonzero, counts, axis=1), vals, 1.0)
+    sign = np.sign(vals)
+    # Brackets join neighbouring probes of one window.
+    pair = ((sign[:, :-1] * sign[:, 1:] < 0.0) & (point_win[:-1] == point_win[1:])
+            & (np.diff(probe) == 1))
+    rows, cols = np.nonzero(pair)
+    zero = np.nonzero(vals == 0.0)[1]
+    return (grid[cols], grid[cols + 1], vals[rows, cols], rows, point_win[cols],
+            grid[zero], point_win[zero])
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[k] - 1 for each k in turn."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _coarse_then_fine(f, bound, grid, windows, sizes):
+    """The probes that can hold a kink: indices into grid, their windows, and f there.
+
+    grid holds sizes[k] probes of windows[k], in order.  The coarse probes,
+    every _STRIDE-th and each window's last, are all evaluated; the others
+    only inside the coarse intervals that bound cannot exclude.
+    """
+    n_coarse = (sizes + _STRIDE - 2) // _STRIDE + 1
+    c = np.repeat(np.cumsum(sizes) - sizes, n_coarse) + np.minimum(
+        _STRIDE * _ramp(n_coarse), np.repeat(sizes - 1, n_coarse))
+    c_win = np.repeat(windows, n_coarse)
+    c_vals = evaluate(f, c_win, grid[c, None])[:, :, 0]
+    # Coarse interval q runs from coarse probe q to q + 1 of one window.
+    q = np.flatnonzero(c_win[:-1] == c_win[1:])
+    mag = np.abs(c_vals)
+    excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], grid[c[q]], grid[c[q + 1]]),
+                      axis=0)
+    q = q[~excluded]
+    n_fine = c[q + 1] - c[q] - 1
+    fine = np.repeat(c[q] + 1, n_fine) + _ramp(n_fine)
+    fine_win = np.repeat(c_win[q], n_fine)
+    vals = c_vals
+    if fine.size:
+        vals = np.concatenate((c_vals, evaluate(f, fine_win, grid[fine, None])[:, :, 0]), axis=1)
+    probe = np.concatenate((c, fine))
+    order = np.argsort(probe)
+    return probe[order], np.concatenate((c_win, fine_win))[order], vals[:, order]
 
 
 def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
@@ -287,12 +364,13 @@ def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:
     return find_sign_changes_many(_one_window(f), [a], [b], [n_probe])[1].tolist()
 
 
-def probe_count_for_period(im_root: float, a: float, b: float) -> int:
+def probe_count_for_period(im_root: float, a: float, b: float) -> int | float:
     """Probe count giving 64 samples per oscillation of the model family.
 
     The model oscillates with angular frequency |Im d|, i.e. period
     2*pi/|Im d|; weak-coupling (non-oscillatory) windows fall back to the
-    base count.
+    base count.  A count that overflows a double is returned as inf.
     """
     periods = abs(im_root) * (b - a) / (2.0 * math.pi)
-    return max(64, int(math.ceil(64 * periods)))
+    n = 64 * periods
+    return max(64, math.ceil(n)) if n < math.inf else n

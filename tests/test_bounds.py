@@ -4,7 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+import qslkit.quad as quad_mod
 from qslkit.bounds import (
+    _Cells,
     bures_comparator,
     bures_comparator_many,
     lambda_integrals,
@@ -28,6 +30,7 @@ from qslkit.quad import (
     integrate,
     probe_count_for_period,
 )
+from qslkit.scan import default_delta_axis, default_gamma0_axis
 from qslkit.smatrix import DensityMatrix2, schatten_norm
 
 LAM = 50.0
@@ -311,6 +314,84 @@ class TestBreakpointMachinery:
         n = probe_count_for_period(p.complex_root.imag, 0.0, 0.2)
         roots = find_sign_changes(lambda t: population_rate(p, t), 0.0, 0.2, n)
         assert len(roots) >= 6
+
+
+def _kink_cells(params, start, tau_d, path):
+    """The cell set one estimator path builds: its P_ref and scale."""
+    if path == "bures":
+        return _Cells(params, [start] * len(params), tau_d, "tau_start")
+    if path == "evolved":
+        return _Cells(params, [start] * len(params), tau_d, "tau",
+                      p_ref=lambda c: float(np.abs(c) ** 2))
+    # The trace path; ree0 is the initial excited population (coherence does not enter).
+    ree0 = {"excited": 1.0, "ground": 0.0, "coherent": 0.4}[path]
+    return _Cells(params, [start] * len(params), tau_d, "tau_start",
+                  p_ref=lambda c: ree0 * abs(c) ** 2, scale=ree0)
+
+
+def _kink_roots(cells, bound):
+    def factors(rows, t):
+        return cells.terms(rows, t)[2]
+
+    return quad_mod.find_sign_changes_many(factors, cells.a, cells.b, cells.n_probe, bound=bound)
+
+
+class TestCertifiedProbing:
+    """Coarse-then-fine probing (bound = _Cells.thresholds) against the full grid (no bound)."""
+
+    def test_roots_are_the_full_grid_roots_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        near_critical = st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 1e-3]).map(
+            lambda e: 0.5 * (1.0 + e))
+        coupling = st.floats(1e-3, 1e3) | near_critical
+        detuning = st.floats(0.0, 20.0) | st.sampled_from([0.0, 1e-9])
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            cells=st.lists(st.tuples(coupling, detuning), min_size=1, max_size=4),
+            start=st.floats(0.0, 100.0) | st.just(0.0),
+            tau_d=st.floats(0.05, 20.0),
+            path=st.sampled_from(["excited", "ground", "coherent", "evolved", "bures"]),
+        )
+        def check(cells, start, tau_d, path):
+            params = [ModelParams(g * LAM, LAM, d * LAM) for g, d in cells]
+            kink_cells = _kink_cells(params, start / LAM, tau_d / LAM, path)
+            full = _kink_roots(kink_cells, None)
+            fast = _kink_roots(kink_cells, kink_cells.thresholds)
+            assert np.array_equal(full[0], fast[0])
+            assert full[1].tobytes() == fast[1].tobytes()
+
+        check()
+
+    def test_window_far_out_finds_its_kink(self):
+        # At tau = 34.85 doubles are 7.1e-15 apart, more than 1e-12 * tau_d:
+        # the bracket around the root of Pdot at 40 pi / sqrt(13) must still end.
+        p = ModelParams(7.0, 1.0, 0.0)
+        cells = _kink_cells([p], 34.85, 0.005, "evolved")
+        _, roots = _kink_roots(cells, cells.thresholds)
+        assert roots.tolist() == pytest.approx([40.0 * math.pi / math.sqrt(13.0)], abs=1e-9)
+        assert qsl_ratio_evolved(p, 34.85, 0.005) == 1.0
+
+    def test_no_excluded_interval_of_the_default_scan_holds_a_kink(self):
+        params = [ModelParams(g, LAM, d)
+                  for d in default_delta_axis(LAM) for g in default_gamma0_axis(LAM)]
+        cells = _kink_cells(params, 0.0, 0.2, "excited")
+        evaluated = 0
+        for j, n in enumerate(cells.n_probe):
+            t = np.linspace(cells.a[j], cells.b[j], n + 1)
+            f = quad_mod.evaluate(lambda rows, x: cells.terms(rows, x)[2], np.full(t.size, j),
+                                  t[:, None])[:, :, 0]
+            ends = np.unique(np.append(np.arange(0, n + 1, quad_mod._STRIDE), n))
+            lo, hi = ends[:-1], ends[1:]
+            excluded = np.all(np.abs(f[:, lo]) + np.abs(f[:, hi])
+                              > cells.thresholds(np.full(lo.size, j), t[lo], t[hi]), axis=0)
+            # A sign change or a zero between fine probes i and i + 1, of either factor.
+            kink = np.any(np.sign(f[:, :-1]) * np.sign(f[:, 1:]) <= 0.0, axis=0)
+            assert not np.any(kink & excluded[np.arange(n) // quad_mod._STRIDE])
+            evaluated += ends.size + int(np.sum(hi - lo - 1, where=~excluded))
+        # The full grids hold 364,029 probes.
+        assert evaluated <= 110_000
 
 
 class TestQuadratureErrorContext:

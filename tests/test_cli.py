@@ -400,10 +400,16 @@ class TestDeterminism:
         ],
     )
     def test_batch_size_does_not_change_bytes(self, capsys, monkeypatch, argv):
-        # One cell per engine call and one panel per round against the default.
+        # One cell per engine call and one panel per round against the default,
+        # then every probe evaluated: no exclusion bound, the full grids.
         default = invoke(capsys, *argv)
-        monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 1)
-        monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", 1)
+        with monkeypatch.context() as m:
+            m.setattr(quad_mod, "_CHUNK_POINTS", 1)
+            m.setattr(quad_mod, "_PANELS_PER_ROUND", 1)
+            assert invoke(capsys, *argv) == default
+        full_grid = quad_mod.find_sign_changes_many
+        monkeypatch.setattr(quad_mod, "find_sign_changes_many",
+                            lambda f, a, b, n_probe, bound=None: full_grid(f, a, b, n_probe))
         assert invoke(capsys, *argv) == default
 
 
@@ -571,6 +577,18 @@ class TestNonFiniteInputs:
             (("scan", "--gamma0-max", "inf"), "gamma0_max must be finite and positive, got inf"),
             (("boundary", "--gamma0-max", "inf"), "gamma0_max must be finite and positive"),
             (("compare-bounds", "--gamma0-max", "inf"), "gamma0_max must be finite and positive"),
+            # A coupling so large that d overflows, or that no array holds a window's probes.
+            (("ratio", "--gamma0", "1e308"),
+             "gamma0=1e+308, lam=50.0 and delta=0.0 give a complex root d that is not finite"),
+            (("decay-rate", "--gamma0", "1e308", "--n-points", "3"),
+             "gamma0=1e+308, lam=50.0 and delta=0.0 give a complex root d that is not finite"),
+            (("ratio", "--gamma0", "1e200"),
+             "gamma0=1e+200, delta=0.0 and window [0.0, 0.2] ask for 2.03718e+101 probes, "
+             "more than an array can hold"),
+            (("sweep-tau", "--gamma0", "1e300", "--n-points", "3"),
+             "gamma0=1e+300, delta=0.0 and window [0.0, 0.2] ask for 2.03718e+151 probes"),
+            (("ratio", "--gamma0", "1e300", "--tau-d", "1e300"),
+             "gamma0=1e+300, delta=0.0 and window [0.0, 1e+300] ask for inf probes"),
         ],
     )
     # A warning (numpy's RuntimeWarning, say) fails the test: stderr must hold

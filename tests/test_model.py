@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from qslkit.model import (
     _coefficients,
     _sinhc,
     amplitude,
+    amplitude_bounds,
+    amplitude_cells,
     amplitude_series,
+    coefficient_table,
     decay_rate,
     evolve,
     excited_population,
@@ -40,6 +44,12 @@ class TestModelParams:
             ModelParams(gamma0=1.0, lam=0.0, delta=0.0)
         with pytest.raises(ValueError):
             ModelParams(gamma0=1.0, lam=LAM, delta=math.inf)
+
+    @pytest.mark.parametrize("gamma0, delta", [(1e308, 0.0), (5.0, 1e200)])
+    def test_non_finite_root_rejected(self, gamma0, delta):
+        message = f"gamma0={gamma0}, lam=50.0 and delta={delta} give a complex root d that is not"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelParams(gamma0, LAM, delta)
 
     def test_coupling_regimes(self):
         assert ModelParams(5.0, LAM, 0.0).weak_coupling
@@ -169,6 +179,63 @@ class TestAmplitude:
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(np.atleast_1d(got).view(np.uint64),
                                   np.atleast_1d(want).view(np.uint64))
+
+
+def _exact(k, t):
+    """C, Cdot and Cddot of the cosh/sinhc form at t, with the scalars k taken as exact."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(200):
+        mu, h, scale, t = mp.mpc(k.mu), mp.mpc(k.half_d), mp.mpf(k.cdot_scale), mp.mpf(t)
+        env = mp.exp(-mu * t)
+        c = env * (mp.cosh(h * t) + mu * mp.sinh(h * t) / h)
+        cdot = scale * env * mp.sinh(h * t) / h
+        cddot = scale * env * (mp.cosh(h * t) - mu * mp.sinh(h * t) / h)
+        return c, cdot, cddot
+
+
+class TestAmplitudeBounds:
+    PARAMS = [
+        ModelParams(g0, LAM, delta)
+        for g0, delta in ((0.05, 0.0), (5.0, 0.0), (5.0, 1000.0), (0.05 * LAM, 20.0 * LAM),
+                          (25.0 * (1 + 1e-9), 0.0), (25.0 * (1 - 1e-6), 0.0), (25.0, 1e-6),
+                          (500.0, 0.0), (500.0, 300.0), (50000.0, 0.0), (50000.0, 1000.0))
+    ]
+
+    def test_table_cells_bit_identical_to_one_cell_calls(self):
+        table = coefficient_table(self.PARAMS)
+        # Fewer than 16,384 nodes in the call.
+        t = np.linspace(0.0, 3.0, 1000)
+        rows = np.arange(len(self.PARAMS))
+        c, cdot = amplitude_cells(table, rows, np.broadcast_to(t, (rows.size, t.size)))
+        for j, p in enumerate(self.PARAMS):
+            for got, want in zip((c[j], cdot[j]), amplitude_series(p, t)):
+                # Every bit, up to the sign of a zero (see _closed_form's "+ 0j").
+                assert np.array_equal(got, want)
+                assert np.array_equal(got.view(np.uint64)[got.view(float) != 0.0],
+                                      want.view(np.uint64)[want.view(float) != 0.0])
+
+    def test_bounds_hold_against_exact_values(self):
+        # Sampled inside each interval, including both forms of the closed form.
+        table = coefficient_table(self.PARAMS)
+        rng = np.random.default_rng(5)
+        for j, p in enumerate(self.PARAMS):
+            scalars = _coefficients(p)
+            for t0 in (0.0, 0.01, 0.3, 2.0):
+                t1 = t0 + 10.0 ** rng.uniform(-3, 0)
+                bound = amplitude_bounds(table, np.array([j]), np.array([t0]), np.array([t1]))
+                sup, err = bound[:3, 0], bound[3:, 0]
+                t = np.concatenate(([t0, t1], rng.uniform(t0, t1, 20)))
+                c, cdot = amplitude_series(p, t)
+                for i, ti in enumerate(t.tolist()):
+                    exact = _exact(scalars, ti)
+                    assert all(float(abs(x)) <= s for x, s in zip(exact, sup))
+                    assert float(abs(c[i] - exact[0])) <= err[0]
+                    assert float(abs(cdot[i] - exact[1])) <= err[1]
+
+    def test_critical_coupling_bounds_nothing(self):
+        table = coefficient_table([ModelParams(0.5 * LAM, LAM, 0.0), ModelParams(5.0, LAM, 0.0)])
+        bound = amplitude_bounds(table, np.array([0, 1]), np.zeros(2), np.full(2, 0.1))
+        assert np.all(np.isinf(bound[:, 0])) and np.all(np.isfinite(bound[:, 1]))
 
 
 class TestOracleAmplitude:

@@ -300,6 +300,12 @@ class TestFindSignChanges:
         assert root_win.tolist() == [i for i, r in enumerate(one) for _ in r]
         assert roots.tolist() == [x for r in one for x in r]
 
+    def test_brackets_end_where_no_double_lies_between(self):
+        # Near t = 1e4 doubles are 1.8e-12 apart, more than the 1e-12 target.
+        roots = find_sign_changes(lambda t: np.cos(50.0 * (t - 1e4)), 1e4, 1e4 + 1.0, 64)
+        expected = [1e4 + (k + 0.5) * math.pi / 50.0 for k in range(16)]
+        assert roots == pytest.approx(expected, abs=4e-12)
+
     def test_brackets_bisected_together(self):
         calls = []
 
@@ -315,3 +321,79 @@ class TestFindSignChanges:
     def test_probe_count_requirement(self):
         with pytest.raises(ValueError):
             find_sign_changes(np.cos, 0.0, 1.0, 1)
+
+
+class TestCoarseThenFine:
+    # Factors cos(w t) and t - 0.5 of windows with frequencies w; each factor's
+    # slope is bounded by w and 1, and its values are exact to 1e-15.
+    a, b = np.array([0.0, 0.5, 0.0, 0.2, 0.0]), np.array([1.0, 0.5, 1.0, 0.9, 3.0])
+    freq = np.array([50.0, 50.0, 9.0, 300.0, 2.0])
+
+    def factors(self, rows, t):
+        return np.stack((np.cos(self.freq[rows, None] * t), t - 0.5))
+
+    def bound(self, rows, t0, t1):
+        slope = np.stack((self.freq[rows], np.ones(rows.size)))
+        return slope * (t1 - t0) * (1.0 + 1e-9) + 4e-15
+
+    def test_same_roots_as_the_full_grid_from_fewer_probes(self):
+        n_probe = [64, 64, 4, 2000, 300]
+        calls = []
+
+        def counted(rows, t):
+            calls.append(t.size)
+            return self.factors(rows, t)
+
+        full = find_sign_changes_many(counted, self.a, self.b, n_probe)
+        full_probes = calls[0]
+        calls.clear()
+        coarse = find_sign_changes_many(counted, self.a, self.b, n_probe, bound=self.bound)
+        for x, y in zip(full, coarse):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        # The coarse probes (ceil(n / 8) + 1 per window), then the kept fine ones.
+        assert calls[0] == 9 + 2 + 251 + 39
+        assert calls[0] + calls[1] < 0.5 * full_probes
+        # An exact-zero fine probe (t - 0.5 at t = 0.5) is kept: its interval
+        # holds a zero, so the bound cannot exclude it.
+        assert 0.5 in coarse[1][coarse[0] == 4]
+
+    def test_the_bound_is_trusted(self):
+        # A bound that excludes every interval leaves only the coarse probes:
+        # the sign changes between them are not brackets, the zero at 0.5 is a root.
+        calls = []
+
+        def counted(rows, t):
+            calls.append(t.size)
+            return self.factors(rows, t)
+
+        _, roots = find_sign_changes_many(counted, [0.0], [1.0], [64],
+                                          bound=lambda rows, t0, t1: -1.0)
+        assert calls == [9]
+        assert roots.tolist() == [0.5]
+
+    def test_large_window_keeps_one_full_grid_call(self):
+        calls = []
+
+        def counted(rows, t):
+            calls.append(t.size)
+            return self.factors(rows, t)
+
+        # 16,384 probes: one call of the whole grid; 16,383: every 8th and the last.
+        n = quad_mod._REUSE_POINTS - 1
+        find_sign_changes_many(counted, [0.0, 0.0], [1.0, 1.0], [n, n - 1], bound=self.bound)
+        assert calls[0] == 16384
+        assert calls[1] == 2048 + 1
+
+
+class TestPanelSums:
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_vecdot_is_the_per_row_dot(self, scale):
+        # The panel sums take np.vecdot over the GL15 and GL7 columns of each
+        # row; it sums each row as np.dot does, bit for bit.
+        rng = np.random.default_rng(11)
+        vals = scale * rng.standard_normal((20000, 22)) * rng.uniform(0.0, 2.0, (20000, 1))
+        halves = ((slice(0, 15), quad_mod._WEIGHTS_HI), (slice(15, 22), quad_mod._WEIGHTS_LO))
+        for cols, w in halves:
+            got = np.vecdot(vals[:, cols], w)
+            want = np.array([float(np.dot(w, v[cols])) for v in vals])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
