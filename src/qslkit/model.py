@@ -128,13 +128,13 @@ class _Coefficients(NamedTuple):
     neg_mu: complex
     half_d: complex
     mu: complex
+    cdot_scale: float  # -gamma0 * lam / 2
     s_plus: complex
     s_minus: complex
     a_plus: complex
     a_minus: complex
     as_plus: complex  # a_plus * s_plus
     as_minus: complex  # a_minus * s_minus
-    cdot_scale: float  # -gamma0 * lam / 2
 
 
 def _coefficients(p: ModelParams) -> _Coefficients:
@@ -147,25 +147,21 @@ def _coefficients(p: ModelParams) -> _Coefficients:
     a_plus = 0.5 * (1.0 + 2.0 * mu / d) if d else 0j
     a_minus = 0.5 * (1.0 - 2.0 * mu / d) if d else 0j
     return _Coefficients(
-        -mu, 0.5 * d, mu, s_plus, s_minus, a_plus, a_minus, a_plus * s_plus, a_minus * s_minus,
-        -0.5 * p.gamma0 * p.lam,
+        -mu, 0.5 * d, mu, -0.5 * p.gamma0 * p.lam, s_plus, s_minus, a_plus, a_minus,
+        a_plus * s_plus, a_minus * s_minus,
     )
 
 
-def coefficient_table(params: list[ModelParams]) -> np.ndarray:
-    """Every cell's scalars as one complex array, one row per _Coefficients field.
-
-    Column j holds the cell params[j]; the real cdot_scale is stored exactly,
-    with imaginary part 0.
-    """
+def coefficient_table(params: list[ModelParams]) -> _Coefficients:
+    """Every cell's scalars as arrays, one entry per ModelParams in params."""
     cells = [_coefficients(p) for p in params]
-    return np.array(cells, dtype=complex).reshape(len(cells), len(_Coefficients._fields)).T.copy()
+    columns = (np.array([c[k] for c in cells]) for k in range(len(_Coefficients._fields)))
+    return _Coefficients(*columns)
 
 
-def _gather(table: np.ndarray, rows: np.ndarray) -> _Coefficients:
-    """The scalars of the cells table[:, rows], in one gather; cdot_scale back as reals."""
-    k = table[:, rows]
-    return _Coefficients(*k[:-1], k[-1].real)
+# numpy reuses temporaries of this many complex elements (256 KiB) or more, and
+# may then swap the operands of a complex multiply, which changes last bits.
+REUSE_POINTS = 16384
 
 
 def _closed_form(k: _Coefficients, t) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +170,8 @@ def _closed_form(k: _Coefficients, t) -> tuple[np.ndarray, np.ndarray]:
     The scalars in k are formed per cell in Python, so only t-dependent
     operations run as arrays and a node's value does not depend on which
     cells share the call, up to the sign of a zero imaginary part (the
-    "+ 0j" below applies to whole calls).  Calls of 16,384 complex elements
-    or more can differ in last bits: numpy then reuses temporaries and may
-    swap the operands of a complex multiply.
+    "+ 0j" below applies to whole calls).  Calls of REUSE_POINTS nodes or
+    more can differ in last bits.
     """
     x = k.half_d * t
     big = np.abs(x) > 25.0
@@ -215,16 +210,16 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     return _closed_form(_coefficients(p), t)
 
 
-def amplitude_cells(table: np.ndarray, rows: np.ndarray, t: np.ndarray):
-    """C and Cdot of the cells table[:, rows] at times t of shape (len(rows), n).
+def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
+    """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
 
     Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
     """
-    return _closed_form(_gather(table, rows[:, None]), t)
+    return _closed_form(_Coefficients(*(col[rows, None] for col in table)), t)
 
 
-def amplitude_bounds(table: np.ndarray, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
-    """Bounds over the intervals [t0[i], t1[i]] of the cells table[:, rows[i]].
+def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """Bounds over the intervals [t0[i], t1[i]] of the cells table[rows[i]].
 
     Returns an array (5, len(rows)): bounds on |C|, |Cdot| and |Cddot| there,
     and on the absolute errors of the C and Cdot that _closed_form computes
@@ -239,7 +234,7 @@ def amplitude_bounds(table: np.ndarray, rows: np.ndarray, t0: np.ndarray, t1: np
     both forms of _closed_form.  At d = 0 the split form does not exist, and
     every bound is inf.
     """
-    k = _gather(table, rows)
+    k = _Coefficients(*(col[rows] for col in table))
     rate = np.abs(k.mu) + np.abs(k.half_d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rel = _ROUNDING * (1.0 + t1 * rate)

@@ -23,22 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import REUSE_POINTS
+
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 # Each panel's GL15 and GL7 nodes are evaluated in one call.
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))
 
-# Most nodes per call of an integrand or factor.  It must stay below 16,384:
-# numpy reuses temporaries of 16,384 complex elements (256 KiB) or more and may
-# then swap the operands of a complex multiply, which changes last bits.  Below
+# Most nodes per call of an integrand or factor.  It must stay below
+# REUSE_POINTS, where a node's last bits start to depend on the call.  Below
 # that, a node's values do not depend on how the nodes are chunked; 4,096 keeps
 # the temporaries of one call near 1 MB in all.
 _CHUNK_POINTS = 4096
 # Probes per coarse interval when a window is probed coarse-then-fine.
 _STRIDE = 8
-# numpy's temporary-reuse threshold: a window with this many probes is evaluated
-# in one call of its own, as the whole grid, since its last bits depend on the call.
-_REUSE_POINTS = 16384
 # Panels per window evaluated per round.  Without a cap, a window whose panels
 # never converge would double its pending panels on every level.
 _PANELS_PER_ROUND = 16
@@ -72,8 +70,12 @@ class QuadratureError(RuntimeError):
         return type(self), (*self.args, self.value, self.err_estimate)
 
 
-def _blocks(sizes: np.ndarray, limit: int):
-    """[i, j) ranges of consecutive groups of sizes nodes: at most limit, or one group."""
+def _blocks(sizes: np.ndarray, limit: int | None = None):
+    """[i, j) ranges of consecutive groups of sizes nodes: at most limit, or one group.
+
+    limit defaults to _CHUNK_POINTS.
+    """
+    limit = limit or _CHUNK_POINTS
     ends = np.cumsum(sizes)
     i = 0
     while i < ends.size:
@@ -88,8 +90,7 @@ def evaluate(f, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     Each call covers whole rows: at most _CHUNK_POINTS nodes, or one row.
     """
     m, n = t.shape
-    out = [np.reshape(f(rows[i:j], t[i:j]), (-1, j - i, n))
-           for i, j in _blocks(np.full(m, n), _CHUNK_POINTS)]
+    out = [np.reshape(f(rows[i:j], t[i:j]), (-1, j - i, n)) for i, j in _blocks(np.full(m, n))]
     return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 
@@ -199,11 +200,12 @@ def _panels(f, w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (hi - lo)
     sums = np.empty((2, w.size))
     n_hi = _NODES_HI.size
-    for i, j in _blocks(np.full(w.size, _NODES.size), _CHUNK_POINTS):
+    for i, j in _blocks(np.full(w.size, _NODES.size)):
         nodes = mid[i:j, None] + half[i:j, None] * _NODES
         vals = np.asarray(np.reshape(f(w[i:j], nodes), nodes.shape), dtype=float)
-        # vecdot takes one dot per row, each summed as np.dot sums it; a matrix
-        # product or einsum sums in another order.
+        # vecdot (numpy 2.0 or later, hence the numpy>=2.0 requirement) takes
+        # one dot per row, each summed as np.dot sums it; a matrix product or
+        # einsum sums in another order.
         sums[0, i:j] = np.vecdot(vals[:, :n_hi], _WEIGHTS_HI)
         sums[1, i:j] = np.vecdot(vals[:, n_hi:], _WEIGHTS_LO)
     value, rough = half * sums
@@ -242,14 +244,14 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     closer together than the probe spacing can be missed; callers should
     size n_probe from the expected oscillation period.
 
-    Given bound, a window with fewer than _REUSE_POINTS probes is probed
+    Given bound, a window with fewer than REUSE_POINTS probes is probed
     coarse-then-fine: first on every _STRIDE-th probe and its last one, then
     on the other probes only inside the coarse intervals [t0, t1] that bound
     cannot exclude.  bound(rows, t0, t1) gives per factor and interval a
     threshold; an interval is excluded when every factor's |f(t0)| + |f(t1)|
     exceeds it, which must certify that no probe inside it is a zero of that
     factor or on the other side of zero.  A node's value does not depend on
-    its call below 16,384 nodes, so the brackets, and every root, are then
+    its call below REUSE_POINTS nodes, so the brackets, and every root, are then
     bit for bit those of the full grid.  Larger windows, and every window
     without bound, are probed on the full grid, in one call per block.
     """
@@ -258,8 +260,11 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     windows = np.flatnonzero(b > a)
     sizes = np.asarray(n_probe)[windows] + 1
-    # Coarse-then-fine blocks hold twice as many probes: most are never evaluated.
-    limit = 2 * _CHUNK_POINTS if bound is not None else _CHUNK_POINTS
+    # A coarse-then-fine block makes a coarse call and a fine call at least,
+    # each chunked to _CHUNK_POINTS nodes by evaluate.  Blocks of _CHUNK_POINTS
+    # probes made 953 closed-form calls on the default scan against 851 for
+    # twice that, and the surface benchmark about 10% slower.
+    limit = _CHUNK_POINTS if bound is None else 2 * _CHUNK_POINTS
     found = [_probe_block(f, bound, a, b, windows[i:j], sizes[i:j])
              for i, j in _blocks(sizes, limit)]
     if not found:
@@ -297,7 +302,7 @@ def _probe_block(f, bound, a, b, windows, sizes):
     """
     grid = np.concatenate([np.linspace(a[k], b[k], n + 1)
                            for k, n in zip(windows.tolist(), sizes - 1)])
-    if bound is None or sizes[0] >= _REUSE_POINTS:
+    if bound is None or sizes[0] >= REUSE_POINTS:
         probe = np.arange(grid.size)
         point_win = np.repeat(windows, sizes)
         vals = np.asarray(np.reshape(f(point_win, grid[:, None]), (-1, grid.size)), dtype=float)

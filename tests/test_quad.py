@@ -379,7 +379,7 @@ class TestCoarseThenFine:
             return self.factors(rows, t)
 
         # 16,384 probes: one call of the whole grid; 16,383: every 8th and the last.
-        n = quad_mod._REUSE_POINTS - 1
+        n = quad_mod.REUSE_POINTS - 1
         find_sign_changes_many(counted, [0.0, 0.0], [1.0, 1.0], [n, n - 1], bound=self.bound)
         assert calls[0] == 16384
         assert calls[1] == 2048 + 1
