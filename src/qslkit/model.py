@@ -4,6 +4,11 @@ Everything is expressed through the excited-state amplitude C(t) of the
 single-excitation sector, for which a closed form exists.  Units: hbar = 1,
 all rates/frequencies share one unit and time is its inverse.
 
+C(t) has two equal forms: cosh/sinhc, exact through critical coupling d = 0,
+and split-exponential, finite at large t.  _closed_form gives the split form to
+the nodes where |d t / 2| > 25, evaluates each form only where selected, and
+writes env * inner as inner * env, numpy's order, in calls of REUSE_POINTS nodes.
+
 decay_rate() and lamb_shift() return math.nan at (isolated) zeros of C(t),
 where the master-equation coefficients are genuinely singular; callers that
 need finite plots should clip (see scan.sweep_decay_rate).
@@ -163,43 +168,78 @@ def coefficient_table(params: list[ModelParams]) -> _Coefficients:
 # may then swap the operands of a complex multiply, which changes last bits.
 REUSE_POINTS = 16384
 
+# The columns that each form of the closed form reads besides half_d.
+_MID = ("neg_mu", "mu", "cdot_scale")
+_SPLIT = ("s_plus", "s_minus", "a_plus", "a_minus", "as_plus", "as_minus")
 
-def _closed_form(k: _Coefficients, t) -> tuple[np.ndarray, np.ndarray]:
+
+def _mid_form(k: _Coefficients, t, x, swap: bool):
+    """C and Cdot in the cosh/sinhc form at x = d t / 2, with env * inner as inner * env if swap.
+
+    Exact through d = 0, but its factors overflow separately once Re(d) t / 2 grows large.
+    """
+    env = np.exp(k.neg_mu * t)
+    shc = _sinhc(x)
+    inner = np.cosh(x) + k.mu * t * shc
+    c = np.multiply(inner, env, out=inner) if swap else env * inner
+    return c, k.cdot_scale * t * shc * env
+
+
+def _split_form(k: _Coefficients, t):
+    """C, then Cdot, in the split-exponential form, finite at large t (both rates decay).
+
+    Yielding C before Cdot is formed lets a caller store C and free it first.
+    """
+    e_plus = np.exp(k.s_plus * t)
+    e_minus = np.exp(k.s_minus * t)
+    del t
+    yield k.a_plus * e_plus + k.a_minus * e_minus
+    yield k.as_plus * e_plus + k.as_minus * e_minus
+
+
+def _closed_form(k: _Coefficients, t, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """C(t) and Cdot(t) from coefficients k, broadcast against the times t.
 
-    The scalars in k are formed per cell in Python, so only t-dependent
-    operations run as arrays and a node's value does not depend on which
-    cells share the call, up to the sign of a zero imaginary part (the
-    "+ 0j" below applies to whole calls).  Calls of REUSE_POINTS nodes or
-    more can differ in last bits.
+    k holds one cell's scalars (formed in Python, so only t-dependent
+    operations run as arrays) or, given rows, the table whose row rows[i]
+    belongs to t[i].  A node takes the split form where |d t / 2| > 25, the
+    cosh/sinhc form elsewhere.  Each form runs only on the entries of t's
+    leading axis (nodes of a 1-D t, rows of a 2-D one) that hold a node
+    selecting it; a row holding both selects per node.  A node's bits do not
+    depend on the call, up to the sign of a zero ("+ 0j" applies to calls with
+    no split node) and to env * inner, which numpy computes as inner * env in
+    a call of REUSE_POINTS nodes or more: each subset of such a call keeps that
+    order.  A 0-d call returns numpy scalars, or 0-d arrays if it is split.
     """
-    x = k.half_d * t
+    def at(names, lead=slice(None)):
+        """k with its columns names gathered at the rows of t[lead]."""
+        r = None if rows is None else rows[lead]
+        return k if r is None else k._replace(**{n: getattr(k, n)[r, None] for n in names})
+
+    x = at(("half_d",)).half_d * t
     big = np.abs(x) > 25.0
+    swap = big.size >= REUSE_POINTS
     with np.errstate(over="ignore", invalid="ignore"):
-        # cosh/sinhc form: exact through the removable point d = 0, but the
-        # factors overflow separately once Re(d) t / 2 grows large.
-        env = np.exp(k.neg_mu * t)
-        shc = _sinhc(x)
-        c_mid = env * (np.cosh(x) + k.mu * t * shc)
-        cdot_mid = k.cdot_scale * t * shc * env
         if not np.any(big):
-            return c_mid + 0j, cdot_mid + 0j
+            c, cdot = _mid_form(at(_MID), t, x, swap)
+            return c + 0j, cdot + 0j
+        if np.all(big):
+            del x
+            c, cdot = _split_form(at(_SPLIT), t)
+            return (c, cdot) if big.ndim else (np.asarray(c), np.asarray(cdot))
+        axes = tuple(range(1, big.ndim))
+        lead_mid, lead_big = ~big.all(axis=axes), big.any(axis=axes)
+        mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid], swap)
         # Free the spent temporaries before the split form allocates its own.
-        del x, env, shc
-        # Split-exponential form: both rates have negative real part, so it
-        # stays finite at large t.
-        e_plus = np.exp(k.s_plus * t)
-        e_minus = np.exp(k.s_minus * t)
-        c_big = k.a_plus * e_plus + k.a_minus * e_minus
-        if np.ndim(big):
-            # np.where's selection, written into the mid arrays instead of new
-            # ones, with c_big freed before the second split value is formed.
-            np.copyto(c_mid, c_big, where=big)
-            del c_big
-            np.copyto(cdot_mid, k.as_plus * e_plus + k.as_minus * e_minus, where=big)
-            return c_mid, cdot_mid
-        cdot_big = k.as_plus * e_plus + k.as_minus * e_minus
-    return np.where(big, c_big, c_mid), np.where(big, cdot_big, cdot_mid)
+        del x
+        c, cdot = np.empty(big.shape, complex), np.empty(big.shape, complex)
+        c[lead_mid], cdot[lead_mid] = mid
+        del mid
+        split = _split_form(at(_SPLIT, lead_big), t[lead_big])
+        sel = big[lead_big] if big.ndim > 1 else ...
+        c[big] = next(split)[sel]
+        cdot[big] = next(split)[sel]
+    return c, cdot
 
 
 def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +255,7 @@ def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
 
     Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
     """
-    return _closed_form(_Coefficients(*(col[rows, None] for col in table)), t)
+    return _closed_form(table, t, rows)
 
 
 def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):

@@ -25,9 +25,9 @@ def closed_form_calls(monkeypatch):
     calls = []
     real = model_mod._closed_form
 
-    def counted(k, t):
+    def counted(k, t, rows=None):
         calls.append(np.size(t))
-        return real(k, t)
+        return real(k, t, rows)
 
     monkeypatch.setattr(model_mod, "_closed_form", counted)
     return calls

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from qslkit.model import (
+    REUSE_POINTS,
     Amplitude,
     ModelParams,
     _amplitude_cddot,
+    _Coefficients,
     _coefficients,
+    _mid_form,
     _sinhc,
+    _split_form,
     amplitude,
     amplitude_bounds,
     amplitude_cells,
@@ -151,34 +155,95 @@ class TestAmplitude:
             res = np.abs(cdd + (p.lam - 1j * p.delta) * cd + scale * c) / scale
             assert np.max(res) < 1e-9
 
-    @pytest.mark.parametrize("gamma0, delta", [(0.1 * LAM, 6.0 * LAM), (10.0 * LAM, 0.0)])
-    @pytest.mark.parametrize("t", [np.linspace(0.0, 50.0 / LAM, 20001), 30.0 / LAM, 0.01 / LAM])
+    @pytest.mark.parametrize("gamma0, delta", [(0.1 * LAM, 6.0 * LAM), (10.0 * LAM, 0.0),
+                                               (0.1 * LAM, 0.8 * LAM)])
+    @pytest.mark.parametrize("t", [np.linspace(0.0, 50.0 / LAM, 20001), 30.0 / LAM, 0.01 / LAM,
+                                   np.linspace(30.0 / LAM, 50.0 / LAM, 1001),
+                                   np.linspace(0.0, 50.0 / LAM, 20000),
+                                   np.linspace(0.0, 1.0 / LAM, 101)])
     def test_split_form_selected_in_place_is_bit_identical(self, gamma0, delta, t):
-        # The closed form as it was before the split values were written in place.
         p = ModelParams(gamma0, LAM, delta)
-        k = _coefficients(p)
         t = np.asarray(t, dtype=float)
-        x = k.half_d * t
-        big = np.abs(x) > 25.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            env = np.exp(k.neg_mu * t)
-            shc = _sinhc(x)
-            c_mid = env * (np.cosh(x) + k.mu * t * shc)
-            cdot_mid = k.cdot_scale * t * shc * env
-            e_plus = np.exp(k.s_plus * t)
-            e_minus = np.exp(k.s_minus * t)
-            c_big = k.a_plus * e_plus + k.a_minus * e_minus
-            cdot_big = k.as_plus * e_plus + k.as_minus * e_minus
-        if not np.any(big):
-            expected = (c_mid + 0j, cdot_mid + 0j)
-        else:
-            expected = (np.where(big, c_big, c_mid), np.where(big, cdot_big, cdot_mid))
-        if t.ndim:
-            assert 0 < np.count_nonzero(big) < t.size
-        for got, want in zip(amplitude_series(p, t), expected):
-            assert np.shape(got) == np.shape(want)
-            assert np.array_equal(np.atleast_1d(got).view(np.uint64),
-                                  np.atleast_1d(want).view(np.uint64))
+        for got, want in zip(amplitude_series(p, t), _both_forms(_coefficients(p), t)):
+            _assert_same_bits(got, want)
+
+    def test_bit_identity_cases_cover_every_branch(self):
+        def split(gamma0, delta, t):
+            return np.abs(_coefficients(ModelParams(gamma0, LAM, delta)).half_d * t) > 25.0
+
+        # 0-d calls of each form, and 1-D calls with every node split or none.
+        assert split(0.1 * LAM, 6.0 * LAM, 30.0 / LAM)
+        assert not split(0.1 * LAM, 6.0 * LAM, 0.01 / LAM)
+        assert not np.any(split(10.0 * LAM, 0.0, np.linspace(0.0, 1.0 / LAM, 101)))
+        for gamma0, delta in ((0.1 * LAM, 6.0 * LAM), (10.0 * LAM, 0.0)):
+            assert np.all(split(gamma0, delta, np.linspace(30.0 / LAM, 50.0 / LAM, 1001)))
+            assert 0 < np.count_nonzero(split(gamma0, delta, np.linspace(0.0, 50.0 / LAM, 20001)))
+        # The detuned 20,000-node call: its cosh/sinhc nodes are fewer than
+        # REUSE_POINTS, the whole call is not.
+        big = split(0.1 * LAM, 0.8 * LAM, np.linspace(0.0, 50.0 / LAM, 20000))
+        assert np.count_nonzero(big) and np.count_nonzero(~big) < REUSE_POINTS <= big.size
+
+    @pytest.mark.parametrize("n", [50, 4000])
+    @pytest.mark.parametrize("kept", [[0, 1, 2, 3, 4, 5], [0, 3], [1, 4], [2, 5], [1, 2, 3]])
+    def test_cells_split_by_row_are_bit_identical(self, n, kept):
+        # Rows with no split node, only split nodes, or both (t* = 8.2 and 11.5 / LAM).
+        params = [ModelParams(0.1 * LAM, LAM, 6.0 * LAM), ModelParams(10.0 * LAM, LAM, 0.0)]
+        windows = [(0, 0.0, 5.0), (0, 20.0, 30.0), (1, 5.0, 15.0), (1, 0.0, 5.0), (1, 20.0, 30.0),
+                   (0, 5.0, 15.0)]
+        rows = np.array([windows[i][0] for i in kept])
+        t = np.array([np.linspace(lo, hi, n) / LAM for _, lo, hi in windows])[kept]
+        # At n = 4000 the whole call reaches REUSE_POINTS, four of its rows do not.
+        assert 4 * 4000 < REUSE_POINTS <= 6 * 4000
+        table = coefficient_table(params)
+        broadcast = _Coefficients(*(col[rows, None] for col in table))
+        for got, want in zip(amplitude_cells(table, rows, t), _both_forms(broadcast, t)):
+            _assert_same_bits(got, want)
+
+    def test_forms_agree_at_the_switch_within_their_rounding_bounds(self):
+        # C and Cdot are continuous across |d t / 2| = 25, where the split form takes over.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(gamma0=st.floats(1e-3, 1e3), delta=st.floats(0.0, 20.0))
+        def check(gamma0, delta):
+            p = ModelParams(gamma0 * LAM, LAM, delta * LAM)
+            # At d = 0 every bound is inf and the split form does not exist.
+            hypothesis.assume(p.complex_root != 0)
+            k = _coefficients(p)
+            t = np.asarray(50.0 / abs(p.complex_root))
+            mid = _mid_form(k, t, k.half_d * t, False)
+            split = tuple(_split_form(k, t))
+            err = amplitude_bounds(coefficient_table([p]), np.array([0]), t[None], t[None])[3:, 0]
+            for a, b, e in zip(mid, split, err):
+                assert abs(a - b) <= 2.0 * e
+
+        check()
+
+
+def _both_forms(k, t):
+    """The closed form evaluating both forms on every node, as before each took its own nodes."""
+    x = k.half_d * t
+    big = np.abs(x) > 25.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        env = np.exp(k.neg_mu * t)
+        shc = _sinhc(x)
+        c_mid = env * (np.cosh(x) + k.mu * t * shc)
+        cdot_mid = k.cdot_scale * t * shc * env
+        e_plus = np.exp(k.s_plus * t)
+        e_minus = np.exp(k.s_minus * t)
+        c_big = k.a_plus * e_plus + k.a_minus * e_minus
+        cdot_big = k.as_plus * e_plus + k.as_minus * e_minus
+    if not np.any(big):
+        return c_mid + 0j, cdot_mid + 0j
+    return np.where(big, c_big, c_mid), np.where(big, cdot_big, cdot_mid)
+
+
+def _assert_same_bits(got, want):
+    # The type too: a 0-d call returns numpy scalars or 0-d arrays, whose abs differ in last bits.
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
 
 
 def _exact(k, t):

@@ -1,0 +1,58 @@
+"""Print one line per CLI request: SHA-256 of its stdout and stderr, and its exit code.
+
+    python3 tools/digests.py [CHECKOUT] > digests.txt
+
+The requests, always listed from this checkout, are every request of
+perfbench/workloads.py at seeds 1, 2, 3 and 7, the `qslkit` examples of
+README.md, and `decay-rate` at 20,000 and 30,000 points on resonance and at
+delta 40 (there the 20,000-point call has 15,772 cosh/sinhc nodes, fewer than
+`model.REUSE_POINTS`).  They run as `python -m qslkit.cli` from CHECKOUT's
+src/ (default: this checkout), so diffing the output of two checkouts shows
+whether they print the same bytes on this host.  No golden file is kept:
+numpy's SIMD paths, and so the last bits, differ between hosts.
+"""
+
+import hashlib
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (read only: the request lists)
+
+SEEDS = (1, 2, 3, 7)
+
+
+def requests():
+    for seed in SEEDS:
+        for workload in workloads.WORKLOADS:
+            yield from (list(r.argv) for r in workloads.requests(workload, seed))
+    for line in re.findall(r"^qslkit (.+)$", (ROOT / "README.md").read_text(), re.M):
+        argv = shlex.split(line)
+        # To stdout, where it is digested, instead of to a file.
+        for i, arg in enumerate(argv[:-1]):
+            if arg in ("-o", "--output"):
+                argv[i + 1] = "-"
+        yield argv
+    for n in ("20000", "30000"):
+        for delta in ("0", "40"):
+            yield ["decay-rate", "--n-points", n, "--delta", delta]
+
+
+def main(argv=None) -> int:
+    checkout = Path((argv or sys.argv[1:] or [ROOT])[0]).resolve()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for args in requests():
+        proc = subprocess.run([sys.executable, "-m", "qslkit.cli", *args], cwd=checkout,
+                              env=env, capture_output=True)
+        out, err = (hashlib.sha256(b).hexdigest() for b in (proc.stdout, proc.stderr))
+        print(out, err, proc.returncode, shlex.join(args), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
