@@ -2,9 +2,10 @@
 
 Identical configurations produce byte-identical output: each CSV float is
 Python's '%.17g' % v and each JSON value is spelled by json itself, rows
-are emitted in a fixed order, and no timestamps appear in data rows.  All
-parameters can also be supplied via a plain key=value config file
-(--config); command-line flags take precedence.
+are emitted in a fixed order, and no timestamps appear in data rows.  A
+subcommand takes its declared parameters and `_COMMON`, and no others: as
+flags, as keys of a key=value config file (--config, which flags override),
+and as the options its handler sees.
 
 `_PARAMS` is the only place a parameter (its flag, type, default and config
 key) is declared, and `_COMMANDS` the only place a subcommand (its name, help
@@ -73,7 +74,7 @@ _PARAMS = {
 }
 
 # Accepted by every subcommand, after its own parameters and --config.
-_COMMON = ("output", "format", "rel_tol", "abs_tol")
+_COMMON = ("output", "format")
 
 Columns = tuple  # one numpy array or list per declared column, in declared order
 
@@ -181,11 +182,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    opts = {name: p.default for name, p in _PARAMS.items()}
+    opts = {name: _PARAMS[name].default for name in (*_COMMANDS[args.subcommand].params, *_COMMON)}
     if args.config:
         for key, raw in _load_config(args.config).items():
-            if key not in _PARAMS:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in opts:
+                raise ValueError(f"unknown config key {key!r} for {args.subcommand}")
             p = _PARAMS[key]
             value = p.type(raw)
             if p.choices is not None and value not in p.choices:
@@ -196,9 +197,6 @@ def _merge_options(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key not in ("subcommand", "config"):
             opts[key] = value
-    for key, default in zip(("gamma0_min", "gamma0_max"), scan_mod.gamma0_range(opts["lam"])):
-        if opts[key] is None:
-            opts[key] = default
     return opts
 
 
@@ -228,10 +226,12 @@ def _cmd_ratio(opts: dict) -> Columns:
 def _gamma0_axis(opts: dict, n_name: str) -> np.ndarray:
     """The log-spaced gamma0 axis of n_name points, its inputs checked by name first."""
     check_grid_size(n_name, opts[n_name])
-    for name in ("lam", "gamma0_min", "gamma0_max"):
-        if not 0.0 < opts[name] < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be finite and positive, got {opts[name]}")
-    return np.geomspace(opts["gamma0_min"], opts["gamma0_max"], opts[n_name])
+    lo, hi = (d if opts[name] is None else opts[name] for name, d in
+              zip(("gamma0_min", "gamma0_max"), scan_mod.gamma0_range(opts["lam"])))  # unset ends
+    for name, value in (("lam", opts["lam"]), ("gamma0_min", lo), ("gamma0_max", hi)):
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    return np.geomspace(lo, hi, opts[n_name])
 
 
 def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
@@ -303,12 +303,13 @@ class _Command(NamedTuple):
     handler: Callable[[dict], Columns]  # the declared columns; a failed float is its error
 
 
-_GRID = ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max")
+_TOLS = ("rel_tol", "abs_tol")  # read by the subcommands that integrate
+_GRID = ("lam", "tau_d", "n_gamma0", "n_delta", "gamma0_min", "gamma0_max", *_TOLS)
 
 _COMMANDS = {
     "ratio": _Command(
         "one speed-limit report at a parameter point",
-        ("gamma0", "lam", "delta", "tau_d", "tau"),
+        ("gamma0", "lam", "delta", "tau_d", "tau", *_TOLS),
         "gamma0 delta lambda tau tau_d lambda1 lambda2 lambda_inf d_measure tau_qsl ratio "
         "comparator_ratio stationary:bool quad_err",
         _cmd_ratio),
@@ -320,14 +321,15 @@ _COMMANDS = {
         "delta gamma0_boundary flip_index:int", _cmd_boundary),
     "sweep-tau": _Command(
         "evolved-state ratio versus tau",
-        ("gamma0", "lam", "delta", "tau_d", "tau_max", "n_points"), "tau ratio", _cmd_sweep_tau),
+        ("gamma0", "lam", "delta", "tau_d", "tau_max", "n_points", *_TOLS), "tau ratio",
+        _cmd_sweep_tau),
     "decay-rate": _Command(
         "normalized decay rate versus time",
         ("gamma0", "lam", "delta", "t_max", "n_points", "clip"),
         "t gamma_over_gamma0 clipped:bool", _cmd_decay_rate),
     "compare-bounds": _Command(
         "trace-distance vs Bures-angle ratio sweep",
-        ("lam", "delta", "tau_d", "n_points", "gamma0_min", "gamma0_max"),
+        ("lam", "delta", "tau_d", "n_points", "gamma0_min", "gamma0_max", *_TOLS),
         "gamma0 ratio_trace ratio_bures", _cmd_compare_bounds),
     "oracle-check": _Command(
         "memory-kernel integration vs closed form",

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -119,7 +121,7 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
         raise ValueError("integrate requires a <= b")
     # Windows with b != a (NaN ends included) get panels; the others are empty.
     live = np.flatnonzero(b != a)
-    results: list = [(0.0, 0.0) if empty else None for empty in (b == a).tolist()]
+    results: list = [(0.0, 0.0)] * a.size
     inner = (a[bp_win] < bp) & (bp < b[bp_win])
     # A stable sort by window puts each window's edges in order: a, its breakpoints, b.
     edge_win = np.concatenate((live, bp_win[inner], live))
@@ -143,9 +145,9 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
         later = ~now
         w, pl, ph, pd = win[now], lo[now], hi[now], depth[now]
         value, err = _panels(f, w, pl, ph)
-        if first:
-            for i, vals in _by_window(w, value):
-                tol[i] = max(spec.rel_tol * sum(abs(v) for v in vals.tolist()), spec.abs_tol)
+        if first:  # reduce(add) sums left to right; sum() is compensated from Python 3.12
+            for i, vals in _by_window(w, np.abs(value)):
+                tol[i] = max(spec.rel_tol * reduce(add, vals.tolist(), 0.0), spec.abs_tol)
             first = False
         ok = (err <= tol[w] * (ph - pl) / width[w]) | (err <= spec.abs_tol)
         done.append((w[ok], pl[ok], value[ok], err[ok]))
@@ -172,13 +174,9 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
         order = keep[np.lexsort((pl[keep], w[keep]))]
         w, value, err = w[order], value[order], err[order]
         for i, idx in _by_window(w, np.arange(w.size)):
-            total = err_total = 0.0
-            for v, e in zip(value[idx].tolist(), err[idx].tolist()):
-                total += v
-                err_total += e
-            results[i] = (total, err_total)
+            results[i] = tuple(reduce(add, x[idx].tolist(), 0.0) for x in (value, err))
     for i, (pl, ph, pd, v, e) in failures.items():
-        total, err_total = results[i] or (0.0, 0.0)
+        total, err_total = results[i]
         results[i] = QuadratureError(
             f"quadrature did not converge on [{pl}, {ph}] after depth {pd}",
             value=total + float(v),

@@ -220,6 +220,17 @@ class TestQslRatio:
         es = qsl_ratio_evolved(ps, 0.03 / s, 0.2 / s)
         assert e == pytest.approx(es, abs=1e-9)
 
+    @pytest.mark.parametrize("tau_d", [0.1, pytest.param(1e-5, marks=pytest.mark.xfail(
+        strict=True, reason="FOUND in CHANGES.md: qsl_ratio cancels in 1 - d_measure"))])
+    def test_excited_ratio_is_the_evolved_ratio(self, tau_d):
+        # From the excited state the two ratios are one quantity.  qsl_ratio_many
+        # forms d_measure = 1 - |disp|^2 / 4 and then 1 - d_measure, which loses
+        # the digits of |disp|^2 as the window shrinks: at tau_d = 1e-5 it gives
+        # 0.7108 against 1.0000000127, and 0 from tau_d = 1e-6 down.
+        p = ModelParams(5.0, LAM, 0.0)
+        ratio = qsl_ratio(p, EXCITED, tau_d).ratio
+        assert ratio == pytest.approx(qsl_ratio_evolved(p, 0.0, tau_d), abs=1e-9)
+
 
 class TestQslRatioEvolved:
     def test_monotone_window_gives_one(self):

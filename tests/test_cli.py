@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -347,6 +348,58 @@ SMALL_RUNS = {
     "compare-bounds": ["--n-points", "3"],
     "oracle-check": ["--t-max", "0.05"],
 }
+
+
+class TestParameterScope:
+    """A subcommand takes, by flag and config key, and its handler sees, exactly
+    its _COMMANDS parameters and _COMMON."""
+
+    @pytest.mark.parametrize("command", sorted(cli_mod._COMMANDS))
+    def test_flags_are_the_declared_parameters(self, command):
+        parser = cli_mod._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        assert dests == {*cli_mod._COMMANDS[command].params, *cli_mod._COMMON, "config"}
+
+    def test_tolerances_are_taken_only_where_a_ratio_is_integrated(self):
+        takes = {name for name, c in cli_mod._COMMANDS.items() if "rel_tol" in c.params}
+        assert takes == {"ratio", "scan", "boundary", "sweep-tau", "compare-bounds"}
+        assert all(("rel_tol" in c.params) == ("abs_tol" in c.params)
+                   for c in cli_mod._COMMANDS.values())
+
+    @pytest.mark.parametrize(
+        "argv", [("decay-rate", "--rel-tol", "1e-3"), ("oracle-check", "--abs-tol", "0")]
+    )
+    def test_tolerance_flags_rejected_where_nothing_is_integrated(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            run(list(argv))
+        captured = capsys.readouterr()
+        assert exited.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
+    def test_config_key_of_another_subcommand_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma0 = 500\nn_gamma0 = -5\n")
+        code, out, err = invoke(capsys, "ratio", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "ValueError", "message": "unknown config key 'n_gamma0' for ratio",
+            "subcommand": "ratio",
+        }]
+
+    @pytest.mark.parametrize("command", sorted(cli_mod._COMMANDS))
+    def test_handler_sees_exactly_its_parameters(self, capsys, monkeypatch, command):
+        command_spec = cli_mod._COMMANDS[command]
+        seen = []
+
+        def handler(opts):
+            seen.append(sorted(opts))
+            return command_spec.handler(opts)
+
+        monkeypatch.setitem(cli_mod._COMMANDS, command, command_spec._replace(handler=handler))
+        assert invoke(capsys, command, *SMALL_RUNS[command])[0] == 0
+        assert seen == [sorted({*command_spec.params, "output", "format"})]
 
 
 class TestRowShape:

@@ -397,3 +397,36 @@ class TestPanelSums:
             got = np.vecdot(vals[:, cols], w)
             want = np.array([float(np.dot(w, v[cols])) for v in vals])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    # Three panels [0, 1], [1, 2], [2, 3] of one window, valued 1, 1e-16 and
+    # 1e-16.  Left to right, 1 + 1e-16 rounds to 1; a compensated sum (sum()
+    # from Python 3.12) gives 1 + 2**-52.  Both per-window sums, the tolerance's
+    # and the total's, must run left to right on every interpreter.
+    VALUES = np.array([1.0, 1e-16, 1e-16])
+
+    def test_tolerance_sums_left_to_right(self, monkeypatch):
+        # The third panel's error fits its share of the compensated tolerance,
+        # exact / 3, but not of the left-to-right one, 1 / 3: it is bisected.
+        share = math.fsum(self.VALUES) * 1.0 / 3.0
+        assert share > 1.0 / 3.0
+        calls = []
+
+        def panels(f, w, lo, hi):
+            calls.append(lo.tolist())
+            if len(calls) == 1:
+                return self.VALUES, np.array([0.0, 0.0, share])
+            return np.full(lo.size, 0.5), np.zeros(lo.size)
+
+        monkeypatch.setattr(quad_mod, "_panels", panels)
+        spec = QuadratureSpec(rel_tol=1.0, abs_tol=0.0)
+        assert integrate_many(None, [0.0], [3.0], [0, 0], [1.0, 2.0], spec) == [(2.0, 0.0)]
+        assert calls == [[0.0, 1.0, 2.0], [2.0, 2.5]]
+
+    def test_window_total_sums_left_to_right(self, monkeypatch):
+        # Errors of a quarter of each value: every panel is accepted, and the
+        # error total too is 0.25 left to right and 0.25 + 2**-54 compensated.
+        errs = self.VALUES / 4.0
+        assert (math.fsum(self.VALUES), math.fsum(errs)) == (1.0 + 2.0**-52, 0.25 + 2.0**-54)
+        monkeypatch.setattr(quad_mod, "_panels", lambda f, w, lo, hi: (self.VALUES, errs))
+        spec = QuadratureSpec(rel_tol=1.0, abs_tol=0.0)
+        assert integrate_many(None, [0.0], [3.0], [0, 0], [1.0, 2.0], spec) == [(1.0, 0.25)]

@@ -4,9 +4,11 @@
 
 The requests, always listed from this checkout, are every request of
 perfbench/workloads.py at seeds 1, 2, 3 and 7, the `qslkit` examples of
-README.md, and `decay-rate` at 20,000 and 30,000 points on resonance and at
+README.md, `decay-rate` at 20,000 and 30,000 points on resonance and at
 delta 40 (there the 20,000-point call has 15,772 cosh/sinhc nodes, fewer than
-`model.REUSE_POINTS`).  They run as `python -m qslkit.cli` from CHECKOUT's
+`model.REUSE_POINTS`), every subcommand at its defaults with `--format json`,
+and a tolerance flag given to each subcommand that does not integrate (argparse
+rejects it with exit 2).  They run as `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
 numpy's SIMD paths, and so the last bits, differ between hosts.
@@ -41,6 +43,11 @@ def requests():
     for n in ("20000", "30000"):
         for delta in ("0", "40"):
             yield ["decay-rate", "--n-points", n, "--delta", delta]
+    for command in ("ratio", "scan", "boundary", "sweep-tau", "decay-rate", "compare-bounds",
+                    "oracle-check"):
+        yield [command, "--format", "json"]
+    yield ["decay-rate", "--rel-tol", "1e-3"]
+    yield ["oracle-check", "--abs-tol", "0"]
 
 
 def main(argv=None) -> int:
