@@ -6,9 +6,9 @@ row j in window rows[j], in chunks of at most _CHUNK_POINTS nodes.  Factors
 may stack k rows to (k, m, n).  Roots are found by probing every window on
 its own grid, then bisecting every bracket of all windows together, and are
 passed to the panels as arrays (window, value) sorted by window, then value.
-Given a bound on the factors' slopes, probing is coarse-then-fine: every
-8th probe first, then the others only where the bound cannot exclude a root,
-with the same roots to the last bit.
+Probing is coarse-then-fine: every 8th probe first, then the others only
+where a bound on the factors' slopes cannot exclude a root (everywhere,
+without a bound), with the same roots to the last bit.
 Panels are Gauss-Legendre 15 vs 7, bisected round by round over all windows;
 each window gets the value, error and QuadratureError of a depth-first,
 left-first bisection of that window alone.  QuadratureSpec holds only the
@@ -25,17 +25,16 @@ from operator import add
 
 import numpy as np
 
-from .model import REUSE_POINTS
-
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 # Each panel's GL15 and GL7 nodes are evaluated in one call.
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))
 
-# Most nodes per call of an integrand or factor.  It must stay below
-# REUSE_POINTS, where a node's last bits start to depend on the call.  Below
-# that, a node's values do not depend on how the nodes are chunked; 4,096 keeps
-# the temporaries of one call near 1 MB in all.
+# Most nodes per call of an integrand or factor, for every call the engine
+# makes: probes, bisection midpoints and panels.  It must stay below
+# model.REUSE_POINTS, where a node's last bits start to depend on the call.
+# Below that, a node's values do not depend on how the nodes are chunked;
+# 4,096 keeps the temporaries of one call near 1 MB in all.
 _CHUNK_POINTS = 4096
 # Probes per coarse interval when a window is probed coarse-then-fine.
 _STRIDE = 8
@@ -242,16 +241,15 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     closer together than the probe spacing can be missed; callers should
     size n_probe from the expected oscillation period.
 
-    Given bound, a window with fewer than REUSE_POINTS probes is probed
-    coarse-then-fine: first on every _STRIDE-th probe and its last one, then
-    on the other probes only inside the coarse intervals [t0, t1] that bound
-    cannot exclude.  bound(rows, t0, t1) gives per factor and interval a
-    threshold; an interval is excluded when every factor's |f(t0)| + |f(t1)|
-    exceeds it, which must certify that no probe inside it is a zero of that
-    factor or on the other side of zero.  A node's value does not depend on
-    its call below REUSE_POINTS nodes, so the brackets, and every root, are then
-    bit for bit those of the full grid.  Larger windows, and every window
-    without bound, are probed on the full grid, in one call per block.
+    Every window is probed coarse-then-fine: first on every _STRIDE-th probe
+    and its last one, then on the other probes only inside the coarse
+    intervals [t0, t1] that bound cannot exclude; bound=None excludes none.
+    bound(rows, t0, t1) gives per factor and interval a threshold; an
+    interval is excluded when every factor's |f(t0)| + |f(t1)| exceeds it,
+    which must certify that no probe inside it is a zero of that factor or
+    on the other side of zero.  Every call holds at most _CHUNK_POINTS
+    nodes, where a node's value does not depend on its call, so the
+    brackets, and every root, are bit for bit those of the full grid.
     """
     if any(n < 2 for n in n_probe):
         raise ValueError("n_probe must be at least 2")
@@ -262,9 +260,8 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     # each chunked to _CHUNK_POINTS nodes by evaluate.  Blocks of _CHUNK_POINTS
     # probes made 953 closed-form calls on the default scan against 851 for
     # twice that, and the surface benchmark about 10% slower.
-    limit = _CHUNK_POINTS if bound is None else 2 * _CHUNK_POINTS
     found = [_probe_block(f, bound, a, b, windows[i:j], sizes[i:j])
-             for i, j in _blocks(sizes, limit)]
+             for i, j in _blocks(sizes, 2 * _CHUNK_POINTS)]
     if not found:
         return np.zeros(0, dtype=int), np.zeros(0)
     lo, hi, flo, rows, w, zero_t, zero_w = (np.concatenate(x) for x in zip(*found))
@@ -296,17 +293,34 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
 def _probe_block(f, bound, a, b, windows, sizes):
     """The brackets (lo, hi, flo, factor, window) and zero probes (t, window) of windows.
 
-    Window windows[k] has sizes[k] probes; see find_sign_changes_many.
+    Window windows[k] has sizes[k] probes; see find_sign_changes_many.  The
+    coarse probes, every _STRIDE-th and each window's last, are all evaluated;
+    the others only inside the coarse intervals that bound cannot exclude.
     """
     grid = np.concatenate([np.linspace(a[k], b[k], n + 1)
                            for k, n in zip(windows.tolist(), sizes - 1)])
-    if bound is None or sizes[0] >= REUSE_POINTS:
-        probe = np.arange(grid.size)
-        point_win = np.repeat(windows, sizes)
-        vals = np.asarray(np.reshape(f(point_win, grid[:, None]), (-1, grid.size)), dtype=float)
-    else:
-        probe, point_win, vals = _coarse_then_fine(f, bound, grid, windows, sizes)
-        grid = grid[probe]
+    n_coarse = (sizes + _STRIDE - 2) // _STRIDE + 1
+    c = np.repeat(np.cumsum(sizes) - sizes, n_coarse) + np.minimum(
+        _STRIDE * _ramp(n_coarse), np.repeat(sizes - 1, n_coarse))
+    c_win = np.repeat(windows, n_coarse)
+    c_vals = evaluate(f, c_win, grid[c, None])[:, :, 0]
+    # Coarse interval q runs from coarse probe q to q + 1 of one window.
+    q = np.flatnonzero(c_win[:-1] == c_win[1:])
+    if bound is not None:
+        mag = np.abs(c_vals)
+        excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], grid[c[q]], grid[c[q + 1]]),
+                          axis=0)
+        q = q[~excluded]
+    n_fine = c[q + 1] - c[q] - 1
+    fine = np.repeat(c[q] + 1, n_fine) + _ramp(n_fine)
+    fine_win = np.repeat(c_win[q], n_fine)
+    vals = c_vals
+    if fine.size:
+        vals = np.concatenate((c_vals, evaluate(f, fine_win, grid[fine, None])[:, :, 0]), axis=1)
+    probe = np.concatenate((c, fine))
+    order = np.argsort(probe)
+    probe, point_win, vals = probe[order], np.concatenate((c_win, fine_win))[order], vals[:, order]
+    grid = grid[probe]
     # Every window keeps its first probe.
     starts = np.flatnonzero(np.diff(point_win, prepend=-1))
     counts = np.diff(np.append(starts, grid.size))
@@ -326,35 +340,6 @@ def _probe_block(f, bound, a, b, windows, sizes):
 def _ramp(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., counts[k] - 1 for each k in turn."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _coarse_then_fine(f, bound, grid, windows, sizes):
-    """The probes that can hold a kink: indices into grid, their windows, and f there.
-
-    grid holds sizes[k] probes of windows[k], in order.  The coarse probes,
-    every _STRIDE-th and each window's last, are all evaluated; the others
-    only inside the coarse intervals that bound cannot exclude.
-    """
-    n_coarse = (sizes + _STRIDE - 2) // _STRIDE + 1
-    c = np.repeat(np.cumsum(sizes) - sizes, n_coarse) + np.minimum(
-        _STRIDE * _ramp(n_coarse), np.repeat(sizes - 1, n_coarse))
-    c_win = np.repeat(windows, n_coarse)
-    c_vals = evaluate(f, c_win, grid[c, None])[:, :, 0]
-    # Coarse interval q runs from coarse probe q to q + 1 of one window.
-    q = np.flatnonzero(c_win[:-1] == c_win[1:])
-    mag = np.abs(c_vals)
-    excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], grid[c[q]], grid[c[q + 1]]),
-                      axis=0)
-    q = q[~excluded]
-    n_fine = c[q + 1] - c[q] - 1
-    fine = np.repeat(c[q] + 1, n_fine) + _ramp(n_fine)
-    fine_win = np.repeat(c_win[q], n_fine)
-    vals = c_vals
-    if fine.size:
-        vals = np.concatenate((c_vals, evaluate(f, fine_win, grid[fine, None])[:, :, 0]), axis=1)
-    probe = np.concatenate((c, fine))
-    order = np.argsort(probe)
-    return probe[order], np.concatenate((c_win, fine_win))[order], vals[:, order]
 
 
 def find_sign_changes(f, a: float, b: float, n_probe: int = 64) -> list[float]:

@@ -359,6 +359,8 @@ class TestCertifiedProbing:
         detuning = st.floats(0.0, 20.0) | st.sampled_from([0.0, 1e-9])
 
         @hypothesis.settings(max_examples=150, deadline=None)
+        # A window of 20,372 probes, more than model.REUSE_POINTS.
+        @hypothesis.example(cells=[(0.1, 200.0)], start=0.0, tau_d=10.0, path="excited")
         @hypothesis.given(
             cells=st.lists(st.tuples(coupling, detuning), min_size=1, max_size=4),
             start=st.floats(0.0, 100.0) | st.just(0.0),
@@ -374,6 +376,11 @@ class TestCertifiedProbing:
             assert full[1].tobytes() == fast[1].tobytes()
 
         check()
+
+    def test_a_large_window_is_probed_in_chunks(self, closed_form_calls):
+        # A window of 20,372 probes at delta = 200 lam, more than model.REUSE_POINTS.
+        assert 0.0 < qsl_ratio(ModelParams(5.0, LAM, 10000.0), EXCITED, 0.2).ratio <= 1.0
+        assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
 
     def test_window_far_out_finds_its_kink(self):
         # At tau = 34.85 doubles are 7.1e-15 apart, more than 1e-12 * tau_d:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qslkit.model import ModelParams, population_rate
+from qslkit.model import REUSE_POINTS, ModelParams, population_rate
 import qslkit.quad as quad_mod
 from qslkit.quad import (
     QuadratureError,
@@ -286,8 +286,7 @@ class TestFindSignChanges:
         one = [find_sign_changes(lambda t: factors(np.full(t.size, i), t[:, None]),
                                  a[i], b[i], n_probe[i]) for i in range(a.size)]
         assert one[1] == [] and 0.5 in one[2] and 0.5 not in one[3]
-        # At 7 nodes per call each window's probes take a call of their own,
-        # and a bisection step with more than 7 brackets spans several calls.
+        # At 7 nodes per call the probes and the bisection steps span several calls.
         monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 7)
         calls = []
 
@@ -296,7 +295,7 @@ class TestFindSignChanges:
             return factors(rows, t)
 
         root_win, roots = find_sign_changes_many(counted, a, b, n_probe)
-        assert calls[:3] == [65, 5, 41] and max(calls[3:]) <= 7
+        assert max(calls) <= 7
         assert root_win.tolist() == [i for i, r in enumerate(one) for _ in r]
         assert roots.tolist() == [x for r in one for x in r]
 
@@ -345,7 +344,9 @@ class TestCoarseThenFine:
             return self.factors(rows, t)
 
         full = find_sign_changes_many(counted, self.a, self.b, n_probe)
-        full_probes = calls[0]
+        # Without a bound the coarse call and the fine call cover every probe.
+        full_probes = sum(calls[:2])
+        assert full_probes == 65 + 5 + 2001 + 301
         calls.clear()
         coarse = find_sign_changes_many(counted, self.a, self.b, n_probe, bound=self.bound)
         for x, y in zip(full, coarse):
@@ -371,18 +372,25 @@ class TestCoarseThenFine:
         assert calls == [9]
         assert roots.tolist() == [0.5]
 
-    def test_large_window_keeps_one_full_grid_call(self):
-        calls = []
+    def test_large_window_is_probed_coarse_then_fine(self):
+        # A window of REUSE_POINTS probes, with and without a bound: every 8th
+        # and the last first, then the others, in calls of at most _CHUNK_POINTS nodes.
+        n = REUSE_POINTS - 1
+        grid = np.linspace(0.0, 1.0, n + 1)
+        # The 16 kinks of cos(50 t) in [0, 1] and the zero of t - 0.5.
+        expected = sorted([(k + 0.5) * math.pi / 50.0 for k in range(16)] + [0.5])
+        for bound in (None, self.bound):
+            nodes = []
 
-        def counted(rows, t):
-            calls.append(t.size)
-            return self.factors(rows, t)
+            def counted(rows, t):
+                nodes.append(t.ravel().copy())
+                return self.factors(rows, t)
 
-        # 16,384 probes: one call of the whole grid; 16,383: every 8th and the last.
-        n = quad_mod.REUSE_POINTS - 1
-        find_sign_changes_many(counted, [0.0, 0.0], [1.0, 1.0], [n, n - 1], bound=self.bound)
-        assert calls[0] == 16384
-        assert calls[1] == 2048 + 1
+            root_win, roots = find_sign_changes_many(counted, [0.0], [1.0], [n], bound=bound)
+            assert np.array_equal(nodes[0], grid[np.append(np.arange(0, n, 8), n)])
+            assert max(x.size for x in nodes) <= quad_mod._CHUNK_POINTS
+            assert root_win.tolist() == [0] * 17
+            assert roots.tolist() == pytest.approx(expected, abs=1e-11)
 
 
 class TestPanelSums:

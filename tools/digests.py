@@ -7,7 +7,10 @@ perfbench/workloads.py at seeds 1, 2, 3 and 7, the `qslkit` examples of
 README.md, `decay-rate` at 20,000 and 30,000 points on resonance and at
 delta 40 (there the 20,000-point call has 15,772 cosh/sinhc nodes, fewer than
 `model.REUSE_POINTS`), every subcommand at its defaults with `--format json`,
-and a tolerance flag given to each subcommand that does not integrate (argparse
+requests whose windows hold 20,000 probes or more (BIG_WINDOWS: `ratio
+--delta 10000`, `ratio --gamma0 1e6`, `scan --lambda 1000`, `boundary --lambda
+1500`, `sweep-tau --gamma0 1e6` and `compare-bounds --delta 10000`), and a
+tolerance flag given to each subcommand that does not integrate (argparse
 rejects it with exit 2).  They run as `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
@@ -27,6 +30,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (read only: the request lists)
 
 SEEDS = (1, 2, 3, 7)
+# Windows of 20,000 probes or more: probed in chunks of quad._CHUNK_POINTS nodes.
+BIG_WINDOWS = (
+    "ratio --delta 10000",
+    "ratio --gamma0 1e6",
+    "scan --lambda 1000 --n-gamma0 4 --n-delta 3",
+    "boundary --lambda 1500 --n-gamma0 4 --n-delta 3",
+    "sweep-tau --gamma0 1e6 --n-points 5",
+    "compare-bounds --delta 10000 --n-points 5",
+)
 
 
 def requests():
@@ -46,6 +58,7 @@ def requests():
     for command in ("ratio", "scan", "boundary", "sweep-tau", "decay-rate", "compare-bounds",
                     "oracle-check"):
         yield [command, "--format", "json"]
+    yield from (argv.split() for argv in BIG_WINDOWS)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
 
