@@ -6,8 +6,9 @@ all rates/frequencies share one unit and time is its inverse.
 
 C(t) has two equal forms: cosh/sinhc, exact through critical coupling d = 0,
 and split-exponential, finite at large t.  _closed_form gives the split form to
-the nodes where |d t / 2| > 25, evaluates each form only where selected, and
-writes env * inner as inner * env, numpy's order, in calls of REUSE_POINTS nodes.
+the nodes where |d t / 2| > 25 and evaluates each form only where selected.
+amplitude_series runs it in chunks of quad._CHUNK_POINTS nodes, with the bits
+of one unchunked call: from REUSE_POINTS nodes on, env * inner as inner * env.
 
 decay_rate() and lamb_shift() return math.nan at (isolated) zeros of C(t),
 where the master-equation coefficients are genuinely singular; callers that
@@ -23,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import quad
 from .smatrix import DensityMatrix2, as_matrix2
 
 # |C| below this is treated as a zero of the amplitude when forming Cdot/C.
@@ -122,7 +124,6 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     small = np.abs(z) < 1e-6
     zs = np.where(small, 1.0, z)
     out = np.sinh(zs) / zs
-    del zs  # freed before the series is formed, lowering the peak of large calls
     series = 1.0 + z * z / 6.0
     return np.where(small, series, out)
 
@@ -181,79 +182,79 @@ def _mid_form(k: _Coefficients, t, x, swap: bool):
     env = np.exp(k.neg_mu * t)
     shc = _sinhc(x)
     inner = np.cosh(x) + k.mu * t * shc
-    c = np.multiply(inner, env, out=inner) if swap else env * inner
-    return c, k.cdot_scale * t * shc * env
+    return inner * env if swap else env * inner, k.cdot_scale * t * shc * env
 
 
 def _split_form(k: _Coefficients, t):
-    """C, then Cdot, in the split-exponential form, finite at large t (both rates decay).
-
-    Yielding C before Cdot is formed lets a caller store C and free it first.
-    """
+    """C and Cdot in the split-exponential form, finite at large t (both rates decay)."""
     e_plus = np.exp(k.s_plus * t)
     e_minus = np.exp(k.s_minus * t)
-    del t
-    yield k.a_plus * e_plus + k.a_minus * e_minus
-    yield k.as_plus * e_plus + k.as_minus * e_minus
+    return k.a_plus * e_plus + k.a_minus * e_minus, k.as_plus * e_plus + k.as_minus * e_minus
 
 
-def _closed_form(k: _Coefficients, t, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form(k: _Coefficients, t, rows=None, swap=False) -> tuple[np.ndarray, np.ndarray]:
     """C(t) and Cdot(t) from coefficients k, broadcast against the times t.
 
     k holds one cell's scalars (formed in Python, so only t-dependent
     operations run as arrays) or, given rows, the table whose row rows[i]
     belongs to t[i].  A node takes the split form where |d t / 2| > 25, the
-    cosh/sinhc form elsewhere.  Each form runs only on the entries of t's
-    leading axis (nodes of a 1-D t, rows of a 2-D one) that hold a node
-    selecting it; a row holding both selects per node.  A node's bits do not
-    depend on the call, up to the sign of a zero ("+ 0j" applies to calls with
-    no split node) and to env * inner, which numpy computes as inner * env in
-    a call of REUSE_POINTS nodes or more: each subset of such a call keeps that
-    order.  A 0-d call returns numpy scalars, or 0-d arrays if it is split.
+    cosh/sinhc form elsewhere; swap computes its env * inner as inner * env.
+    Each form runs only on the entries of t's leading axis (nodes of a 1-D t,
+    rows of a 2-D one) that hold a node selecting it; a row holding both
+    selects per node.  In an array call a node's bits do not depend on the
+    call that holds it.  A 0-d call returns numpy scalars, or 0-d arrays if
+    it is split.
     """
     def at(names, lead=slice(None)):
         """k with its columns names gathered at the rows of t[lead]."""
         r = None if rows is None else rows[lead]
         return k if r is None else k._replace(**{n: getattr(k, n)[r, None] for n in names})
 
-    x = at(("half_d",)).half_d * t
-    big = np.abs(x) > 25.0
-    swap = big.size >= REUSE_POINTS
     with np.errstate(over="ignore", invalid="ignore"):
+        x = at(("half_d",)).half_d * t
+        big = np.abs(x) > 25.0
         if not np.any(big):
-            c, cdot = _mid_form(at(_MID), t, x, swap)
-            return c + 0j, cdot + 0j
+            return _mid_form(at(_MID), t, x, swap)
         if np.all(big):
-            del x
             c, cdot = _split_form(at(_SPLIT), t)
             return (c, cdot) if big.ndim else (np.asarray(c), np.asarray(cdot))
         axes = tuple(range(1, big.ndim))
         lead_mid, lead_big = ~big.all(axis=axes), big.any(axis=axes)
         mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid], swap)
-        # Free the spent temporaries before the split form allocates its own.
-        del x
         c, cdot = np.empty(big.shape, complex), np.empty(big.shape, complex)
         c[lead_mid], cdot[lead_mid] = mid
-        del mid
-        split = _split_form(at(_SPLIT, lead_big), t[lead_big])
         sel = big[lead_big] if big.ndim > 1 else ...
-        c[big] = next(split)[sel]
-        cdot[big] = next(split)[sel]
+        c_big, cdot_big = _split_form(at(_SPLIT, lead_big), t[lead_big])
+        c[big], cdot[big] = c_big[sel], cdot_big[sel]
     return c, cdot
 
 
 def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closed-form C(t) and Cdot(t) on an array of times t >= 0."""
+    """Vectorized closed-form C(t) and Cdot(t) on an array of times t >= 0.
+
+    The nodes are evaluated in chunks of at most quad._CHUNK_POINTS, each
+    with the operand order of one call over all of t, so the bits do not
+    depend on the chunk size.  A 0-d t is one call.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("amplitude requires t >= 0")
-    return _closed_form(_coefficients(p), t)
+    k = _coefficients(p)
+    if not t.ndim:
+        return _closed_form(k, t)
+    swap = t.size >= REUSE_POINTS
+    flat, step = t.ravel(), quad._CHUNK_POINTS
+    c, cdot = np.empty(t.size, complex), np.empty(t.size, complex)
+    for i in range(0, t.size, step):
+        c[i:i + step], cdot[i:i + step] = _closed_form(k, flat[i:i + step], swap=swap)
+    return c.reshape(t.shape), cdot.reshape(t.shape)
 
 
 def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
     """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
 
     Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
+    One call, in the operand order of calls of fewer than REUSE_POINTS nodes.
     """
     return _closed_form(table, t, rows)
 

@@ -31,10 +31,9 @@ _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES = np.concatenate((_NODES_HI, _NODES_LO))
 
 # Most nodes per call of an integrand or factor, for every call the engine
-# makes: probes, bisection midpoints and panels.  It must stay below
-# model.REUSE_POINTS, where a node's last bits start to depend on the call.
-# Below that, a node's values do not depend on how the nodes are chunked;
-# 4,096 keeps the temporaries of one call near 1 MB in all.
+# makes (probes, bisection midpoints and panels) and per closed-form call of
+# model.amplitude_series.  A node's bits do not depend on the chunking, so it
+# bounds memory only: 4,096 keeps the temporaries of one call near 1 MB.
 _CHUNK_POINTS = 4096
 # Probes per coarse interval when a window is probed coarse-then-fine.
 _STRIDE = 8
@@ -247,9 +246,8 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     bound(rows, t0, t1) gives per factor and interval a threshold; an
     interval is excluded when every factor's |f(t0)| + |f(t1)| exceeds it,
     which must certify that no probe inside it is a zero of that factor or
-    on the other side of zero.  Every call holds at most _CHUNK_POINTS
-    nodes, where a node's value does not depend on its call, so the
-    brackets, and every root, are bit for bit those of the full grid.
+    on the other side of zero.  A node's value does not depend on its call,
+    so the brackets, and every root, are bit for bit those of the full grid.
     """
     if any(n < 2 for n in n_probe):
         raise ValueError("n_probe must be at least 2")

@@ -3,8 +3,8 @@
 Cells and sweep points are independent pure computations.  Each sweep
 hands all of its cells to one batched kink integral (the many-cell forms
 in bounds), which evaluates the closed form for many cells per call, in
-chunks of fewer than 16,384 nodes and in a fixed order, so the result of
-a cell does not depend on which cells share its batch.  Invalid input (a
+chunks of quad._CHUNK_POINTS nodes and in a fixed order.  A node's bits do
+not depend on its call, so a cell's result does not depend on its batch.  Invalid input (a
 model point, an axis or a window) raises ValueError before any work.  A
 point whose quadrature does not converge is recorded in its place, as its
 QuadratureError, and the sweep carries on.

@@ -25,9 +25,9 @@ def closed_form_calls(monkeypatch):
     calls = []
     real = model_mod._closed_form
 
-    def counted(k, t, rows=None):
+    def counted(k, t, rows=None, swap=False):
         calls.append(np.size(t))
-        return real(k, t, rows)
+        return real(k, t, rows, swap)
 
     monkeypatch.setattr(model_mod, "_closed_form", counted)
     return calls

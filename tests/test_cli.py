@@ -450,6 +450,8 @@ class TestDeterminism:
             ("sweep-tau", "--rel-tol", "1e-16", "--abs-tol", "0", "--gamma0", "1000",
              "--delta", "200", "--n-points", "20"),
             ("compare-bounds", "--rel-tol", "1e-16", "--abs-tol", "0", "--n-points", "10"),
+            # One amplitude_series call of both forms and more than model.REUSE_POINTS nodes.
+            ("decay-rate", "--gamma0", "500", "--t-max", "2", "--n-points", "20001"),
         ],
     )
     def test_batch_size_does_not_change_bytes(self, capsys, monkeypatch, argv):
@@ -653,3 +655,11 @@ class TestNonFiniteInputs:
         record = json.loads(err)
         assert record["error"] == "ValueError"
         assert record["message"].startswith(name)
+
+    @pytest.mark.parametrize("argv", [("decay-rate", "--t-max", "1e308", "--n-points", "3"),
+                                      ("ratio", "--tau-d", "1e308")])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_times_warn_nothing(self, capsys, argv):
+        # d t / 2 overflows to inf, which selects the split form without a RuntimeWarning.
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")

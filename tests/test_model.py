@@ -1,16 +1,17 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import qslkit.quad as quad_mod
 from qslkit.model import (
     REUSE_POINTS,
     Amplitude,
     ModelParams,
     _amplitude_cddot,
-    _Coefficients,
     _coefficients,
     _mid_form,
     _sinhc,
@@ -183,6 +184,31 @@ class TestAmplitude:
         big = split(0.1 * LAM, 0.8 * LAM, np.linspace(0.0, 50.0 / LAM, 20000))
         assert np.count_nonzero(big) and np.count_nonzero(~big) < REUSE_POINTS <= big.size
 
+    def test_series_calls_hold_at_most_one_chunk(self, closed_form_calls):
+        # 20,001 nodes of both forms, more than REUSE_POINTS.
+        decay_rate(ModelParams(500.0, 50.0, 0.0), np.linspace(0.0, 1.0, 20001))
+        assert len(closed_form_calls) == 5
+        assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
+
+    def test_overflowing_times_warn_nothing(self):
+        # d t / 2 overflows to inf at t = 1e308, which selects the split form.
+        p = ModelParams(5.0, LAM, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, cdot = amplitude_series(p, np.array([0.0, 1e308]))
+            at_end = amplitude_series(p, 1e308)
+        assert c.tolist() == [1.0, 0.0] and cdot[1] == 0.0 and at_end == (0.0, 0.0)
+
+    def test_series_bits_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # The chunks of a call of REUSE_POINTS nodes or more keep the whole call's
+        # operand order, so chunks of 7 nodes give its bits too.
+        p = ModelParams(0.1 * LAM, LAM, 0.8 * LAM)
+        t = np.linspace(0.0, 50.0 / LAM, 20000)
+        want = _both_forms(_coefficients(p), t)
+        monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 7)
+        for got, w in zip(amplitude_series(p, t), want):
+            _assert_same_bits(got, w)
+
     @pytest.mark.parametrize("n", [50, 4000])
     @pytest.mark.parametrize("kept", [[0, 1, 2, 3, 4, 5], [0, 3], [1, 4], [2, 5], [1, 2, 3]])
     def test_cells_split_by_row_are_bit_identical(self, n, kept):
@@ -192,12 +218,15 @@ class TestAmplitude:
                    (0, 5.0, 15.0)]
         rows = np.array([windows[i][0] for i in kept])
         t = np.array([np.linspace(lo, hi, n) / LAM for _, lo, hi in windows])[kept]
-        # At n = 4000 the whole call reaches REUSE_POINTS, four of its rows do not.
-        assert 4 * 4000 < REUSE_POINTS <= 6 * 4000
+        # At n = 4000 the whole call reaches REUSE_POINTS, each row alone does not:
+        # a cells call never swaps, so its rows are those of one-row calls.
+        assert 4000 < REUSE_POINTS <= 6 * 4000
         table = coefficient_table(params)
-        broadcast = _Coefficients(*(col[rows, None] for col in table))
-        for got, want in zip(amplitude_cells(table, rows, t), _both_forms(broadcast, t)):
-            _assert_same_bits(got, want)
+        c, cdot = amplitude_cells(table, rows, t)
+        for j, row in enumerate(rows.tolist()):
+            want = _both_forms(_coefficients(params[row]), t[j])
+            for got, w in zip((c[j], cdot[j]), want):
+                _assert_same_bits(got, w)
 
     def test_forms_agree_at_the_switch_within_their_rounding_bounds(self):
         # C and Cdot are continuous across |d t / 2| = 25, where the split form takes over.
@@ -213,7 +242,7 @@ class TestAmplitude:
             k = _coefficients(p)
             t = np.asarray(50.0 / abs(p.complex_root))
             mid = _mid_form(k, t, k.half_d * t, False)
-            split = tuple(_split_form(k, t))
+            split = _split_form(k, t)
             err = amplitude_bounds(coefficient_table([p]), np.array([0]), t[None], t[None])[3:, 0]
             for a, b, e in zip(mid, split, err):
                 assert abs(a - b) <= 2.0 * e
@@ -235,7 +264,7 @@ def _both_forms(k, t):
         c_big = k.a_plus * e_plus + k.a_minus * e_minus
         cdot_big = k.as_plus * e_plus + k.as_minus * e_minus
     if not np.any(big):
-        return c_mid + 0j, cdot_mid + 0j
+        return c_mid, cdot_mid
     return np.where(big, c_big, c_mid), np.where(big, cdot_big, cdot_mid)
 
 
@@ -274,10 +303,8 @@ class TestAmplitudeBounds:
         c, cdot = amplitude_cells(table, rows, np.broadcast_to(t, (rows.size, t.size)))
         for j, p in enumerate(self.PARAMS):
             for got, want in zip((c[j], cdot[j]), amplitude_series(p, t)):
-                # Every bit, up to the sign of a zero (see _closed_form's "+ 0j").
-                assert np.array_equal(got, want)
-                assert np.array_equal(got.view(np.uint64)[got.view(float) != 0.0],
-                                      want.view(np.uint64)[want.view(float) != 0.0])
+                # Every bit, the sign of a zero included.
+                _assert_same_bits(got, want)
 
     def test_bounds_hold_against_exact_values(self):
         # Sampled inside each interval, including both forms of the closed form.

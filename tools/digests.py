@@ -6,15 +6,19 @@ The requests, always listed from this checkout, are every request of
 perfbench/workloads.py at seeds 1, 2, 3 and 7, the `qslkit` examples of
 README.md, `decay-rate` at 20,000 and 30,000 points on resonance and at
 delta 40 (there the 20,000-point call has 15,772 cosh/sinhc nodes, fewer than
-`model.REUSE_POINTS`), every subcommand at its defaults with `--format json`,
-requests whose windows hold 20,000 probes or more (BIG_WINDOWS: `ratio
---delta 10000`, `ratio --gamma0 1e6`, `scan --lambda 1000`, `boundary --lambda
-1500`, `sweep-tau --gamma0 1e6` and `compare-bounds --delta 10000`), and a
-tolerance flag given to each subcommand that does not integrate (argparse
-rejects it with exit 2).  They run as `python -m qslkit.cli` from CHECKOUT's
-src/ (default: this checkout), so diffing the output of two checkouts shows
-whether they print the same bytes on this host.  No golden file is kept:
-numpy's SIMD paths, and so the last bits, differ between hosts.
+`model.REUSE_POINTS`), `decay-rate` at 4,097, 16,383 and 16,384 points (on
+both sides of `quad._CHUNK_POINTS` and of `model.REUSE_POINTS`), each at the
+default `--t-max` (no split node) and at `--t-max 2` (both forms),
+`oracle-check --step 5e-5` (20,001 nodes), every subcommand at its defaults
+with `--format json`, requests whose windows hold 20,000 probes or more
+(BIG_WINDOWS: `ratio --delta 10000`, `ratio --gamma0 1e6`, `scan --lambda
+1000`, `boundary --lambda 1500`, `sweep-tau --gamma0 1e6` and `compare-bounds
+--delta 10000`), and a tolerance flag given to each subcommand that does not
+integrate (argparse rejects it with exit 2).  They run as `python -m
+qslkit.cli` from CHECKOUT's src/ (default: this checkout), so diffing the
+output of two checkouts shows whether they print the same bytes on this
+host.  No golden file is kept: numpy's SIMD paths, and so the last bits,
+differ between hosts.
 """
 
 import hashlib
@@ -55,6 +59,10 @@ def requests():
     for n in ("20000", "30000"):
         for delta in ("0", "40"):
             yield ["decay-rate", "--n-points", n, "--delta", delta]
+    for n in ("4097", "16383", "16384"):
+        yield ["decay-rate", "--n-points", n]
+        yield ["decay-rate", "--n-points", n, "--t-max", "2"]
+    yield ["oracle-check", "--step", "5e-5"]
     for command in ("ratio", "scan", "boundary", "sweep-tau", "decay-rate", "compare-bounds",
                     "oracle-check"):
         yield [command, "--format", "json"]
