@@ -273,7 +273,8 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
     carry errors that grow with t, and the split form's products a± s± lose up
     to eps (|mu| + |d| / 2)(|a+| + |a-|) to cancellation.  The bounds cover
     both forms of _closed_form.  At d = 0 the split form does not exist, and
-    every bound is inf.
+    every bound is inf; so is a bound whose product of an overflowed and an
+    underflowed factor would read NaN.
     """
     k = _Coefficients(*(col[rows] for col in table))
     rate = np.abs(k.mu) + np.abs(k.half_d)
@@ -296,8 +297,7 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
             err_c,
             err_cdot,
         ))
-    out[:, k.half_d == 0] = np.inf
-    return out
+    return np.where((k.half_d == 0) | np.isnan(out), np.inf, out)
 
 
 def amplitude(p: ModelParams, t: float) -> Amplitude:
