@@ -107,11 +107,11 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
     their window's interior are ignored.  Each round evaluates the leftmost
     _PANELS_PER_ROUND pending panels of every window.  A panel is accepted
     when its error fits its share of max(rel_tol * |rough value|, abs_tol),
-    else bisected; accepted panels are summed per window from left to right.
-    Returns per window (value, err_estimate), or the QuadratureError of its
-    leftmost failed panel (deeper than max_depth, or with a lower end that is
-    not finite), carrying the sum of the accepted panels left of it plus its
-    own estimate.
+    else bisected or, deeper than max_depth or with a lower end that is not
+    finite, failed.  Every finished panel goes into one record; each window
+    sums its values and errors from left to right up to its leftmost failed
+    panel.  Returns per window (value, err_estimate), or the QuadratureError
+    of that failed panel, carrying the sums including its own estimate.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     bp_win, bp = np.asarray(bp_win, dtype=int), np.asarray(bp, dtype=float)
@@ -132,8 +132,8 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
     width = b - a
     tol = np.zeros(a.size)
     fail_lo = np.full(a.size, np.inf)
-    failures: dict[int, tuple[float, float, int, float, float]] = {}
-    done = []  # (win, lo, value, err) of accepted panels, one tuple of arrays per round
+    # (window, lo, hi, depth, value, err, failed) of finished panels, one tuple per round.
+    done = []
     first = True
     while win.size:
         # Pending panels are kept sorted by (window, lo); take each window's leftmost ones.
@@ -148,15 +148,12 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
                 tol[i] = max(spec.rel_tol * reduce(add, vals.tolist(), 0.0), spec.abs_tol)
             first = False
         ok = (err <= tol[w] * (ph - pl) / width[w]) | (err <= spec.abs_tol)
-        done.append((w[ok], pl[ok], value[ok], err[ok]))
         # A panel whose lower end is not finite never converges: it fails at once.
         split = ~ok & (pd < spec.max_depth) & np.isfinite(pl)
-        for j in np.flatnonzero(~ok & ~split):
-            i = int(w[j])
-            if i not in failures or pl[j] < fail_lo[i]:
-                fail_lo[i] = pl[j]
-                failures[i] = (float(pl[j]), float(ph[j]), int(pd[j]), value[j], err[j])
-        mid = 0.5 * (pl[split] + ph[split])
+        end, failed = ~split, ~ok & ~split
+        done.append((w[end], pl[end], ph[end], pd[end], value[end], err[end], failed[end]))
+        np.minimum.at(fail_lo, w[failed], pl[failed])
+        mid = 0.5 * pl[split] + 0.5 * ph[split]
         win = np.concatenate((win[later], w[split], w[split]))
         lo = np.concatenate((lo[later], pl[split], mid))
         hi = np.concatenate((hi[later], mid, ph[split]))
@@ -166,20 +163,18 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
         order = np.lexsort((lo[keep], win[keep]))
         win, lo, hi, depth = (x[keep][order] for x in (win, lo, hi, depth))
     if done:
-        w, pl, value, err = (np.concatenate(x) for x in zip(*done))
-        # Only the panels left of a window's failure count.
-        keep = np.flatnonzero(pl < fail_lo[w])
-        order = keep[np.lexsort((pl[keep], w[keep]))]
-        w, value, err = w[order], value[order], err[order]
-        for i, idx in _by_window(w, np.arange(w.size)):
-            results[i] = tuple(reduce(add, x[idx].tolist(), 0.0) for x in (value, err))
-    for i, (pl, ph, pd, v, e) in failures.items():
-        total, err_total = results[i]
-        results[i] = QuadratureError(
-            f"quadrature did not converge on [{pl}, {ph}] after depth {pd}",
-            value=total + float(v),
-            err_estimate=err_total + float(e),
-        )
+        w, pl, ph, pd, value, err, failed = (np.concatenate(x) for x in zip(*done))
+        # Each window's panels from left to right, as positions in the record.
+        order = np.lexsort((pl, w))
+        for i, idx in _by_window(w[order], order):
+            if fail_lo[i] != np.inf:  # a failed window: up to its leftmost failed panel
+                idx = idx[:np.argmax(failed[idx]) + 1]
+            total, err_total = (reduce(add, x[idx].tolist(), 0.0) for x in (value, err))
+            j = idx[-1]
+            results[i] = QuadratureError(
+                f"quadrature did not converge on [{float(pl[j])}, {float(ph[j])}] "
+                f"after depth {int(pd[j])}", value=total, err_estimate=err_total,
+            ) if failed[j] else (total, err_total)
     return results
 
 
@@ -192,7 +187,7 @@ def _by_window(w: np.ndarray, x: np.ndarray):
 
 def _panels(f, w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """GL15 values and |GL15 - GL7| error estimates of the panels [lo, hi] of windows w."""
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi
     half = 0.5 * (hi - lo)
     sums = np.empty((2, w.size))
     n_hi = _NODES_HI.size
@@ -266,7 +261,7 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     target = 1e-12 * (b - a)[w]
     live = np.flatnonzero(hi - lo > target)
     while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
+        mid = 0.5 * lo[live] + 0.5 * hi[live]
         # Where doubles are spaced wider than the target, a bracket ends when
         # no double lies between its ends: bisecting it would change nothing.
         inner = (lo[live] < mid) & (mid < hi[live])
@@ -278,7 +273,7 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
         lo[live] = np.where(left, lo[live], mid)
         flo[live] = np.where(left, flo[live], fmid)
         live = live[inner & (hi[live] - lo[live] > target[live])]
-    roots = np.concatenate((zero_t, 0.5 * (lo + hi)))
+    roots = np.concatenate((zero_t, 0.5 * lo + 0.5 * hi))
     root_win = np.concatenate((zero_w, w))
     order = np.lexsort((roots, root_win))
     roots, root_win = roots[order], root_win[order]

@@ -657,9 +657,11 @@ class TestNonFiniteInputs:
         assert record["message"].startswith(name)
 
     @pytest.mark.parametrize("argv", [("decay-rate", "--t-max", "1e308", "--n-points", "3"),
-                                      ("ratio", "--tau-d", "1e308")])
+                                      ("ratio", "--tau-d", "1e308"),
+                                      ("sweep-tau", "--tau-d", "1e308", "--n-points", "3")])
     @pytest.mark.filterwarnings("error")
     def test_overflowing_times_warn_nothing(self, capsys, argv):
-        # d t / 2 overflows to inf, which selects the split form without a RuntimeWarning.
+        # d t / 2 overflows to inf, which selects the split form without a RuntimeWarning,
+        # and panel and bisection midpoints are formed without adding the ends.
         code, _, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")

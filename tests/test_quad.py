@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from qslkit.quad import (
 def _depth_first(f, a, b, spec, breakpoints=()):
     """Reference: left-first depth-first bisection with one call per node set."""
     def panel(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        mid, half = 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
         values = []
         for n in (15, 7):
             nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -28,7 +30,9 @@ def _depth_first(f, a, b, spec, breakpoints=()):
 
     edges = [a] + [bp for bp in breakpoints if a < bp < b] + [b]
     stack = [(lo, hi, 0, panel(lo, hi)) for lo, hi in zip(edges, edges[1:])]
-    tol = max(spec.rel_tol * sum(abs(first[0]) for *_, first in stack), spec.abs_tol)
+    # Left to right, as the engine sums: sum() is compensated from Python 3.12.
+    tol = max(spec.rel_tol * reduce(add, (abs(first[0]) for *_, first in stack), 0.0),
+              spec.abs_tol)
     total = err_total = 0.0
     stack.reverse()
     while stack:
@@ -43,7 +47,7 @@ def _depth_first(f, a, b, spec, breakpoints=()):
                 f"quadrature did not converge on [{lo}, {hi}] after depth {depth}",
                 value=total + value, err_estimate=err_total + err,
             )
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         stack += [(mid, hi, depth + 1, None), (lo, mid, depth + 1, None)]
     return total, err_total
 
@@ -129,6 +133,33 @@ class TestIntegrate:
         f = lambda t: np.abs(np.sin(50.0 * t)) * np.exp(-t)
         args = f, 0.0, 1.0, spec, breakpoints
         assert _outcome(integrate, *args) == _outcome(_depth_first, *args)
+
+    def test_matches_depth_first_bisection_on_drawn_inputs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            freq=st.floats(1.0, 200.0),
+            b=st.floats(0.0, 2.0, exclude_min=True),
+            breakpoints=st.lists(st.floats(0.0, 2.0), max_size=4).map(lambda x: sorted(set(x))),
+            rel_tol=st.sampled_from([1e-9, 1e-12, 1e-14]),
+            abs_tol=st.sampled_from([0.0, 1e-12]),
+            max_depth=st.integers(0, 8),
+            panels_per_round=st.sampled_from([1, 2, 16]),
+        )
+        def check(freq, b, breakpoints, rel_tol, abs_tol, max_depth, panels_per_round):
+            f = lambda t: np.abs(np.sin(freq * t)) * np.exp(-t)
+            args = f, 0.0, b, QuadratureSpec(rel_tol, abs_tol, max_depth), tuple(breakpoints)
+            saved = quad_mod._PANELS_PER_ROUND
+            quad_mod._PANELS_PER_ROUND = panels_per_round
+            try:
+                outcome = _outcome(integrate, *args)
+            finally:
+                quad_mod._PANELS_PER_ROUND = saved
+            assert outcome == _outcome(_depth_first, *args)
+
+        check()
 
     def test_many_windows_match_one_at_a_time(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7)
@@ -320,6 +351,13 @@ class TestFindSignChanges:
     def test_probe_count_requirement(self):
         with pytest.raises(ValueError):
             find_sign_changes(np.cos, 0.0, 1.0, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_root_near_the_largest_double(self):
+        # lo + hi overflows to inf here; 0.5 * lo + 0.5 * hi does not.
+        roots = find_sign_changes(lambda t: t / 1e308 - 1.5, 1e308, 1.7e308)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(1.5e308, rel=1e-12)
 
 
 class TestCoarseThenFine:
