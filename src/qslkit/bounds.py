@@ -23,8 +23,9 @@ np.abs(C)**2 on the evolved one.
 
 Each estimator has a many-cell form (qsl_ratio_many, qsl_ratio_evolved_many,
 bures_comparator_many) that raises the first invalid window, in cell order,
-before any work, and returns per cell the result or its QuadratureError.
-The one-cell forms are the single-cell case and raise that error.
+before any work, and returns per cell the result or the engine's
+QuadratureError, relabelled to name the cell.  The one-cell forms are the
+single-cell case and raise that error.
 """
 
 from __future__ import annotations
@@ -157,14 +158,15 @@ class _Cells:
             bound = np.array(slope) * (t1 - t0) + 4.0 * np.array(err)
             return bound * (1.0 + _MARGIN) + _FLOOR
 
-    def integrate(self, integrand, spec: quad.QuadratureSpec | None) -> list:
-        """Per cell, the adaptive integral of integrand over its window, split at kinks.
+    def integrate(self, integrand, spec: quad.QuadratureSpec | None, epilogue) -> list:
+        """Per cell j, epilogue(j, value, err) of the adaptive integral of integrand over
+        its window, split at kinks, or the engine's QuadratureError for that window.
 
         integrand(rows, t) is a product of absolute values of the factors
         terms returns, so it has a kink wherever one of them changes sign.
         Their sign changes are found with the probes that thresholds cannot
-        exclude.  Returns (value, err), or a QuadratureError naming the model
-        point and the window.
+        exclude.  A failed cell's error is relabelled in place to name the
+        model point and the window, so it pickles back whole.
         """
         root_win, roots = quad.find_sign_changes_many(
             lambda rows, t: self.terms(rows, t)[2], self.a, self.b, self.n_probe,
@@ -173,19 +175,11 @@ class _Cells:
                                       spec or quad.QuadratureSpec())
         for j, (p, r) in enumerate(zip(self.params, results)):
             if isinstance(r, quad.QuadratureError):
-                results[j] = quad.QuadratureError(
-                    f"speed-limit integral failed for gamma0={p.gamma0}, delta={p.delta}, "
-                    f"window [{self.a[j]}, {self.b[j]}]: {r}",
-                    value=r.value,
-                    err_estimate=r.err_estimate,
-                )
-                results[j].__cause__ = r
+                r.args = (f"speed-limit integral failed for gamma0={p.gamma0}, delta={p.delta}, "
+                          f"window [{self.a[j]}, {self.b[j]}]: {r}",)
+            else:
+                results[j] = epilogue(j, *r)
         return results
-
-    @staticmethod
-    def merge(results: list, epilogue) -> list:
-        """Per cell j: its QuadratureError among results, or epilogue(j, value, err)."""
-        return [r if isinstance(r, Exception) else epilogue(j, *r) for j, r in enumerate(results)]
 
 
 def lambda_integrals(
@@ -202,17 +196,16 @@ def lambda_integrals(
     global initial state; the reference state is the trajectory point at
     tau_start.
     """
-    cells, cores, _ = _lambda_cores([p], rho0, tau_start, tau_d, spec)
-    value = raise_first(cells.merge(cores, lambda j, value, err: value))[0]
+    cells, integrand, _ = _lambda_cores([p], rho0, tau_start, tau_d)
+    [value] = raise_first(cells.integrate(integrand, spec, lambda j, v, err: 2.0 * v / tau_d))
     return value, value, value
 
 
-def _lambda_cores(
-    params: list[ModelParams], rho0: DensityMatrix2, tau_start: float, tau_d: float,
-    spec: quad.QuadratureSpec | None,
-):
-    """The cells; per cell (averaged integral, quadrature error) or its QuadratureError;
-    and the displacement (P - P_ref, coherence - its reference) of cells rows at nodes t."""
+def _lambda_cores(params: list[ModelParams], rho0: DensityMatrix2, tau_start: float,
+                  tau_d: float):
+    """The cells; the integrand, whose window integral I gives every averaged integral as
+    2 * I / tau_d (1, sqrt(2)*sqrt(2) and 2x the operator-norm integrand); and the
+    displacement (P - P_ref, coherence - its reference); both of cells rows at nodes t."""
     ree0 = rho0.excited_population
     coh0 = rho0.coherence
     cells = _Cells(params, [tau_start] * len(params), tau_d, "tau_start",
@@ -230,10 +223,7 @@ def _lambda_cores(
         c, _, (_, disp_pop) = cells.terms(rows, t)
         return np.stack((disp_pop, coh0 * c - coh_ref[rows, None]))
 
-    results = cells.integrate(integrand, spec)
-    # 1, sqrt(2)*sqrt(2), 2x the operator-norm integrand all give 2*I/tau_d.
-    cores = [r if isinstance(r, Exception) else (2.0 * r[0] / tau_d, r[1]) for r in results]
-    return cells, cores, displacement
+    return cells, integrand, displacement
 
 
 def qsl_ratio(
@@ -261,12 +251,13 @@ def qsl_ratio_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio for every model point in params; a failed cell's entry is its error."""
-    cells, cores, displacement = _lambda_cores(params, rho0, tau_start, tau_d, spec)
+    cells, integrand, displacement = _lambda_cores(params, rho0, tau_start, tau_d)
     if params:
         end = np.full((len(params), 1), tau_start + tau_d)
         disp = quad.evaluate(displacement, np.arange(len(params)), end)[:, :, 0]
 
-    def report(j, lam_val, err):
+    def report(j, value, err):
+        lam_val = 2.0 * value / tau_d
         disp_norm = 2.0 * math.sqrt(float(disp[0, j].real) ** 2 + abs(complex(disp[1, j])) ** 2)
         d_measure = 1.0 - 0.25 * disp_norm**2
         stationary = lam_val < _STATIONARY_TOL
@@ -287,7 +278,7 @@ def qsl_ratio_many(
             stationary=stationary,
         )
 
-    return cells.merge(cores, report)
+    return cells.integrate(integrand, spec, report)
 
 
 def qsl_ratio_evolved(
@@ -323,7 +314,7 @@ def qsl_ratio_evolved_many(
             return 1.0
         return (excited_population(cells.params[j], cells.b[j]) - cells.p_ref[j]) ** 2 / den
 
-    return cells.merge(cells.integrate(integrand, spec), ratio)
+    return cells.integrate(integrand, spec, ratio)
 
 
 def bures_comparator(
@@ -356,5 +347,4 @@ def bures_comparator_many(
         return (1.0 - excited_population(cells.params[j], tau_d)) / value
 
     # For the excited trajectory rhod is diagonal, so ||rhod||_inf = |Pdot|.
-    results = cells.integrate(lambda rows, t: np.abs(cells.terms(rows, t)[2]), spec)
-    return cells.merge(results, ratio)
+    return cells.integrate(lambda rows, t: np.abs(cells.terms(rows, t)[2]), spec, ratio)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import csvbytes
 from . import scan as scan_mod
-from .bounds import bures_comparator, bures_comparator_many, qsl_ratio, qsl_ratio_many
+from .bounds import bures_comparator_many, qsl_ratio_many
 from .model import ModelParams, amplitude_series, check_grid_size, oracle_amplitude
 from .quad import QuadratureSpec
 from .smatrix import DensityMatrix2
@@ -212,15 +212,16 @@ def _cmd_ratio(opts: dict) -> Columns:
     p = _model_params(opts)
     spec = _quad_spec(opts)
     tau_d = opts["tau_d"]
-    report = qsl_ratio(p, DensityMatrix2.excited(), tau_d, tau_start=opts["tau"], spec=spec)
+    [report] = qsl_ratio_many([p], DensityMatrix2.excited(), tau_d, opts["tau"], spec)
     # The Bures-angle comparator covers the window [0, tau_d] only.
-    comparator = bures_comparator(p, tau_d, spec=spec) if opts["tau"] == 0.0 else math.nan
-    row = (
-        p.gamma0, p.delta, p.lam, opts["tau"], report.tau_d, report.lambda1, report.lambda2,
-        report.lambda_inf, report.d_measure, report.tau_qsl, report.ratio,
-        comparator, report.stationary, report.quadrature_err,
-    )
-    return tuple([v] for v in row)
+    [comparator] = bures_comparator_many([p], tau_d, spec) if opts["tau"] == 0.0 else [math.nan]
+    if isinstance(report, Exception):
+        values = (math.nan,) * 5 + (report, comparator, False, math.nan)
+    else:
+        values = (report.lambda1, report.lambda2, report.lambda_inf, report.d_measure,
+                  report.tau_qsl, report.ratio, comparator, report.stationary,
+                  report.quadrature_err)
+    return tuple([v] for v in (p.gamma0, p.delta, p.lam, opts["tau"], tau_d, *values))
 
 
 def _gamma0_axis(opts: dict, n_name: str) -> np.ndarray:

@@ -147,7 +147,12 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
             for i, vals in _by_window(w, np.abs(value)):
                 tol[i] = max(spec.rel_tol * reduce(add, vals.tolist(), 0.0), spec.abs_tol)
             first = False
-        ok = (err <= tol[w] * (ph - pl) / width[w]) | (err <= spec.abs_tol)
+        with np.errstate(over="ignore"):
+            share = tol[w] * (ph - pl) / width[w]
+        # Where tol * (ph - pl) overflows, the panel's fraction of the width is taken first.
+        over = np.isinf(share)
+        share[over] = tol[w[over]] * ((ph[over] - pl[over]) / width[w[over]])
+        ok = (err <= share) | (err <= spec.abs_tol)
         # A panel whose lower end is not finite never converges: it fails at once.
         split = ~ok & (pd < spec.max_depth) & np.isfinite(pl)
         end, failed = ~split, ~ok & ~split

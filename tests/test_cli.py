@@ -53,6 +53,45 @@ class TestRatio:
         assert float(ratio_txt) == pytest.approx(0.47146600298396024, abs=1e-9)
         assert float(format(float(ratio_txt), ".17g")) == float(ratio_txt)
 
+    @pytest.mark.parametrize("gamma0, delta, tau, rel_tol, n_failed", [
+        (5.0, 0.0, 0.0, 1e-300, 2),  # both ratios fail
+        (1.0, 200.0, 0.0, 1e-14, 1),  # only the trace ratio fails
+        (5.0, 0.0, 0.3, 1e-300, 1),  # the trace ratio fails; no comparator off tau 0
+    ])
+    def test_failed_ratio_writes_its_row(self, capsys, gamma0, delta, tau, rel_tol, n_failed):
+        # The row is written, with NaN for every value of a failed trace report, and
+        # each failed ratio gets its record, carrying the one-cell call's message.
+        code, out, err = invoke(capsys, "ratio", "--gamma0", repr(gamma0), "--delta",
+                                repr(delta), "--tau", repr(tau), "--rel-tol", repr(rel_tol),
+                                "--abs-tol", "0")
+        header, *rows = (line.split(",") for line in out.strip().split("\n"))
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        p = ModelParams(gamma0, 50.0, delta)
+        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=0.0)
+        calls = {"ratio": lambda: qsl_ratio(p, DensityMatrix2.excited(), 0.2, tau, spec).ratio}
+        if tau == 0.0:
+            calls["comparator_ratio"] = lambda: bures_comparator(p, 0.2, spec)
+        else:
+            assert row["comparator_ratio"] == "nan"
+        expected = []
+        for column, call in calls.items():
+            try:
+                value = call()
+            except QuadratureError as exc:
+                assert row[column] == "nan"
+                expected.append((0, column, str(exc), exc.value))
+            else:
+                assert float(row[column]) == value
+        records = [json.loads(line) for line in err.splitlines()]
+        assert code == 1
+        assert [(r["row"], r["column"], r["message"], r["partial_value"]) for r in records] == (
+            expected)
+        assert len(expected) == n_failed
+        for column in ("lambda1", "lambda2", "lambda_inf", "d_measure", "tau_qsl", "quad_err"):
+            assert row[column] == "nan"
+        assert row["stationary"] == "false"
+
 
 class TestScan:
     def test_header_and_row_count(self, capsys):

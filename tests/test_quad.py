@@ -195,6 +195,13 @@ class TestIntegrate:
             integrate(f, a, b)
         assert len(calls) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_window_too_wide_for_the_tolerance_product(self):
+        # rel_tol * |value| * (hi - lo) overflows on a window 1e300 wide; each panel
+        # must still get its fraction of the tolerance, not an infinite one.
+        value, _ = integrate(lambda t: np.abs(np.sin(t * 1e-299)), 0.0, 1e300)
+        assert value == pytest.approx(1e299 * (7.0 - math.cos(10.0 - 3.0 * math.pi)), rel=1e-9)
+
     def test_no_windows(self):
         unused = lambda rows, t: 1 / 0
         assert integrate_many(unused, [], [], [], [], QuadratureSpec()) == []

@@ -15,7 +15,9 @@ with `--format json`, requests whose windows hold 20,000 probes or more
 (BIG_WINDOWS: `ratio --delta 10000`, `ratio --gamma0 1e6`, `scan --lambda
 1000`, `boundary --lambda 1500`, `sweep-tau --gamma0 1e6` and `compare-bounds
 --delta 10000`), requests whose quadrature fails (FAILURES: each integrating
-subcommand at `--rel-tol 1e-300 --abs-tol 0`, `boundary` at `--rel-tol 1e-15`
+subcommand at `--rel-tol 1e-300 --abs-tol 0`, `ratio` where only its trace
+ratio fails (`--gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0`) and where
+its comparator is not computed (`--tau 0.3`), `boundary` at `--rel-tol 1e-15`
 and the default `scan` at `--rel-tol 1e-13`, where 34 of 630 cells fail after
 some of their panels were accepted), windows at the edges of the doubles
 (EDGES: `sweep-tau --tau-d 1e308` and `ratio --tau-d 1e-320`), and a
@@ -56,6 +58,8 @@ BIG_WINDOWS = (
 # Requests that reach failed panels, with and without accepted panels left of them.
 FAILURES = (
     "ratio --rel-tol 1e-300 --abs-tol 0",
+    "ratio --gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0",
+    "ratio --tau 0.3 --rel-tol 1e-300 --abs-tol 0",
     "sweep-tau --rel-tol 1e-300 --abs-tol 0 --n-points 3",
     "scan --rel-tol 1e-300 --abs-tol 0 --n-gamma0 2 --n-delta 2",
     "compare-bounds --rel-tol 1e-300 --abs-tol 0 --n-points 2",
