@@ -11,6 +11,8 @@ matplotlib is available.
 
 import pathlib
 
+import numpy as np
+
 from qslkit import ModelParams, markov_tail, sweep_decay_rate
 
 LAM = 50.0
@@ -27,7 +29,7 @@ def main():
     for label, p, t_max, n in CASES:
         series = sweep_decay_rate(p, t_max, n, clip=10.0)
         series_by_case.append((label, p, series))
-        n_clip = sum(series.clipped)
+        n_clip = np.count_nonzero(series.clipped)
         print(
             f"{label:>24}: tail {series.values[-1]:>8.4f}, "
             f"markov tail {markov_tail(p):>8.4f}, clipped points {n_clip}"

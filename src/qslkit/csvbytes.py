@@ -1,11 +1,12 @@
 """CSV rows built as byte arrays in numpy, byte for byte as Python formats them.
 
-A chunk of rows becomes one uint8 matrix: each column contributes a
-fixed-width field matrix, followed by one "," or "\n" column.  A field
-fills the bytes a row does not use with 0xFF, a byte UTF-8 never contains,
-so compacting the matrix to its other bytes and decoding it once gives the
-rows' text.  Floats are written as '%.17g' % v, bools as true/false, and
-ints and strs as the UTF-8 bytes of str(v), NULs included.
+A chunk of rows becomes one matrix of 8-byte words: each column contributes
+a field of whole words per row, and each field ends in its column's
+separator, "," or "\n".  A field fills the bytes a row does not use with
+0xFF, a byte UTF-8 never contains, so deleting those bytes from the matrix
+(bytes.translate) and decoding the rest once gives the rows' text.  Floats
+are written as '%.17g' % v, bools as true/false, and ints and strs as the
+UTF-8 bytes of str(v), NULs included.
 
 Floats.  A finite nonzero v = +-m * 2**q, with m a 53-bit integer, is
 rounded to 17 significant digits D * 10**(E - 16) through one double-double
@@ -20,8 +21,18 @@ E + 1.  The digits are then laid out by %g's rules: fixed notation for
 kept.  Python formats the elements this cannot decide (a remainder within
 2**-40 of 1/2, which includes every exact tie, or an E not settled by one
 correction) and zeros, NaN and infinities.
-"""
 
+A float field is four words, 32 bytes; '%.17g' never needs more than 24.
+D's 17 ASCII digits are placed twice, copy A at bytes 6-22 and copy B one
+byte later.  A layout (sign, notation, significant digits) takes the
+integer digits from copy A and the fraction digits from copy B, with the
+point in the byte between them, so digits and point are contiguous.  The
+sign and "0.000" (fixed notation below one) end at byte 5, "e", the
+exponent's sign and its two or three digits start at byte 24, and byte 31
+is the separator.  Per layout, three tables of words say which bytes come
+from copy A and from copy B and hold the others, so each word of a field
+is three ANDs and ORs of its digits.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -36,25 +47,18 @@ _Q_MIN, _Q_MAX = -1126, 971
 _SLOTS = 4
 
 _FILL = 0xFF
+_FILL_BYTE = bytes([_FILL])
 _LE = np.dtype("<u8")  # words viewed as bytes, least significant byte first
 _ZEROS8 = 0x3030303030303030  # eight ASCII "0"s
 
-# A float field is six words, 48 bytes: a sign and "0.000" (fixed notation
-# below one), a spare byte, then the 17 digits at bytes 7-23; a point at
-# byte 24 followed by digits 1-16 again; "e", the exponent's sign and three
-# digits at bytes 41-45.  Integer digits come from the first copy, fraction
-# digits from the second.
-_FIRST, _POINT, _EXP, _FLOAT_WIDTH = 7, 24, 41, 48
-_SIGN_WORD = int.from_bytes(b"-0.000\xff\x00", "little")
+# A float field's copy A of the digits starts at byte _FIRST, its exponent at _EXP.
+_FIRST, _EXP, _FLOAT_WIDTH = 6, 24, 32
 # Float layouts: sign (2) x notation (fixed at E = -4..16, exponent of two
 # or three digits: 23) x significant digits (17).
 _NOTATIONS = 23
 _N_LAYOUTS = 2 * _NOTATIONS * 17
-# |E| <= 324 as three ASCII digits in the low bytes of a word, the first lowest.
-_EXP_DIGITS = sum((np.arange(325, dtype=np.uint64) // 10**k % 10 + ord("0")) << 8 * (2 - k)
-                  for k in range(3))
+_E_MAX = 324  # |E| of a double's 17-digit rounding
 
-_BOOL_BYTES = np.frombuffer(b"falsetrue\xff", dtype=np.uint8).reshape(2, 5)
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
@@ -78,54 +82,77 @@ def _power_parts(q: int, e: int) -> tuple[float, float, float, float]:
     return hi, hh, hi - hh, lo
 
 
-def _float_fills() -> np.ndarray:
-    """Per float layout (sign, notation, significant digits), 0xFF in each byte it leaves out."""
+def _float_layouts() -> np.ndarray:
+    """Per float layout (sign, notation, significant digits), eight words of
+    its first 24 bytes: 0xFF in the bytes it takes from copy A (three words)
+    and from copy B (the last two: the first word takes none), then its
+    other bytes (sign, "0.000", point, and 0xFF in each byte it leaves out)."""
     layout = np.arange(_N_LAYOUTS)
     notation = layout // 17 % _NOTATIONS
     n_sig = layout % 17 + 1
     fixed = notation < 21
     e = notation - 4
     below_one = fixed & (e < 0)
-    # Digits taken from the first copy: the integer digits, all of them below one.
+    # Digits taken from copy A: the integer digits, all of them below one.
     n_first = np.where(below_one, n_sig, np.where(fixed, e + 1, 1))
-    point = ~below_one & (n_sig > n_first)
-    digit = np.arange(17)
-    used = np.zeros((_N_LAYOUTS, _FLOAT_WIDTH), dtype=bool)
-    used[:, 0] = layout >= _N_LAYOUTS // 2
-    used[:, 1:3] = below_one[:, None]
-    used[:, 3:6] = below_one[:, None] & (digit[:3] < -e[:, None] - 1)
-    used[:, _FIRST:_POINT] = digit < n_first[:, None]
-    used[:, _POINT] = point
-    used[:, _POINT + 1:_EXP] = (point[:, None] & (digit[1:] >= n_first[:, None])
-                                & (digit[1:] < n_sig[:, None]))
-    used[:, _EXP:_EXP + 2] = ~fixed[:, None]
-    used[:, _EXP + 2] = notation == 22
-    used[:, _EXP + 3:_EXP + 5] = ~fixed[:, None]
-    return np.where(used, np.uint8(0), np.uint8(_FILL)).view(_LE)
+    digit = np.arange(_EXP) - _FIRST  # copy A's digit in each byte; copy B's is one less
+    take_a = (digit >= 0) & (digit < n_first[:, None])
+    take_b = ~below_one[:, None] & (digit > n_first[:, None]) & (digit <= n_sig[:, None])
+    other = np.where(take_a | take_b, np.uint8(0), np.uint8(_FILL))
+    # The sign and "0.000" end just before copy A: in the k-th byte before it,
+    # below one, "0." and -E - 1 zeros take k = 1 .. 1 - E.
+    k = -digit[:_FIRST]
+    zeros = np.where(below_one, 1 - e, 0)[:, None]
+    other[:, :_FIRST] = np.where(k == zeros - 1, ord("."), np.where(k <= zeros, ord("0"), _FILL))
+    other[:, :_FIRST][(layout >= _N_LAYOUTS // 2)[:, None] & (k == zeros + 1)] = ord("-")
+    point = np.flatnonzero(~below_one & (n_sig > n_first))
+    other[point, _FIRST + n_first[point]] = ord(".")
+    take_a, take_b = (np.where(take, np.uint8(_FILL), np.uint8(0)).view(_LE)
+                      for take in (take_a, take_b))
+    return np.concatenate((take_a, take_b[:, 1:], other.view(_LE)), axis=1)
+
+
+def _exponent_words() -> np.ndarray:
+    """Per E from -_E_MAX to _E_MAX, a float field's last word: 'e', the sign
+    and two or three digits in exponent notation, else 0xFF only."""
+    return np.array([int.from_bytes((b"" if -4 <= e < 17 else b"e%+03d" % e).ljust(8, b"\xff"),
+                                    "little") for e in range(-_E_MAX, _E_MAX + 1)], dtype=np.uint64)
 
 
 class _FloatTables:
-    """The float layouts' fills, and the parts of 10**(16 - E) * 2**q computed per key on first use."""
+    """The float layouts' words, per E the layout's base index and the
+    exponent word, and the parts of 10**(16 - E) * 2**q computed per key on
+    first use."""
 
     def __init__(self):
         n = (_Q_MAX - _Q_MIN + 1) * _SLOTS
         self.known = np.zeros(n, dtype=bool)
         self.parts = np.empty((n, 4))
-        self.fills = _float_fills()
+        # Per q, the first key's E: floor(log10(2**(q + 52))) - 1, exact for these q.
+        self.first_e = ((np.arange(_Q_MIN, _Q_MAX + 1) + 52) * 78913 >> 18) - 1
+        self.layouts = _float_layouts()
+        g = np.arange(10**4, dtype=np.uint64)  # four ASCII digits, the first lowest
+        self.digits = sum((g // 10**k % 10 + ord("0")) << 8 * (3 - k) for k in range(4))
+        e = np.arange(-_E_MAX, _E_MAX + 1)
+        notation = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+        self.layout_base = notation * 17 - 1  # plus the significant digits
+        self.exponent = _exponent_words()
 
     def powers(self, q: np.ndarray, e: np.ndarray):
-        """P's parts (hi, hi's halves, lo) per element, and where E lies outside the keys."""
-        base = ((q + 52) * 78913) >> 18  # floor(log10(2**(q + 52))), exact for these q
-        slot = e - base + 1
-        outside = (slot < 0) | (slot >= _SLOTS)
-        key = (q - _Q_MIN) * _SLOTS + np.clip(slot, 0, _SLOTS - 1)
-        known = self.known[key]
+        """P's parts (hi, hi's halves, lo), one row each, and where E lies outside the keys."""
+        row = q - _Q_MIN
+        slot = e - np.take(self.first_e, row)
+        outside = slot.view(np.uint64) >= _SLOTS  # a negative slot too
+        # Where E is outside, another key or, clipped, an end key: the row falls back.
+        key = row * _SLOTS + slot
+        known = np.take(self.known, key, mode="clip")
         if not known.all():
+            key = np.clip(key, 0, self.known.size - 1)
             for k in set(key[~known].tolist()):
-                q_k = k // _SLOTS + _Q_MIN
-                self.parts[k] = _power_parts(q_k, ((q_k + 52) * 78913 >> 18) + k % _SLOTS - 1)
+                row, slot = divmod(k, _SLOTS)
+                self.parts[k] = _power_parts(row + _Q_MIN, int(self.first_e[row]) + slot)
             self.known[key] = True
-        return np.take(self.parts, key, axis=0).T, outside
+        return np.take(self.parts, key, axis=0, mode="clip").T, outside
 
 
 def _scaled(m: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,27 +168,18 @@ def _scaled(m: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y_hi, t - (y_hi - p)
 
 
-def _ascii8(x: np.ndarray) -> np.ndarray:
-    """The eight decimal digits of each uint64 x < 10**8 as ASCII bytes of one word."""
-    hi = x // 10000
-    v = hi | (x - hi * 10000) << 32  # two four-digit lanes, the leading one lowest
-    q = (v * 10486 >> 20) & 0x0000007F0000007F  # lane // 100
-    v = q | (v - q * 100) << 16
-    q = (v * 103 >> 10) & 0x000F000F000F000F  # lane // 10
-    return (q | (v - q * 10) << 8) + _ZEROS8
-
-
-def _last_nonzero(words: np.ndarray) -> np.ndarray:
-    """Per _ascii8 word, the index of its last digit that is not 0, or -1."""
-    # 0x80 in each byte whose digit is not 0; a sum of such bits is exact in a double.
-    flags = ((words - _ZEROS8) + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
-    return np.frexp(flags.astype(float))[1] // 8 - 1
+def _significant_digits(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Per 17-digit string (a nonzero lead, then words w1 and w2 of eight
+    ASCII digits, the first lowest), its length without trailing zeros."""
+    # 1 in the low bit of each byte whose digit is not 0; a double's exponent finds the last.
+    low, high = (((w - _ZEROS8) + 0x7F7F7F7F7F7F7F7F) >> 7 & 0x0101010101010101 for w in (w1, w2))
+    return (np.frexp(high.view(np.int64) * 2.0**64 + low.view(np.int64))[1] + 7) // 8 + 1
 
 
 def _bytes_field(blobs: list[bytes]) -> np.ndarray:
-    """Byte strings left-aligned in a field matrix."""
+    """Byte strings left-aligned in a field matrix of whole words."""
     lengths = np.fromiter(map(len, blobs), dtype=np.intp, count=len(blobs))
-    used = np.arange(max(lengths.max(initial=0), 1)) < lengths[:, None]
+    used = np.arange(-(-max(lengths.max(initial=0), 1) // 8) * 8) < lengths[:, None]
     field = np.full(used.shape, _FILL, dtype=np.uint8)
     field[used] = np.frombuffer(b"".join(blobs), dtype=np.uint8)
     return field
@@ -190,32 +208,40 @@ def _float_field(x: np.ndarray, tables: _FloatTables) -> np.ndarray:
     d = np.where(settled, y_hi, 1e16).astype(np.int64) + whole.astype(np.int64) + (rem > 0.5)
     up = d == 10**17
     d[up] = 10**16
-    e = np.clip(e + up, -324, 324)
+    e += up + _E_MAX  # the index of the per-E tables; takes clip a row that falls back
 
-    # D as its leading digit and two words of eight ASCII digits.
-    lead, rest = np.divmod(d.astype(np.uint64), 10**16)
-    w1, w2 = _ascii8(np.concatenate(np.divmod(rest, 10**8))).reshape(2, -1)
-    tail1, tail2 = _last_nonzero(np.stack((w1, w2)))
-    n_sig = np.where(tail2 >= 0, 10 + tail2, np.where(tail1 >= 0, 2 + tail1, 1))
-    notation = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
-    layout = (np.signbit(x) * _NOTATIONS + notation) * 17 + n_sig - 1
-
-    words = np.take(tables.fills, layout, axis=0)
-    words[:, 0] |= _SIGN_WORD | (lead + ord("0")) << 56
-    words[:, 1] |= w1
-    words[:, 2] |= w2
-    words[:, 3] |= ord(".") | w1 << 8
-    words[:, 4] |= w1 >> 56 | w2 << 8
-    exp_sign = np.where(e < 0, ord("-"), ord("+")).astype(np.uint64)
-    words[:, 5] |= w2 >> 56 | ord("e") << 8 | exp_sign << 16 | _EXP_DIGITS[np.abs(e)] << 24
-    field = words.astype(_LE, copy=False).view(np.uint8)
+    # D as its leading digit and two words of eight ASCII digits, the first lowest.
+    d = d.astype(np.uint64)
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    first8 = rest // 10**8
+    halves = np.concatenate((first8, rest - first8 * 10**8)).view(np.int64)
+    first4 = halves // 10**4
+    w1, w2 = (np.take(tables.digits, first4)
+              | np.take(tables.digits, halves - first4 * 10**4) << 32).reshape(2, -1)
+    # The layout, then the field's words: copy A is lead, w1 and w2 from byte 6,
+    # copy B's digits after the lead are w1 and w2 from byte 8.
+    layout = np.take(tables.layout_base, e, mode="clip") + _significant_digits(w1, w2)
+    layout += np.signbit(x) * (_N_LAYOUTS // 2)
+    a0, a1, a2, b1, b2, o0, o1, o2 = np.take(tables.layouts, layout, axis=0).T
+    words = np.empty((x.size, _FLOAT_WIDTH // 8), dtype=_LE)
+    words[:, 0] = (lead + ord("0") << 48 | w1 << 56) & a0 | o0
+    words[:, 1] = (w1 >> 8 | w2 << 56) & a1 | w1 & b1 | o1
+    words[:, 2] = w2 >> 8 & a2 | w2 & b2 | o2
+    words[:, 3] = np.take(tables.exponent, e, mode="clip")
 
     rows = np.flatnonzero(fallback)
     if rows.size:
-        text = _bytes_field([b"%.17g" % v for v in x[rows].tolist()])
-        field[rows] = _FILL
-        field[rows, :text.shape[1]] = text
-    return field
+        text = _bytes_field([b"%.17g" % v for v in x[rows].tolist()]).view(_LE)
+        words[rows] = ~np.uint64(0)
+        words[rows, :text.shape[1]] = text
+    return words
+
+
+def _bool_words(sep: int) -> np.ndarray:
+    """false and true, right-aligned before sep in a word."""
+    return np.array([int.from_bytes(text.rjust(7, b"\xff") + bytes([sep]), "little")
+                     for text in (b"false", b"true")], dtype=_LE)
 
 
 class RowWriter:
@@ -227,22 +253,25 @@ class RowWriter:
     def rows(self, cols: list[np.ndarray], kinds: tuple[str, ...]) -> str:
         """The CSV text of the rows of cols, one numpy array per column."""
         n = len(cols[0])
-        # The float columns are formatted together, one element per (row, column).
-        floats = [col for col, kind in zip(cols, kinds) if kind == "float"]
+        seps = [_COMMA] * (len(cols) - 1) + [_NEWLINE]
+        # The float columns are formatted together, one element per (row, column),
+        # each with its separator in the last byte, which every layout leaves out.
+        floats = [c for c, kind in enumerate(kinds) if kind == "float"]
         if floats:
             if self._tables is None:
                 self._tables = _FloatTables()
-            float_fields = iter(_float_field(np.stack(floats, axis=1).ravel(), self._tables)
-                                .reshape(n, len(floats), _FLOAT_WIDTH).transpose(1, 0, 2))
+            words = _float_field(np.stack([cols[c] for c in floats], axis=1).ravel(),
+                                 self._tables).reshape(n, len(floats), _FLOAT_WIDTH // 8)
+            words[:, :, -1] ^= np.array([(_FILL ^ seps[c]) << 56 for c in floats], dtype=_LE)
+            float_fields = iter(words.transpose(1, 0, 2))
+        # Each column as words of its fields, separators included.
         parts = []
-        for c, (col, kind) in enumerate(zip(cols, kinds)):
+        for col, kind, sep in zip(cols, kinds, seps):
             if kind == "float":
-                field = next(float_fields)
+                parts.append(next(float_fields))
             elif kind == "bool":
-                field = _BOOL_BYTES[col.view(np.uint8)]
+                parts.append(_bool_words(sep)[col.view(np.uint8), None])
             else:
-                field = _bytes_field([str(v).encode() for v in col.tolist()])
-            sep = _NEWLINE if c == len(cols) - 1 else _COMMA
-            parts += [field, np.full((n, 1), sep, dtype=np.uint8)]
-        chunk = np.concatenate(parts, axis=1)
-        return chunk[chunk != _FILL].tobytes().decode()
+                parts.append(_bytes_field([str(v).encode() + bytes([sep]) for v in col.tolist()])
+                             .view(_LE))
+        return np.concatenate(parts, axis=1).tobytes().translate(None, _FILL_BYTE).decode()

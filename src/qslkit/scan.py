@@ -61,7 +61,8 @@ class ScanGrid:
 class TimeSeries:
     """A sampled scalar time series with optional per-point clip markers and errors.
 
-    A point whose value failed holds NaN, and its exception in errors.
+    clipped is a bool array like times and values.  A point whose value
+    failed holds NaN, and its exception in errors.
     """
 
     times: np.ndarray
@@ -69,7 +70,7 @@ class TimeSeries:
     kind: str
     params: ModelParams
     clip: float | None = None
-    clipped: list[bool] | None = None
+    clipped: np.ndarray | None = None
     errors: list[quad.QuadratureError | None] | None = None
 
 
@@ -169,7 +170,7 @@ def sweep_tau(
     check_grid_size("n_points", n_points, 2)
     if not math.isfinite(tau_max):
         raise ValueError(f"tau_max must be finite, got {tau_max}")
-    taus = np.linspace(0.0, tau_max, n_points)
+    taus = np.linspace(0.0, tau_max + 0.0, n_points)  # a grid to -0.0 ends at +0.0
     results = qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec)
     errors = [r if isinstance(r, Exception) else None for r in results]
     values = np.array([r if e is None else math.nan for r, e in zip(results, errors)], dtype=float)
@@ -190,11 +191,11 @@ def sweep_decay_rate(
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if not clip > 0.0:  # NaN fails too
         raise ValueError("clip must be positive")
-    times = np.linspace(0.0, t_max, n_points)
+    times = np.linspace(0.0, t_max + 0.0, n_points)  # a grid to -0.0 ends at +0.0
     raw = np.asarray(decay_rate(p, times), dtype=float) / p.gamma0
     nan = np.isnan(raw)
     values = np.where(nan, clip, np.clip(raw, -clip, clip))
-    clipped = (nan | (np.abs(raw) > clip)).tolist()
+    clipped = nan | (np.abs(raw) > clip)
     return TimeSeries(
         times=times, values=values, kind="decay_rate", params=p, clip=clip, clipped=clipped
     )

@@ -231,6 +231,22 @@ class TestDecayRate:
         assert max(abs(v) for v in values) <= 10.0
 
 
+class TestGridEndingAtNegativeZero:
+    # -0.0 passes the nonnegative checks; the grid still ends at +0.0.
+    @pytest.mark.parametrize("argv, name", [
+        (("decay-rate", "--t-max", "-0.0", "--n-points", "3"), "t"),
+        (("sweep-tau", "--tau-max", "-0.0", "--n-points", "3"), "tau"),
+    ])
+    def test_last_time_prints_as_zero(self, capsys, argv, name):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == [name, "0", "0", "0"]
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert [row[name] for row in json.loads(out)] == [0.0] * 3
+        assert out.count(f'"{name}": 0.0,') == 3 and f'"{name}": -0.0' not in out
+
+
 class TestCompareBounds:
     def test_header_and_plateaus(self, capsys):
         code, out, _ = invoke(

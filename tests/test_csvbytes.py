@@ -97,3 +97,41 @@ class TestExactPercentG:
             assert written([v]) == percent_g([v])
 
         check()
+
+
+class TestRowAssembly:
+    """Whole rows of mixed columns against a pure-Python reference."""
+
+    @staticmethod
+    def columns(n: int, order: tuple[str, ...]) -> list:
+        rng = np.random.default_rng(n)
+        pool = np.concatenate([
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.1, -1.5, 100.0, 1e16, 1e17, 1.25e-5,
+             -9.5e-5, 1e-300, -2.5e-310, 5e-324, 1.7976931348623157e308, -1.2345678901234567e200,
+             0.5, 2.5e16],
+            exact_ties(rng, 2)[:40],
+            rng.integers(0, 2**64, 200, dtype=np.uint64).view(float),
+        ])
+        labels = ["speed_up", "", "é", "a b", "nul\x00", "%s", "no_speed_up"]
+        make = {
+            "float": lambda: rng.choice(pool, n),
+            "bool": lambda: rng.integers(0, 2, n).astype(bool),
+            "int": lambda: rng.integers(-2**63, 2**63 - 1, n, endpoint=True),
+            "str": lambda: np.array([labels[k] for k in rng.integers(0, len(labels), n)],
+                                    dtype=object),
+        }
+        return [make[kind]() for kind in order]
+
+    @staticmethod
+    def reference(cols: list, order: tuple[str, ...]) -> str:
+        cell = {"float": lambda v: "%.17g" % v, "bool": lambda v: "true" if v else "false",
+                "int": str, "str": str}
+        return "".join(",".join(cell[kind](v) for kind, v in zip(order, row)) + "\n"
+                       for row in zip(*(col.tolist() for col in cols)))
+
+    @pytest.mark.parametrize("order", [("float", "bool", "float", "int", "str"),
+                                       ("str", "int", "float", "bool", "float")])
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_mixed_chunk_matches_join(self, n, order):
+        cols = self.columns(n, order)
+        assert csvbytes.RowWriter().rows(cols, order) == self.reference(cols, order)

@@ -296,9 +296,10 @@ class TestSweepDecayRate:
         for t_max in (0.5, 1.2):
             series = sweep_decay_rate(p, t_max, 2001)
             raw = decay_rate(p, series.times) / p.gamma0
-            assert isinstance(series.clipped, list)
+            assert isinstance(series.clipped, np.ndarray)
+            assert series.clipped.dtype == bool and series.clipped.shape == series.times.shape
             assert np.any(np.isnan(raw)) == (t_max > 1.0)
-            for v, r, c in zip(series.values, raw, series.clipped):
+            for v, r, c in zip(series.values.tolist(), raw.tolist(), series.clipped.tolist()):
                 assert type(c) is bool
                 if math.isnan(r):
                     assert c and v == series.clip

@@ -11,10 +11,15 @@ delta 40 (there the 20,000-point call has 15,772 cosh/sinhc nodes, fewer than
 both sides of `quad._CHUNK_POINTS` and of `model.REUSE_POINTS`), each at the
 default `--t-max` (no split node) and at `--t-max 2` (both forms),
 `oracle-check --step 5e-5` (20,001 nodes), every subcommand at its defaults
-with `--format json`, requests whose windows hold 20,000 probes or more
-(BIG_WINDOWS: `ratio --delta 10000`, `ratio --gamma0 1e6`, `scan --lambda
-1000`, `boundary --lambda 1500`, `sweep-tau --gamma0 1e6` and `compare-bounds
---delta 10000`), requests whose quadrature fails (FAILURES: each integrating
+with `--format json`, requests that reach the CSV writer's rarer float
+layouts or cross a JSON chunk (WRITER: `decay-rate --gamma0 500 --clip
+1e-5`, where every row but t = 0 is clipped to +-1e-5 in exponent notation,
+86 of them negative, `decay-rate --t-max 1e-300 --n-points 3`, whose times
+have three-digit exponents, and `decay-rate --n-points 4097 --format json`),
+requests whose windows hold 20,000 probes or more (BIG_WINDOWS: `ratio
+--delta 10000`, `ratio --gamma0 1e6`, `scan --lambda 1000`, `boundary
+--lambda 1500`, `sweep-tau --gamma0 1e6` and `compare-bounds --delta
+10000`), requests whose quadrature fails (FAILURES: each integrating
 subcommand at `--rel-tol 1e-300 --abs-tol 0`, `ratio` where only its trace
 ratio fails (`--gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0`) and where
 its comparator is not computed (`--tau 0.3`), `boundary` at `--rel-tol 1e-15`
@@ -66,6 +71,12 @@ FAILURES = (
     "boundary --rel-tol 1e-15 --abs-tol 0 --n-gamma0 6 --n-delta 3",
     "scan --rel-tol 1e-13 --abs-tol 0",
 )
+# Rarer float layouts of the CSV writer, and two JSON chunks.
+WRITER = (
+    "decay-rate --gamma0 500 --clip 1e-5",
+    "decay-rate --t-max 1e-300 --n-points 3",
+    "decay-rate --n-points 4097 --format json",
+)
 # Windows whose ends lie near the largest and smallest doubles.
 EDGES = (
     "sweep-tau --tau-d 1e308 --n-points 3",
@@ -94,7 +105,7 @@ def requests():
     for command in ("ratio", "scan", "boundary", "sweep-tau", "decay-rate", "compare-bounds",
                     "oracle-check"):
         yield [command, "--format", "json"]
-    yield from (argv.split() for argv in BIG_WINDOWS + FAILURES + EDGES)
+    yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
 
