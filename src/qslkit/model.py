@@ -8,7 +8,7 @@ C(t) has two equal forms: cosh/sinhc, exact through critical coupling d = 0,
 and split-exponential, finite at large t.  _closed_form gives the split form to
 the nodes where |d t / 2| > 25 and evaluates each form only where selected.
 amplitude_series runs it in chunks of quad._CHUNK_POINTS nodes, with the bits
-of one unchunked call: from REUSE_POINTS nodes on, env * inner as inner * env.
+of one unchunked call.
 
 decay_rate() and lamb_shift() return math.nan at (isolated) zeros of C(t),
 where the master-equation coefficients are genuinely singular; callers that
@@ -165,24 +165,20 @@ def coefficient_table(params: list[ModelParams]) -> _Coefficients:
     return _Coefficients(*columns)
 
 
-# numpy reuses temporaries of this many complex elements (256 KiB) or more, and
-# may then swap the operands of a complex multiply, which changes last bits.
-REUSE_POINTS = 16384
-
 # The columns that each form of the closed form reads besides half_d.
 _MID = ("neg_mu", "mu", "cdot_scale")
 _SPLIT = ("s_plus", "s_minus", "a_plus", "a_minus", "as_plus", "as_minus")
 
 
-def _mid_form(k: _Coefficients, t, x, swap: bool):
-    """C and Cdot in the cosh/sinhc form at x = d t / 2, with env * inner as inner * env if swap.
+def _mid_form(k: _Coefficients, t, x):
+    """C and Cdot in the cosh/sinhc form at x = d t / 2.
 
     Exact through d = 0, but its factors overflow separately once Re(d) t / 2 grows large.
     """
     env = np.exp(k.neg_mu * t)
     shc = _sinhc(x)
     inner = np.cosh(x) + k.mu * t * shc
-    return inner * env if swap else env * inner, k.cdot_scale * t * shc * env
+    return env * inner, k.cdot_scale * t * shc * env
 
 
 def _split_form(k: _Coefficients, t):
@@ -192,18 +188,18 @@ def _split_form(k: _Coefficients, t):
     return k.a_plus * e_plus + k.a_minus * e_minus, k.as_plus * e_plus + k.as_minus * e_minus
 
 
-def _closed_form(k: _Coefficients, t, rows=None, swap=False) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form(k: _Coefficients, t, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """C(t) and Cdot(t) from coefficients k, broadcast against the times t.
 
     k holds one cell's scalars (formed in Python, so only t-dependent
     operations run as arrays) or, given rows, the table whose row rows[i]
     belongs to t[i].  A node takes the split form where |d t / 2| > 25, the
-    cosh/sinhc form elsewhere; swap computes its env * inner as inner * env.
-    Each form runs only on the entries of t's leading axis (nodes of a 1-D t,
-    rows of a 2-D one) that hold a node selecting it; a row holding both
-    selects per node.  In an array call a node's bits do not depend on the
-    call that holds it.  A 0-d call returns numpy scalars, or 0-d arrays if
-    it is split.
+    cosh/sinhc form elsewhere.  Each form runs only on the entries of t's
+    leading axis (nodes of a 1-D t, rows of a 2-D one) that hold a node
+    selecting it; a row holding both selects per node.  In an array call a
+    node's bits depend neither on the size of the call that holds it nor on
+    its other nodes.  A 0-d call returns numpy scalars, or 0-d arrays if it
+    is split.
     """
     def at(names, lead=slice(None)):
         """k with its columns names gathered at the rows of t[lead]."""
@@ -214,13 +210,13 @@ def _closed_form(k: _Coefficients, t, rows=None, swap=False) -> tuple[np.ndarray
         x = at(("half_d",)).half_d * t
         big = np.abs(x) > 25.0
         if not np.any(big):
-            return _mid_form(at(_MID), t, x, swap)
+            return _mid_form(at(_MID), t, x)
         if np.all(big):
             c, cdot = _split_form(at(_SPLIT), t)
             return (c, cdot) if big.ndim else (np.asarray(c), np.asarray(cdot))
         axes = tuple(range(1, big.ndim))
         lead_mid, lead_big = ~big.all(axis=axes), big.any(axis=axes)
-        mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid], swap)
+        mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid])
         c, cdot = np.empty(big.shape, complex), np.empty(big.shape, complex)
         c[lead_mid], cdot[lead_mid] = mid
         sel = big[lead_big] if big.ndim > 1 else ...
@@ -232,9 +228,8 @@ def _closed_form(k: _Coefficients, t, rows=None, swap=False) -> tuple[np.ndarray
 def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form C(t) and Cdot(t) on an array of times t >= 0.
 
-    The nodes are evaluated in chunks of at most quad._CHUNK_POINTS, each
-    with the operand order of one call over all of t, so the bits do not
-    depend on the chunk size.  A 0-d t is one call.
+    The nodes are evaluated in chunks of at most quad._CHUNK_POINTS, with
+    the bits of one call over all of t.  A 0-d t is one call.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
@@ -242,11 +237,10 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     k = _coefficients(p)
     if not t.ndim:
         return _closed_form(k, t)
-    swap = t.size >= REUSE_POINTS
     flat, step = t.ravel(), quad._CHUNK_POINTS
     c, cdot = np.empty(t.size, complex), np.empty(t.size, complex)
     for i in range(0, t.size, step):
-        c[i:i + step], cdot[i:i + step] = _closed_form(k, flat[i:i + step], swap=swap)
+        c[i:i + step], cdot[i:i + step] = _closed_form(k, flat[i:i + step])
     return c.reshape(t.shape), cdot.reshape(t.shape)
 
 
@@ -254,7 +248,7 @@ def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
     """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
 
     Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
-    One call, in the operand order of calls of fewer than REUSE_POINTS nodes.
+    One call, whose row i has the bits of a one-cell call over t[i].
     """
     return _closed_form(table, t, rows)
 

@@ -170,6 +170,8 @@ def sweep_tau(
     check_grid_size("n_points", n_points, 2)
     if not math.isfinite(tau_max):
         raise ValueError(f"tau_max must be finite, got {tau_max}")
+    if tau_max < 0.0:
+        raise ValueError(f"tau_max must be nonnegative, got {tau_max}")
     taus = np.linspace(0.0, tau_max + 0.0, n_points)  # a grid to -0.0 ends at +0.0
     results = qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec)
     errors = [r if isinstance(r, Exception) else None for r in results]

@@ -360,7 +360,7 @@ class TestCertifiedProbing:
         detuning = st.floats(0.0, 20.0) | st.sampled_from([0.0, 1e-9])
 
         @hypothesis.settings(max_examples=150, deadline=None)
-        # A window of 20,372 probes, more than model.REUSE_POINTS.
+        # A window of 20,372 probes, five chunks of quad._CHUNK_POINTS.
         @hypothesis.example(cells=[(0.1, 200.0)], start=0.0, tau_d=10.0, path="excited")
         @hypothesis.given(
             cells=st.lists(st.tuples(coupling, detuning), min_size=1, max_size=4),
@@ -379,7 +379,7 @@ class TestCertifiedProbing:
         check()
 
     def test_a_large_window_is_probed_in_chunks(self, closed_form_calls):
-        # A window of 20,372 probes at delta = 200 lam, more than model.REUSE_POINTS.
+        # A window of 20,372 probes at delta = 200 lam, five chunks of quad._CHUNK_POINTS.
         assert 0.0 < qsl_ratio(ModelParams(5.0, LAM, 10000.0), EXCITED, 0.2).ratio <= 1.0
         assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
 

@@ -505,8 +505,9 @@ class TestDeterminism:
             ("sweep-tau", "--rel-tol", "1e-16", "--abs-tol", "0", "--gamma0", "1000",
              "--delta", "200", "--n-points", "20"),
             ("compare-bounds", "--rel-tol", "1e-16", "--abs-tol", "0", "--n-points", "10"),
-            # One amplitude_series call of both forms and more than model.REUSE_POINTS nodes.
+            # 20,001 and 20,000 nodes of both forms: five amplitude_series chunks each.
             ("decay-rate", "--gamma0", "500", "--t-max", "2", "--n-points", "20001"),
+            ("decay-rate", "--delta", "40", "--n-points", "20000"),
         ],
     )
     def test_batch_size_does_not_change_bytes(self, capsys, monkeypatch, argv):
@@ -699,6 +700,8 @@ class TestNonFiniteInputs:
              "gamma0=1e+300, delta=0.0 and window [0.0, 0.2] ask for 2.03718e+151 probes"),
             (("ratio", "--gamma0", "1e300", "--tau-d", "1e300"),
              "gamma0=1e+300, delta=0.0 and window [0.0, 1e+300] ask for inf probes"),
+            (("sweep-tau", "--tau-max", "-1", "--n-points", "3"),
+             "tau_max must be nonnegative, got -1.0"),
         ],
     )
     # A warning (numpy's RuntimeWarning, say) fails the test: stderr must hold

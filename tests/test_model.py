@@ -8,10 +8,10 @@ import pytest
 
 import qslkit.quad as quad_mod
 from qslkit.model import (
-    REUSE_POINTS,
     Amplitude,
     ModelParams,
     _amplitude_cddot,
+    _closed_form,
     _coefficients,
     _mid_form,
     _sinhc,
@@ -179,13 +179,16 @@ class TestAmplitude:
         for gamma0, delta in ((0.1 * LAM, 6.0 * LAM), (10.0 * LAM, 0.0)):
             assert np.all(split(gamma0, delta, np.linspace(30.0 / LAM, 50.0 / LAM, 1001)))
             assert 0 < np.count_nonzero(split(gamma0, delta, np.linspace(0.0, 50.0 / LAM, 20001)))
-        # The detuned 20,000-node call: its cosh/sinhc nodes are fewer than
-        # REUSE_POINTS, the whole call is not.
-        big = split(0.1 * LAM, 0.8 * LAM, np.linspace(0.0, 50.0 / LAM, 20000))
-        assert np.count_nonzero(big) and np.count_nonzero(~big) < REUSE_POINTS <= big.size
+        # The detuned calls of the chunk-size test hold both forms. The 40,000-node
+        # one gives the cosh/sinhc form 16,384 nodes or more (256 KiB of complex
+        # values), where numpy may evaluate a product into its temporary right
+        # operand and so swap the operands of a complex multiply.
+        for n, n_mid in ((20000, 15772), (40000, 31544)):
+            big = split(0.1 * LAM, 0.8 * LAM, np.linspace(0.0, 50.0 / LAM, n))
+            assert np.count_nonzero(big) and np.count_nonzero(~big) == n_mid
 
     def test_series_calls_hold_at_most_one_chunk(self, closed_form_calls):
-        # 20,001 nodes of both forms, more than REUSE_POINTS.
+        # 20,001 nodes of both forms, five chunks.
         decay_rate(ModelParams(500.0, 50.0, 0.0), np.linspace(0.0, 1.0, 20001))
         assert len(closed_form_calls) == 5
         assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
@@ -200,14 +203,17 @@ class TestAmplitude:
         assert c.tolist() == [1.0, 0.0] and cdot[1] == 0.0 and at_end == (0.0, 0.0)
 
     def test_series_bits_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        # The chunks of a call of REUSE_POINTS nodes or more keep the whole call's
-        # operand order, so chunks of 7 nodes give its bits too.
+        # Chunks of 7 nodes and of the default size give the bits of one unchunked
+        # call: a node's bits depend neither on its call's size nor on its other nodes.
         p = ModelParams(0.1 * LAM, LAM, 0.8 * LAM)
-        t = np.linspace(0.0, 50.0 / LAM, 20000)
-        want = _both_forms(_coefficients(p), t)
-        monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", 7)
-        for got, w in zip(amplitude_series(p, t), want):
-            _assert_same_bits(got, w)
+        default = quad_mod._CHUNK_POINTS
+        for n in (20000, 40000):
+            t = np.linspace(0.0, 50.0 / LAM, n)
+            want = _closed_form(_coefficients(p), t)
+            for chunk in (7, default):
+                monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", chunk)
+                for got, w in zip(amplitude_series(p, t), want):
+                    _assert_same_bits(got, w)
 
     @pytest.mark.parametrize("n", [50, 4000])
     @pytest.mark.parametrize("kept", [[0, 1, 2, 3, 4, 5], [0, 3], [1, 4], [2, 5], [1, 2, 3]])
@@ -218,9 +224,7 @@ class TestAmplitude:
                    (0, 5.0, 15.0)]
         rows = np.array([windows[i][0] for i in kept])
         t = np.array([np.linspace(lo, hi, n) / LAM for _, lo, hi in windows])[kept]
-        # At n = 4000 the whole call reaches REUSE_POINTS, each row alone does not:
-        # a cells call never swaps, so its rows are those of one-row calls.
-        assert 4000 < REUSE_POINTS <= 6 * 4000
+        # At n = 4000 a call holds up to 24,000 nodes, more than 16,384, and each row 4,000.
         table = coefficient_table(params)
         c, cdot = amplitude_cells(table, rows, t)
         for j, row in enumerate(rows.tolist()):
@@ -243,7 +247,7 @@ class TestAmplitude:
             hypothesis.assume(p.complex_root != 0)
             k = _coefficients(p)
             t = np.asarray(50.0 / abs(p.complex_root))
-            mid = _mid_form(k, t, k.half_d * t, False)
+            mid = _mid_form(k, t, k.half_d * t)
             split = _split_form(k, t)
             err = amplitude_bounds(coefficient_table([p]), np.array([0]), t[None], t[None])[3:, 0]
             for a, b, e in zip(mid, split, err):
@@ -259,7 +263,8 @@ def _both_forms(k, t):
     with np.errstate(over="ignore", invalid="ignore"):
         env = np.exp(k.neg_mu * t)
         shc = _sinhc(x)
-        c_mid = env * (np.cosh(x) + k.mu * t * shc)
+        inner = np.cosh(x) + k.mu * t * shc
+        c_mid = env * inner
         cdot_mid = k.cdot_scale * t * shc * env
         e_plus = np.exp(k.s_plus * t)
         e_minus = np.exp(k.s_minus * t)

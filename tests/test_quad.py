@@ -5,7 +5,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from qslkit.model import REUSE_POINTS, ModelParams, population_rate
+from qslkit.model import ModelParams, population_rate
 import qslkit.quad as quad_mod
 from qslkit.quad import (
     QuadratureError,
@@ -418,9 +418,9 @@ class TestCoarseThenFine:
         assert roots.tolist() == [0.5]
 
     def test_large_window_is_probed_coarse_then_fine(self):
-        # A window of REUSE_POINTS probes, with and without a bound: every 8th
+        # A window of 16,384 probes, with and without a bound: every 8th
         # and the last first, then the others, in calls of at most _CHUNK_POINTS nodes.
-        n = REUSE_POINTS - 1
+        n = 16383
         grid = np.linspace(0.0, 1.0, n + 1)
         # The 16 kinks of cos(50 t) in [0, 1] and the zero of t - 0.5.
         expected = sorted([(k + 0.5) * math.pi / 50.0 for k in range(16)] + [0.5])

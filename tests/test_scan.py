@@ -6,7 +6,7 @@ import pytest
 
 import qslkit.quad as quad_mod
 from qslkit.bounds import qsl_ratio, qsl_ratio_evolved
-from qslkit.model import ModelParams, decay_rate, markov_limit
+from qslkit.model import ModelParams, decay_rate, markov_limit, population_rate
 from qslkit.quad import QuadratureError, QuadratureSpec
 from qslkit.scan import (
     classify,
@@ -125,7 +125,30 @@ class TestGridScan:
         grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
         assert all(err is None for row in grid.errors for err in row)
         assert len(closed_form_calls) <= 1500
-        assert max(closed_form_calls) < 16384
+        assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
+
+    def test_default_scan_speeds_up_where_pdot_changes_sign(self):
+        # The paper's mechanism: speed-up needs energy flowing back, so a cell is
+        # speed_up if and only if Pdot changes sign inside its window. The signs are
+        # read on an independent uniform grid 16 times finer than the engine's
+        # probes, skipping t = 0, where Pdot is 0.
+        grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
+        flat = 0.0
+        for gamma0, cells, labels in zip(grid.gamma0_axis.tolist(), grid.cells,
+                                         grid.classification):
+            for delta, cell, label in zip(grid.delta_axis.tolist(), cells, labels):
+                p = ModelParams(gamma0, LAM, delta)
+                n = 16 * quad_mod.probe_count_for_period(p.complex_root.imag, 0.0, 0.2)
+                sign = np.sign(population_rate(p, np.linspace(0.0, 0.2, n + 1)[1:]))
+                flow_back = bool(np.any(sign[1:] * sign[:-1] < 0.0))
+                assert (label == "speed_up") == flow_back, (gamma0, delta, cell.ratio)
+                if flow_back:
+                    assert cell.ratio < 1.0
+                else:
+                    flat = max(flat, abs(cell.ratio - 1.0))
+        assert sum(label == "speed_up" for row in grid.classification for label in row) == 486
+        # Measured: 3.8e-13.
+        assert flat <= 1e-11
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -268,10 +291,10 @@ class TestSweepTau:
                 assert series.errors[k] is None
                 assert series.values[k] == expected
         assert failed == [1, 2]
-        # A negative tau is invalid input: it fails the sweep before any work,
-        # also where the point before it would not converge.
+        # A negative tau_max is invalid input: it fails the sweep by name before
+        # any work, also where the point before it would not converge.
         for spec in (None, QuadratureSpec(max_depth=0)):
-            with pytest.raises(ValueError, match="tau must be nonnegative"):
+            with pytest.raises(ValueError, match="tau_max must be nonnegative, got -1.0"):
                 sweep_tau(p, -1.0, 3, 0.2, spec=spec)
 
 

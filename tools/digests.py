@@ -6,10 +6,10 @@
 The requests, always listed from this checkout, are every request of
 perfbench/workloads.py at seeds 1, 2, 3 and 7, the `qslkit` examples of
 README.md, `decay-rate` at 20,000 and 30,000 points on resonance and at
-delta 40 (there the 20,000-point call has 15,772 cosh/sinhc nodes, fewer than
-`model.REUSE_POINTS`), `decay-rate` at 4,097, 16,383 and 16,384 points (on
-both sides of `quad._CHUNK_POINTS` and of `model.REUSE_POINTS`), each at the
-default `--t-max` (no split node) and at `--t-max 2` (both forms),
+delta 40 (there the 20,000-point request has 15,772 cosh/sinhc nodes and
+4,228 split ones), `decay-rate` at 4,097, 16,383 and 16,384 points (chunk
+boundaries: 16,384 points are four chunks of `quad._CHUNK_POINTS`), each at
+the default `--t-max` (no split node) and at `--t-max 2` (both forms),
 `oracle-check --step 5e-5` (20,001 nodes), every subcommand at its defaults
 with `--format json`, requests that reach the CSV writer's rarer float
 layouts or cross a JSON chunk (WRITER: `decay-rate --gamma0 500 --clip
@@ -25,7 +25,8 @@ ratio fails (`--gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0`) and where
 its comparator is not computed (`--tau 0.3`), `boundary` at `--rel-tol 1e-15`
 and the default `scan` at `--rel-tol 1e-13`, where 34 of 630 cells fail after
 some of their panels were accepted), windows at the edges of the doubles
-(EDGES: `sweep-tau --tau-d 1e308` and `ratio --tau-d 1e-320`), and a
+(EDGES: `sweep-tau --tau-d 1e308` and `ratio --tau-d 1e-320`), an input
+rejected with a named error (REJECTED: `sweep-tau --tau-max -1`), and a
 tolerance flag given to each subcommand that does not integrate (argparse
 rejects it with exit 2).  They run as `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
@@ -82,6 +83,8 @@ EDGES = (
     "sweep-tau --tau-d 1e308 --n-points 3",
     "ratio --tau-d 1e-320",
 )
+# Inputs rejected with a named error.
+REJECTED = ("sweep-tau --tau-max -1 --n-points 3",)
 
 
 def requests():
@@ -105,7 +108,7 @@ def requests():
     for command in ("ratio", "scan", "boundary", "sweep-tau", "decay-rate", "compare-bounds",
                     "oracle-check"):
         yield [command, "--format", "json"]
-    yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES)
+    yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES + REJECTED)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
 
