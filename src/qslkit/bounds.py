@@ -12,14 +12,11 @@ Bures-angle comparator all integrate |displacement| * |rate| (or |rate|
 alone), which has a kink wherever a factor changes sign; Pdot does so where
 energy starts or stops flowing back from the reservoir.  All three run on
 one cell set, _Cells, for many cells (model point plus window) at once: it
-validates each window once, builds one coefficient table, evaluates each
-cell's start-point amplitude C(start) once, locates the sign changes of the
-one factor (Pdot, P - P_ref) and integrates; an estimator adds only its
-integrand and its epilogue.  Two host facts bind it.  A 0-d closed-form call
-and a batched one can differ in last bits, so C(start) stays a 0-d call.
-numpy's scalar abs and its ufunc np.abs can differ in the last bit, so each
-estimator keeps its own P_ref: ree0 * abs(C)**2 on the trace path,
-np.abs(C)**2 on the evolved one.
+validates each window once, builds one coefficient table, evaluates C at
+every window's start and end in one batched call, locates the sign changes
+of the one factor (Pdot, P - P_ref) and integrates; an estimator adds only
+its integrand and its epilogue.  P has one formula, so P - P_ref is exactly
+0 at each window's start and each numerator uses the P of its integrand.
 
 Each estimator has a many-cell form (qsl_ratio_many, qsl_ratio_evolved_many,
 bures_comparator_many) that raises the first invalid window, in cell order,
@@ -37,8 +34,7 @@ import numpy as np
 
 from . import quad
 from .model import (
-    MAX_GRID_POINTS, ModelParams, amplitude_bounds, amplitude_cells, amplitude_series,
-    coefficient_table, excited_population,
+    MAX_GRID_POINTS, ModelParams, amplitude_bounds, amplitude_cells, coefficient_table,
 )
 from .smatrix import DensityMatrix2
 
@@ -98,13 +94,15 @@ class _Cells:
     """The cells (model point, window [start, start + tau_d]) of one estimator call.
 
     Checks every window, in cell order, and its probe count, builds one
-    coefficient table and, given p_ref (C(start) -> P_ref), evaluates each
-    cell's start-point amplitude c_ref once, as a 0-d closed-form call, and
-    P_ref from it.  scale multiplies P and Pdot (the initial excited
+    coefficient table and evaluates C at every window's start and end in one
+    batched call: c_ends and p_ends, with P as terms forms it, are (cells, 2),
+    so P_ref and P_end are columns 0 and 1.  ref says whether P - P_ref is a
+    kink factor.  scale multiplies P and Pdot (the initial excited
     population).
     """
 
-    def __init__(self, params, starts, tau_d: float, name: str, p_ref=None, scale: float = 1.0):
+    def __init__(self, params, starts, tau_d: float, name: str, ref: bool = False,
+                 scale: float = 1.0):
         for s in starts:
             _check_window(name, s, tau_d)
         self.params, self.a = params, starts
@@ -118,19 +116,22 @@ class _Cells:
                     f"{n:.6g} probes, more than an array can hold"
                 )
         self.table = coefficient_table(self.params)
-        self.scale = scale
-        self.c_ref = [amplitude_series(p, s)[0] for p, s in zip(self.params, self.a) if p_ref]
-        self.p_ref = [p_ref(c) for c in self.c_ref]
-        self._p_ref_col = np.array(self.p_ref, dtype=float)[:, None] if p_ref else None
+        self.scale, self.ref = scale, ref
+        ends = np.column_stack((self.a, self.b))
+        # quad.evaluate needs at least one row.
+        self.c_ends = (quad.evaluate(lambda rows, t: amplitude_cells(self.table, rows, t)[0],
+                                     np.arange(len(ends)), ends)[0]
+                       if len(ends) else np.empty((0, 2), complex))
+        self.p_ends = self.scale * np.abs(self.c_ends) ** 2
 
     def terms(self, rows: np.ndarray, t: np.ndarray):
-        """C, Cdot and the kink factors of cells rows at nodes t: Pdot, and P - P_ref if set."""
+        """C, Cdot and the kink factors of cells rows at nodes t: Pdot, and P - P_ref if ref."""
         c, cdot = amplitude_cells(self.table, rows, t)
         # population_rate and excited_population, scaled.
         pdot = self.scale * 2.0 * (np.conj(c) * cdot).real
-        if self._p_ref_col is None:
+        if not self.ref:
             return c, cdot, pdot[None]
-        return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self._p_ref_col[rows]))
+        return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self.p_ends[rows, :1]))
 
     def thresholds(self, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
         """Per factor of terms and interval [t0[i], t1[i]] of cell rows[i], the exclusion threshold.
@@ -150,11 +151,10 @@ class _Cells:
         with np.errstate(over="ignore", invalid="ignore"):
             slope = [2.0 * s * (cdot * cdot + c * cddot)]
             err = [2.0 * s * (c_hat * cdot_hat - c * cdot)]
-            if self._p_ref_col is not None:
+            if self.ref:
                 slope.append(2.0 * s * c * cdot)
                 # P_ref is one computed constant; only the subtraction rounds it.
-                err.append(s * (c_hat * c_hat - c * c)
-                           + 2.0**-52 * np.abs(self._p_ref_col[rows, 0]))
+                err.append(s * (c_hat * c_hat - c * c) + 2.0**-52 * np.abs(self.p_ends[rows, 0]))
             bound = np.array(slope) * (t1 - t0) + 4.0 * np.array(err)
             return bound * (1.0 + _MARGIN) + _FLOOR
 
@@ -203,27 +203,21 @@ def lambda_integrals(
 
 def _lambda_cores(params: list[ModelParams], rho0: DensityMatrix2, tau_start: float,
                   tau_d: float):
-    """The cells; the integrand, whose window integral I gives every averaged integral as
-    2 * I / tau_d (1, sqrt(2)*sqrt(2) and 2x the operator-norm integrand); and the
-    displacement (P - P_ref, coherence - its reference); both of cells rows at nodes t."""
+    """The cells; the integrand of cells rows at nodes t, whose window integral I gives every
+    averaged integral as 2 * I / tau_d (1, sqrt(2)*sqrt(2) and 2x the operator-norm
+    integrand); and the coherence at every window's start and end, (cells, 2)."""
     ree0 = rho0.excited_population
     coh0 = rho0.coherence
-    cells = _Cells(params, [tau_start] * len(params), tau_d, "tau_start",
-                   p_ref=lambda c: ree0 * abs(c) ** 2, scale=ree0)
-    coh_ref = np.array([coh0 * complex(c) for c in cells.c_ref], dtype=complex)
+    cells = _Cells(params, [tau_start] * len(params), tau_d, "tau_start", ref=True, scale=ree0)
+    coh_ends = coh0 * cells.c_ends
 
     def integrand(rows, t):
         c, cdot, (pdot, disp_pop) = cells.terms(rows, t)
-        disp = 2.0 * np.sqrt(disp_pop**2 + np.abs(coh0 * c - coh_ref[rows, None]) ** 2)
+        disp = 2.0 * np.sqrt(disp_pop**2 + np.abs(coh0 * c - coh_ends[rows, :1]) ** 2)
         rate = np.sqrt(pdot**2 + np.abs(coh0 * cdot) ** 2)
         return disp * rate
 
-    def displacement(rows, t):
-        # disp_pop is real, so stacking it with the complex coherence loses nothing.
-        c, _, (_, disp_pop) = cells.terms(rows, t)
-        return np.stack((disp_pop, coh0 * c - coh_ref[rows, None]))
-
-    return cells, integrand, displacement
+    return cells, integrand, coh_ends
 
 
 def qsl_ratio(
@@ -251,14 +245,12 @@ def qsl_ratio_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio for every model point in params; a failed cell's entry is its error."""
-    cells, integrand, displacement = _lambda_cores(params, rho0, tau_start, tau_d)
-    if params:
-        end = np.full((len(params), 1), tau_start + tau_d)
-        disp = quad.evaluate(displacement, np.arange(len(params)), end)[:, :, 0]
+    cells, integrand, coh_ends = _lambda_cores(params, rho0, tau_start, tau_d)
 
     def report(j, value, err):
         lam_val = 2.0 * value / tau_d
-        disp_norm = 2.0 * math.sqrt(float(disp[0, j].real) ** 2 + abs(complex(disp[1, j])) ** 2)
+        (p_ref, p_end), (coh_ref, coh_end) = cells.p_ends[j].tolist(), coh_ends[j]
+        disp_norm = 2.0 * math.sqrt((p_end - p_ref) ** 2 + abs(complex(coh_end - coh_ref)) ** 2)
         d_measure = 1.0 - 0.25 * disp_norm**2
         stationary = lam_val < _STATIONARY_TOL
         if stationary:
@@ -302,7 +294,7 @@ def qsl_ratio_evolved_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio_evolved for cells (params[i], taus[i]); a failed cell's entry is its error."""
-    cells = _Cells(params, taus, tau_d, "tau", p_ref=lambda c: float(np.abs(c) ** 2))
+    cells = _Cells(params, taus, tau_d, "tau", ref=True)
 
     def integrand(rows, t):
         pdot, pdisp = cells.terms(rows, t)[2]
@@ -312,7 +304,8 @@ def qsl_ratio_evolved_many(
         den = 2.0 * value
         if den < _STATIONARY_TOL:
             return 1.0
-        return (excited_population(cells.params[j], cells.b[j]) - cells.p_ref[j]) ** 2 / den
+        p_ref, p_end = cells.p_ends[j].tolist()
+        return (p_end - p_ref) ** 2 / den
 
     return cells.integrate(integrand, spec, ratio)
 
@@ -344,7 +337,7 @@ def bures_comparator_many(
     def ratio(j, value, err):
         if value < _STATIONARY_TOL:
             return 1.0
-        return (1.0 - excited_population(cells.params[j], tau_d)) / value
+        return (1.0 - cells.p_ends[j, 1].item()) / value
 
     # For the excited trajectory rhod is diagonal, so ||rhod||_inf = |Pdot|.
     return cells.integrate(lambda rows, t: np.abs(cells.terms(rows, t)[2]), spec, ratio)

@@ -8,7 +8,8 @@ C(t) has two equal forms: cosh/sinhc, exact through critical coupling d = 0,
 and split-exponential, finite at large t.  _closed_form gives the split form to
 the nodes where |d t / 2| > 25 and evaluates each form only where selected.
 amplitude_series runs it in chunks of quad._CHUNK_POINTS nodes, with the bits
-of one unchunked call.
+of one unchunked call; no call is 0-d, so a scalar t has the bits of the same
+node in an array call.
 
 decay_rate() and lamb_shift() return math.nan at (isolated) zeros of C(t),
 where the master-equation coefficients are genuinely singular; callers that
@@ -198,8 +199,7 @@ def _closed_form(k: _Coefficients, t, rows=None) -> tuple[np.ndarray, np.ndarray
     leading axis (nodes of a 1-D t, rows of a 2-D one) that hold a node
     selecting it; a row holding both selects per node.  In an array call a
     node's bits depend neither on the size of the call that holds it nor on
-    its other nodes.  A 0-d call returns numpy scalars, or 0-d arrays if it
-    is split.
+    its other nodes.
     """
     def at(names, lead=slice(None)):
         """k with its columns names gathered at the rows of t[lead]."""
@@ -212,8 +212,7 @@ def _closed_form(k: _Coefficients, t, rows=None) -> tuple[np.ndarray, np.ndarray
         if not np.any(big):
             return _mid_form(at(_MID), t, x)
         if np.all(big):
-            c, cdot = _split_form(at(_SPLIT), t)
-            return (c, cdot) if big.ndim else (np.asarray(c), np.asarray(cdot))
+            return _split_form(at(_SPLIT), t)
         axes = tuple(range(1, big.ndim))
         lead_mid, lead_big = ~big.all(axis=axes), big.any(axis=axes)
         mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid])
@@ -229,19 +228,17 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form C(t) and Cdot(t) on an array of times t >= 0.
 
     The nodes are evaluated in chunks of at most quad._CHUNK_POINTS, with
-    the bits of one call over all of t.  A 0-d t is one call.
+    the bits of one call over all of t.  A scalar t gives numpy scalars.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("amplitude requires t >= 0")
     k = _coefficients(p)
-    if not t.ndim:
-        return _closed_form(k, t)
     flat, step = t.ravel(), quad._CHUNK_POINTS
     c, cdot = np.empty(t.size, complex), np.empty(t.size, complex)
     for i in range(0, t.size, step):
         c[i:i + step], cdot[i:i + step] = _closed_form(k, flat[i:i + step])
-    return c.reshape(t.shape), cdot.reshape(t.shape)
+    return c.reshape(t.shape)[()], cdot.reshape(t.shape)[()]
 
 
 def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):

@@ -18,7 +18,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 @pytest.fixture
 def closed_form_calls(monkeypatch):
-    """The node count of every closed-form call made while the test runs.
+    """The shape of t of every closed-form call made while the test runs.
 
     Every evaluation of C(t), scalar or batched, goes through model._closed_form.
     """
@@ -26,7 +26,7 @@ def closed_form_calls(monkeypatch):
     real = model_mod._closed_form
 
     def counted(k, t, *args, **kwargs):
-        calls.append(np.size(t))
+        calls.append(np.shape(t))
         return real(k, t, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "_closed_form", counted)

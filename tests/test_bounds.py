@@ -200,14 +200,21 @@ class TestQslRatio:
         report = qsl_ratio(p, rho0, 0.2)
         assert 0.0 < report.ratio <= 1.0 + 1e-9
 
-    def test_reference_expressions_pinned(self):
-        # Each path forms P_ref from the same 0-d amplitude C(start) in its
-        # own way: Python's abs on the trace path, np.abs on the evolved one.
-        # The two differ in the last bit for some amplitudes, which moves
-        # these values (to ...868 and 1.0 when the expressions are swapped).
-        p = ModelParams(500.0, LAM, 100.0)
-        assert qsl_ratio(p, EXCITED, 0.2, tau_start=0.1).ratio == 0.9999999999999865
-        assert qsl_ratio_evolved(p, 0.1, 0.2) == 0.9999999999999999
+    @pytest.mark.parametrize("scale", [1.0, 0.4])
+    def test_displacement_vanishes_at_each_window_start(self, scale):
+        # P_ref, P_end and P - P_ref at every node share one P formula, so
+        # P - P_ref is exactly 0 at a window's start node and p_end - p_ref at
+        # its end, whichever call holds the node.
+        rng = np.random.default_rng(31)
+        n = 3000
+        params = [ModelParams(g * LAM, LAM, d * LAM)
+                  for g, d in zip(10.0 ** rng.uniform(-2, 1.5, n), rng.uniform(0.5, 10.0, n))]
+        starts = (10.0 ** rng.uniform(-3, 1, n) / LAM).tolist()
+        cells = _Cells(params, starts, 0.2, "tau", ref=True, scale=scale)
+        t = np.linspace(cells.a, cells.b, 9, axis=1)
+        disp = quad_mod.evaluate(lambda rows, x: cells.terms(rows, x)[2], np.arange(n), t)[1]
+        assert np.all(disp[:, 0] == 0.0)
+        assert np.array_equal(disp[:, -1], cells.p_ends[:, 1] - cells.p_ends[:, 0])
 
     def test_scaling_covariance(self):
         # Scaling all rates by s and times by 1/s leaves every ratio unchanged.
@@ -329,16 +336,14 @@ class TestBreakpointMachinery:
 
 
 def _kink_cells(params, start, tau_d, path):
-    """The cell set one estimator path builds: its P_ref and scale."""
+    """The cell set one estimator path builds: its ref and scale."""
     if path == "bures":
         return _Cells(params, [start] * len(params), tau_d, "tau_start")
     if path == "evolved":
-        return _Cells(params, [start] * len(params), tau_d, "tau",
-                      p_ref=lambda c: float(np.abs(c) ** 2))
+        return _Cells(params, [start] * len(params), tau_d, "tau", ref=True)
     # The trace path; ree0 is the initial excited population (coherence does not enter).
     ree0 = {"excited": 1.0, "ground": 0.0, "coherent": 0.4}[path]
-    return _Cells(params, [start] * len(params), tau_d, "tau_start",
-                  p_ref=lambda c: ree0 * abs(c) ** 2, scale=ree0)
+    return _Cells(params, [start] * len(params), tau_d, "tau_start", ref=True, scale=ree0)
 
 
 def _kink_roots(cells, bound):
@@ -381,7 +386,7 @@ class TestCertifiedProbing:
     def test_a_large_window_is_probed_in_chunks(self, closed_form_calls):
         # A window of 20,372 probes at delta = 200 lam, five chunks of quad._CHUNK_POINTS.
         assert 0.0 < qsl_ratio(ModelParams(5.0, LAM, 10000.0), EXCITED, 0.2).ratio <= 1.0
-        assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
+        assert max(map(math.prod, closed_form_calls)) <= quad_mod._CHUNK_POINTS
 
     def test_window_far_out_finds_its_kink(self):
         # At tau = 34.85 doubles are 7.1e-15 apart, more than 1e-12 * tau_d:
@@ -493,3 +498,8 @@ class TestManyCells:
                 assert [_outcome(r) for r in results] == [_one_cell_outcome(c) for c in one]
 
         check()
+
+    def test_no_cells_give_no_results(self):
+        assert qsl_ratio_many([], EXCITED, 0.2) == []
+        assert qsl_ratio_evolved_many([], [], 0.2) == []
+        assert bures_comparator_many([], 0.2) == []

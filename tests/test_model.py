@@ -163,16 +163,17 @@ class TestAmplitude:
                                    np.linspace(0.0, 50.0 / LAM, 20000),
                                    np.linspace(0.0, 1.0 / LAM, 101)])
     def test_split_form_selected_in_place_is_bit_identical(self, gamma0, delta, t):
+        # A scalar t gives numpy scalars with the bits of the same node in an array call.
         p = ModelParams(gamma0, LAM, delta)
         t = np.asarray(t, dtype=float)
-        for got, want in zip(amplitude_series(p, t), _both_forms(_coefficients(p), t)):
-            _assert_same_bits(got, want)
+        for got, want in zip(amplitude_series(p, t), _both_forms(_coefficients(p), t.reshape(-1))):
+            _assert_same_bits(got, want.reshape(t.shape)[()])
 
     def test_bit_identity_cases_cover_every_branch(self):
         def split(gamma0, delta, t):
             return np.abs(_coefficients(ModelParams(gamma0, LAM, delta)).half_d * t) > 25.0
 
-        # 0-d calls of each form, and 1-D calls with every node split or none.
+        # Scalar times of each form, and 1-D calls with every node split or none.
         assert split(0.1 * LAM, 6.0 * LAM, 30.0 / LAM)
         assert not split(0.1 * LAM, 6.0 * LAM, 0.01 / LAM)
         assert not np.any(split(10.0 * LAM, 0.0, np.linspace(0.0, 1.0 / LAM, 101)))
@@ -191,7 +192,7 @@ class TestAmplitude:
         # 20,001 nodes of both forms, five chunks.
         decay_rate(ModelParams(500.0, 50.0, 0.0), np.linspace(0.0, 1.0, 20001))
         assert len(closed_form_calls) == 5
-        assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
+        assert max(map(math.prod, closed_form_calls)) <= quad_mod._CHUNK_POINTS
 
     def test_overflowing_times_warn_nothing(self):
         # d t / 2 overflows to inf at t = 1e308, which selects the split form.
@@ -276,7 +277,7 @@ def _both_forms(k, t):
 
 
 def _assert_same_bits(got, want):
-    # The type too: a 0-d call returns numpy scalars or 0-d arrays, whose abs differ in last bits.
+    # The type too: a scalar t gives numpy scalars, an array t arrays.
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))

@@ -120,12 +120,13 @@ class TestGridScan:
         assert [repr((g.cells, g.errors)) for g in (small_grid(), small_grid(spec))] == batched
 
     def test_default_scan_closed_form_calls(self, closed_form_calls):
-        # 630 cells: one scalar reference call each plus a few dozen batches
-        # (49,400 calls when every cell was evaluated on its own).
+        # 630 cells: one batched call for every window's end points plus a few
+        # hundred batches (49,400 calls when every cell was evaluated on its own).
         grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
         assert all(err is None for row in grid.errors for err in row)
-        assert len(closed_form_calls) <= 1500
-        assert max(closed_form_calls) <= quad_mod._CHUNK_POINTS
+        assert len(closed_form_calls) <= 221
+        assert () not in closed_form_calls
+        assert max(map(math.prod, closed_form_calls)) <= quad_mod._CHUNK_POINTS
 
     def test_default_scan_speeds_up_where_pdot_changes_sign(self):
         # The paper's mechanism: speed-up needs energy flowing back, so a cell is
@@ -267,11 +268,12 @@ class TestSweepTau:
         assert sweep_tau(p, 2.0, 21, 0.2).values.tolist() == expected
 
     def test_closed_form_calls(self, closed_form_calls):
-        # 200 windows: one 0-d start-point amplitude each, one 0-d end-point
-        # population per non-stationary window, and the batched calls.  An
-        # extra per-window call would exceed the bound.
+        # 200 windows: one batched call for every window's end points, and the
+        # batched probes, bisection steps and panels.  An extra per-window call
+        # would exceed the bound.
         sweep_tau(ModelParams(500.0, LAM, 0.0), 2.0, 200, 0.2)
-        assert len(closed_form_calls) <= 474
+        assert len(closed_form_calls) <= 87
+        assert () not in closed_form_calls
 
     def test_failed_points_recorded(self):
         # The windows at tau = 0.1 and 0.2 fail; every other point gets its

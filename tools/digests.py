@@ -26,9 +26,10 @@ its comparator is not computed (`--tau 0.3`), `boundary` at `--rel-tol 1e-15`
 and the default `scan` at `--rel-tol 1e-13`, where 34 of 630 cells fail after
 some of their panels were accepted), windows at the edges of the doubles
 (EDGES: `sweep-tau --tau-d 1e308` and `ratio --tau-d 1e-320`), an input
-rejected with a named error (REJECTED: `sweep-tau --tau-max -1`), and a
+rejected with a named error (REJECTED: `sweep-tau --tau-max -1`), a
 tolerance flag given to each subcommand that does not integrate (argparse
-rejects it with exit 2).  They run as `python -m qslkit.cli` from CHECKOUT's
+rejects it with exit 2), and a trace-distance window that starts after t = 0
+and converges (STARTS: `ratio --gamma0 500 --delta 100 --tau 0.1`).  They run as `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
 numpy's SIMD paths, and so the last bits, differ between hosts.
@@ -85,6 +86,8 @@ EDGES = (
 )
 # Inputs rejected with a named error.
 REJECTED = ("sweep-tau --tau-max -1 --n-points 3",)
+# Trace-distance windows at a nonzero start whose quadrature converges.
+STARTS = ("ratio --gamma0 500 --delta 100 --tau 0.1",)
 
 
 def requests():
@@ -111,6 +114,7 @@ def requests():
     yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES + REJECTED)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
+    yield from (argv.split() for argv in STARTS)
 
 
 def digest(checkout: Path, args: list) -> str:
