@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quad
-from .model import (
-    MAX_GRID_POINTS, ModelParams, amplitude_bounds, amplitude_cells, coefficient_table,
-)
+from . import model, quad
+from .model import MAX_GRID_POINTS, ModelParams, amplitude_bounds, coefficient_table
 from .smatrix import DensityMatrix2
 
 # Ratios below 1 - SPEED_UP_TOL count as genuine speed-up; larger values are
@@ -118,15 +116,13 @@ class _Cells:
         self.table = coefficient_table(self.params)
         self.scale, self.ref = scale, ref
         ends = np.column_stack((self.a, self.b))
-        # quad.evaluate needs at least one row.
-        self.c_ends = (quad.evaluate(lambda rows, t: amplitude_cells(self.table, rows, t)[0],
-                                     np.arange(len(ends)), ends)[0]
-                       if len(ends) else np.empty((0, 2), complex))
+        self.c_ends = quad.evaluate(lambda rows, t: model.amplitude_cells(self.table, rows, t)[0],
+                                    np.arange(len(ends)), ends)[0]
         self.p_ends = self.scale * np.abs(self.c_ends) ** 2
 
     def terms(self, rows: np.ndarray, t: np.ndarray):
         """C, Cdot and the kink factors of cells rows at nodes t: Pdot, and P - P_ref if ref."""
-        c, cdot = amplitude_cells(self.table, rows, t)
+        c, cdot = model.amplitude_cells(self.table, rows, t)
         # population_rate and excited_population, scaled.
         pdot = self.scale * 2.0 * (np.conj(c) * cdot).real
         if not self.ref:

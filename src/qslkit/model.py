@@ -5,10 +5,11 @@ single-excitation sector, for which a closed form exists.  Units: hbar = 1,
 all rates/frequencies share one unit and time is its inverse.
 
 C(t) has two equal forms: cosh/sinhc, exact through critical coupling d = 0,
-and split-exponential, finite at large t.  _closed_form gives the split form to
-the nodes where |d t / 2| > 25 and evaluates each form only where selected.
-amplitude_series runs it in chunks of quad._CHUNK_POINTS nodes, with the bits
-of one unchunked call; no call is 0-d, so a scalar t has the bits of the same
+and split-exponential, finite at large t.  amplitude_cells, the one function
+that evaluates them, gives the split form to the nodes where |d t / 2| > 25,
+on rows of times of the cells of a coefficient table.  amplitude_series runs
+it on one-row chunks of quad._CHUNK_POINTS nodes, with the bits of one
+unchunked call; every call is 2-D, so a scalar t has the bits of the same
 node in an array call.
 
 decay_rate() and lamb_shift() return math.nan at (isolated) zeros of C(t),
@@ -31,7 +32,7 @@ from .smatrix import DensityMatrix2, as_matrix2
 # |C| below this is treated as a zero of the amplitude when forming Cdot/C.
 AMPLITUDE_SINGULAR_TOL = 1e-12
 
-# Relative rounding error of _closed_form's values, per unit of 1 + t (|mu| + |d| / 2):
+# Relative rounding error of amplitude_cells' values, per unit of 1 + t (|mu| + |d| / 2):
 # 4,096 ulps, well above the few ulps of each of its operations.
 _ROUNDING = 2.0**-40
 
@@ -189,72 +190,59 @@ def _split_form(k: _Coefficients, t):
     return k.a_plus * e_plus + k.a_minus * e_minus, k.as_plus * e_plus + k.as_minus * e_minus
 
 
-def _closed_form(k: _Coefficients, t, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """C(t) and Cdot(t) from coefficients k, broadcast against the times t.
+def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
+    """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
 
-    k holds one cell's scalars (formed in Python, so only t-dependent
-    operations run as arrays) or, given rows, the table whose row rows[i]
-    belongs to t[i].  A node takes the split form where |d t / 2| > 25, the
-    cosh/sinhc form elsewhere.  Each form runs only on the entries of t's
-    leading axis (nodes of a 1-D t, rows of a 2-D one) that hold a node
-    selecting it; a row holding both selects per node.  In an array call a
-    node's bits depend neither on the size of the call that holds it nor on
-    its other nodes.
+    Row i of t belongs to cell rows[i]; its scalars are gathered once and
+    broadcast along the row.  A node takes the split form where
+    |d t / 2| > 25, the cosh/sinhc form elsewhere.  Each form runs only on
+    the rows holding a node that selects it; a row holding both selects per
+    node.  A node's bits depend neither on the size of the call that holds it
+    nor on its other nodes.
     """
     def at(names, lead=slice(None)):
-        """k with its columns names gathered at the rows of t[lead]."""
-        r = None if rows is None else rows[lead]
-        return k if r is None else k._replace(**{n: getattr(k, n)[r, None] for n in names})
+        """table with its columns names gathered at the rows of t[lead]."""
+        return table._replace(**{n: getattr(table, n)[rows[lead], None] for n in names})
 
     with np.errstate(over="ignore", invalid="ignore"):
-        x = at(("half_d",)).half_d * t
+        x = table.half_d[rows, None] * t
         big = np.abs(x) > 25.0
         if not np.any(big):
             return _mid_form(at(_MID), t, x)
         if np.all(big):
             return _split_form(at(_SPLIT), t)
-        axes = tuple(range(1, big.ndim))
-        lead_mid, lead_big = ~big.all(axis=axes), big.any(axis=axes)
+        lead_mid, lead_big = ~big.all(axis=1), big.any(axis=1)
         mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid])
         c, cdot = np.empty(big.shape, complex), np.empty(big.shape, complex)
         c[lead_mid], cdot[lead_mid] = mid
-        sel = big[lead_big] if big.ndim > 1 else ...
         c_big, cdot_big = _split_form(at(_SPLIT, lead_big), t[lead_big])
-        c[big], cdot[big] = c_big[sel], cdot_big[sel]
+        c[big], cdot[big] = c_big[big[lead_big]], cdot_big[big[lead_big]]
     return c, cdot
 
 
 def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form C(t) and Cdot(t) on an array of times t >= 0.
 
-    The nodes are evaluated in chunks of at most quad._CHUNK_POINTS, with
-    the bits of one call over all of t.  A scalar t gives numpy scalars.
+    The nodes are evaluated in chunks of at most quad._CHUNK_POINTS, each one
+    row of amplitude_cells on p's one-cell table, with the bits of one call
+    over all of t.  A scalar t gives numpy scalars.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("amplitude requires t >= 0")
-    k = _coefficients(p)
+    table, row = coefficient_table([p]), np.zeros(1, int)
     flat, step = t.ravel(), quad._CHUNK_POINTS
     c, cdot = np.empty(t.size, complex), np.empty(t.size, complex)
     for i in range(0, t.size, step):
-        c[i:i + step], cdot[i:i + step] = _closed_form(k, flat[i:i + step])
+        c[i:i + step], cdot[i:i + step] = amplitude_cells(table, row, flat[None, i:i + step])
     return c.reshape(t.shape)[()], cdot.reshape(t.shape)[()]
-
-
-def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
-    """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
-
-    Row i of t belongs to cell rows[i]; its scalars are broadcast along the row.
-    One call, whose row i has the bits of a one-cell call over t[i].
-    """
-    return _closed_form(table, t, rows)
 
 
 def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     """Bounds over the intervals [t0[i], t1[i]] of the cells table[rows[i]].
 
     Returns an array (5, len(rows)): bounds on |C|, |Cdot| and |Cddot| there,
-    and on the absolute errors of the C and Cdot that _closed_form computes
+    and on the absolute errors of the C and Cdot that amplitude_cells computes
     there.  C is the cosh/sinhc form with the table's mu and d taken as exact,
     Cdot that form's cdot_scale t sinhc(d t / 2) e^(-mu t) and Cddot its
     derivative.  Away from d = 0 each is a sum of e^(s+ t) and e^(s- t) terms,
@@ -263,7 +251,7 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
     errors grow as rel = _ROUNDING (1 + t1 (|mu| + |d| / 2)): the phases s t
     carry errors that grow with t, and the split form's products a± s± lose up
     to eps (|mu| + |d| / 2)(|a+| + |a-|) to cancellation.  The bounds cover
-    both forms of _closed_form.  At d = 0 the split form does not exist, and
+    both forms of amplitude_cells.  At d = 0 the split form does not exist, and
     every bound is inf; so is a bound whose product of an overflowed and an
     underflowed factor would read NaN.
     """

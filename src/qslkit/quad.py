@@ -87,9 +87,13 @@ def _blocks(sizes: np.ndarray, limit: int | None = None):
 def evaluate(f, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """f(rows, t) over the nodes t (m, n) of cells rows (m,), stacked to (k, m, n).
 
-    Each call covers whole rows: at most _CHUNK_POINTS nodes, or one row.
+    Each call covers whole rows: at most _CHUNK_POINTS nodes, or one row.  With
+    no rows, f is called once on them and its empty values are returned.
     """
     m, n = t.shape
+    if not m:
+        empty = np.asarray(f(rows, t))
+        return empty.reshape(empty.shape[0] if empty.ndim == 3 else 1, 0, n)
     out = [np.reshape(f(rows[i:j], t[i:j]), (-1, j - i, n)) for i, j in _blocks(np.full(m, n))]
     return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 

@@ -20,14 +20,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 def closed_form_calls(monkeypatch):
     """The shape of t of every closed-form call made while the test runs.
 
-    Every evaluation of C(t), scalar or batched, goes through model._closed_form.
+    Every evaluation of C(t) goes through model.amplitude_cells, looked up on the
+    model module: amplitude_series' chunks and the batched calls of bounds alike.
     """
     calls = []
-    real = model_mod._closed_form
+    real = model_mod.amplitude_cells
 
-    def counted(k, t, *args, **kwargs):
+    def counted(table, rows, t):
         calls.append(np.shape(t))
-        return real(k, t, *args, **kwargs)
+        return real(table, rows, t)
 
-    monkeypatch.setattr(model_mod, "_closed_form", counted)
+    monkeypatch.setattr(model_mod, "amplitude_cells", counted)
     return calls

@@ -11,7 +11,6 @@ from qslkit.model import (
     Amplitude,
     ModelParams,
     _amplitude_cddot,
-    _closed_form,
     _coefficients,
     _mid_form,
     _sinhc,
@@ -189,10 +188,11 @@ class TestAmplitude:
             assert np.count_nonzero(big) and np.count_nonzero(~big) == n_mid
 
     def test_series_calls_hold_at_most_one_chunk(self, closed_form_calls):
-        # 20,001 nodes of both forms, five chunks.
+        # 20,001 nodes of both forms, five chunks, each one row of a table call.
         decay_rate(ModelParams(500.0, 50.0, 0.0), np.linspace(0.0, 1.0, 20001))
         assert len(closed_form_calls) == 5
-        assert max(map(math.prod, closed_form_calls)) <= quad_mod._CHUNK_POINTS
+        assert all(len(s) == 2 and s[0] == 1 and s[1] <= quad_mod._CHUNK_POINTS
+                   for s in closed_form_calls)
 
     def test_overflowing_times_warn_nothing(self):
         # d t / 2 overflows to inf at t = 1e308, which selects the split form.
@@ -210,7 +210,8 @@ class TestAmplitude:
         default = quad_mod._CHUNK_POINTS
         for n in (20000, 40000):
             t = np.linspace(0.0, 50.0 / LAM, n)
-            want = _closed_form(_coefficients(p), t)
+            c, cdot = amplitude_cells(coefficient_table([p]), np.zeros(1, int), t[None])
+            want = c[0], cdot[0]
             for chunk in (7, default):
                 monkeypatch.setattr(quad_mod, "_CHUNK_POINTS", chunk)
                 for got, w in zip(amplitude_series(p, t), want):

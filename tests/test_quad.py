@@ -438,6 +438,53 @@ class TestCoarseThenFine:
             assert roots.tolist() == pytest.approx(expected, abs=1e-11)
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("f, k", [(lambda rows, t: (t, t), 2), (lambda rows, t: t, 1)],
+                             ids=["stacked", "unstacked"])
+    def test_no_rows_call_f_once(self, f, k):
+        # f is called once on the empty rows, and its values keep their dtype.
+        calls = []
+
+        def counted(rows, t):
+            calls.append((rows.shape, t.shape))
+            return f(rows, t.astype(np.float32))
+
+        out = quad_mod.evaluate(counted, np.zeros(0, int), np.zeros((0, 2)))
+        assert calls == [((0,), (0, 2))]
+        assert out.shape == (k, 0, 2) and out.dtype == np.float32
+
+
+class TestLinspaceElements:
+    def test_elements_follow_one_formula(self):
+        # Probe times formed segment by segment must equal np.linspace's elements
+        # bit for bit: element i is i * step + a with step = (b - a) / n, or
+        # (i / n) * (b - a) + a where step underflows to 0, and the last is b.
+        rng = np.random.default_rng(7)
+
+        def end():
+            return (0.0, 10.0 ** rng.uniform(-323.5, -308.0), 10.0 ** rng.uniform(-300.0, 300.0),
+                    rng.uniform(0.0, 100.0))[rng.integers(4)]
+
+        def width():
+            return (10.0 ** rng.uniform(-323.5, -308.0), 10.0 ** rng.uniform(-300.0, 307.0),
+                    rng.uniform(0.0, 1.0))[rng.integers(3)]
+
+        zero_steps = 0
+        for _ in range(6000):
+            a = end()
+            b = a + width()
+            n = int(rng.integers(1, 9000 if rng.integers(4) == 0 else 1000))
+            i = np.arange(n + 1)
+            step = (b - a) / n
+            want = i * step + a if step else (i / n) * (b - a) + a
+            want[-1] = b
+            got = np.linspace(a, b, n + 1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (a, b, n)
+            zero_steps += step == 0
+        # Both branches are drawn: subnormal widths over many probes give a zero step.
+        assert 0 < zero_steps < 6000
+
+
 class TestPanelSums:
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_vecdot_is_the_per_row_dot(self, scale):
