@@ -136,19 +136,20 @@ class _Cells:
         computes to neither zero nor both signs anywhere in [t0, t1]: a point
         where |f| <= err would bound that sum by slope * h + 4 * err
         (Lipschitz exclusion), with slope bounding |f'|, h = t1 - t0 and err
-        the rounding error of f there.  |Pddot| <= 2 (|Cdot|^2 + |C| |Cddot|)
-        and |(P - P_ref)'| = |Pdot| <= 2 |C| |Cdot|, times scale.
+        the rounding error of f there.  The slopes are amplitude_bounds'
+        |Pddot| for Pdot and its |Pdot| for P - P_ref, from P's two-mode form,
+        times scale.
         """
-        c, cdot, cddot, err_c, err_cdot = amplitude_bounds(self.table, rows, t0, t1)
+        c, cdot, pdot, pddot, err_c, err_cdot = amplitude_bounds(self.table, rows, t0, t1)
         # Bounds on |C| and |Cdot| as computed; they cover the products' own rounding.
         c_hat, cdot_hat = c + err_c, cdot + err_cdot
         s = self.scale
         # Infinite bounds (d = 0) give NaN thresholds, which exclude nothing.
         with np.errstate(over="ignore", invalid="ignore"):
-            slope = [2.0 * s * (cdot * cdot + c * cddot)]
+            slope = [s * pddot]
             err = [2.0 * s * (c_hat * cdot_hat - c * cdot)]
             if self.ref:
-                slope.append(2.0 * s * c * cdot)
+                slope.append(s * pdot)
                 # P_ref is one computed constant; only the subtraction rounds it.
                 err.append(s * (c_hat * c_hat - c * c) + 2.0**-52 * np.abs(self.p_ends[rows, 0]))
             bound = np.array(slope) * (t1 - t0) + 4.0 * np.array(err)

@@ -241,19 +241,27 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
 def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     """Bounds over the intervals [t0[i], t1[i]] of the cells table[rows[i]].
 
-    Returns an array (5, len(rows)): bounds on |C|, |Cdot| and |Cddot| there,
-    and on the absolute errors of the C and Cdot that amplitude_cells computes
-    there.  C is the cosh/sinhc form with the table's mu and d taken as exact,
-    Cdot that form's cdot_scale t sinhc(d t / 2) e^(-mu t) and Cddot its
-    derivative.  Away from d = 0 each is a sum of e^(s+ t) and e^(s- t) terms,
-    with coefficients a±, ±cdot_scale / d and ±s± cdot_scale / d, and |e^(s t)|
-    is largest at an end of the interval.  Relative to those sums of moduli,
-    errors grow as rel = _ROUNDING (1 + t1 (|mu| + |d| / 2)): the phases s t
-    carry errors that grow with t, and the split form's products a± s± lose up
-    to eps (|mu| + |d| / 2)(|a+| + |a-|) to cancellation.  The bounds cover
-    both forms of amplitude_cells.  At d = 0 the split form does not exist, and
-    every bound is inf; so is a bound whose product of an overflowed and an
-    underflowed factor would read NaN.
+    Returns an array (6, len(rows)): bounds on |C|, |Cdot|, |Pdot| and |Pddot|
+    there, and on the absolute errors of the C and Cdot that amplitude_cells
+    computes there.  C is the cosh/sinhc form with the table's mu and d taken
+    as exact, Cdot that form's cdot_scale t sinhc(d t / 2) e^(-mu t), P = |C|^2
+    and Pddot the derivative of Pdot = 2 Re(conj(C) Cdot).  Away from d = 0, C
+    and Cdot are sums of e^(s+ t) and e^(s- t) terms, with coefficients a± and
+    ±cdot_scale / d, and P is the two-mode form
+    |a+|^2 e^(2 Re s+ t) + |a-|^2 e^(2 Re s- t) + 2 Re(a+ conj(a-) e^((s+ + conj s-) t)),
+    whose k-th derivative multiplies its terms by (2 Re s±)^k and
+    (s+ + conj s-)^k: unlike C's, its slopes do not see C's phase rotation.
+    Every |e^(s t)| is largest at an end of the interval.  Relative to those
+    sums of moduli, errors grow as rel = _ROUNDING (1 + t1 (|mu| + |d| / 2)):
+    the phases s t carry errors that grow with t, and the split form's
+    products a± s± lose up to eps (|mu| + |d| / 2)(|a+| + |a-|) to
+    cancellation.  The P bounds add rel (|a+| + |a-|) to each |a±| and
+    2 rel (|mu| + |d| / 2) to each rate, for the table's rounding of a± and
+    s±, which also makes Cdot differ from C's derivative by up to
+    eps (|mu| + |d| / 2)(|a+| + |a-|).  The bounds cover both forms of amplitude_cells.
+    At d = 0 the split form does not exist, and every bound is inf; so is a
+    bound whose product of an overflowed and an underflowed factor would
+    read NaN.
     """
     k = _Coefficients(*(col[rows] for col in table))
     rate = np.abs(k.mu) + np.abs(k.half_d)
@@ -269,10 +277,18 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
         q = np.abs(k.cdot_scale) / (2.0 * np.abs(k.half_d))
         err_c = rel * a_sum * e_sum
         err_cdot = rel * (q + rate * a_sum) * e_sum
+        # The moduli of the two modes and of P's three terms, and the rates that P's
+        # derivatives bring down.
+        m_plus = (np.abs(k.a_plus) + rel * a_sum) * e_plus
+        m_minus = (np.abs(k.a_minus) + rel * a_sum) * e_minus
+        terms = np.stack((m_plus * m_plus, m_minus * m_minus, 2.0 * m_plus * m_minus))
+        rates = np.abs(np.stack((2.0 * k.s_plus.real, 2.0 * k.s_minus.real,
+                                 k.s_plus + np.conj(k.s_minus)))) + 2.0 * rel * rate
         out = np.stack((
             np.abs(k.a_plus) * e_plus + np.abs(k.a_minus) * e_minus + err_c,
             q * e_sum + err_cdot,
-            q * (np.abs(k.s_plus) * e_plus + np.abs(k.s_minus) * e_minus + rel * rate * e_sum),
+            np.sum(terms * rates, axis=0),
+            np.sum(terms * rates * rates, axis=0),
             err_c,
             err_cdot,
         ))

@@ -298,31 +298,42 @@ def _probe_block(f, bound, a, b, windows, sizes):
     Window windows[k] has sizes[k] probes; see find_sign_changes_many.  The
     coarse probes, every _STRIDE-th and each window's last, are all evaluated;
     the others only inside the coarse intervals that bound cannot exclude.
+    Probes are numbered over the block, window after window, and their times
+    are formed from their numbers.
     """
-    grid = np.concatenate([np.linspace(a[k], b[k], n + 1)
-                           for k, n in zip(windows.tolist(), sizes - 1)])
+    n = sizes - 1
+    first = np.cumsum(sizes) - sizes
+
+    def times(k, i):
+        """Element i of np.linspace(a, b, n + 1) of window windows[k], bit for bit."""
+        lo, hi, m = a[windows[k]], b[windows[k]], n[k]
+        step = (hi - lo) / m
+        t = np.where(step != 0.0, i * step + lo, (i / m) * (hi - lo) + lo)
+        return np.where(i == m, hi, t)
+
     n_coarse = (sizes + _STRIDE - 2) // _STRIDE + 1
-    c = np.repeat(np.cumsum(sizes) - sizes, n_coarse) + np.minimum(
-        _STRIDE * _ramp(n_coarse), np.repeat(sizes - 1, n_coarse))
-    c_win = np.repeat(windows, n_coarse)
-    c_vals = evaluate(f, c_win, grid[c, None])[:, :, 0]
+    c_k = np.repeat(np.arange(windows.size), n_coarse)
+    c_i = np.minimum(_STRIDE * _ramp(n_coarse), n[c_k])
+    c, c_t = first[c_k] + c_i, times(c_k, c_i)
+    c_win = windows[c_k]
+    c_vals = evaluate(f, c_win, c_t[:, None])[:, :, 0]
     # Coarse interval q runs from coarse probe q to q + 1 of one window.
     q = np.flatnonzero(c_win[:-1] == c_win[1:])
     if bound is not None:
         mag = np.abs(c_vals)
-        excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], grid[c[q]], grid[c[q + 1]]),
-                          axis=0)
+        excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], c_t[q], c_t[q + 1]), axis=0)
         q = q[~excluded]
     n_fine = c[q + 1] - c[q] - 1
-    fine = np.repeat(c[q] + 1, n_fine) + _ramp(n_fine)
-    fine_win = np.repeat(c_win[q], n_fine)
+    fine_k = np.repeat(c_k[q], n_fine)
+    fine_i = np.repeat(c_i[q] + 1, n_fine) + _ramp(n_fine)
+    fine, fine_t, fine_win = first[fine_k] + fine_i, times(fine_k, fine_i), windows[fine_k]
     vals = c_vals
     if fine.size:
-        vals = np.concatenate((c_vals, evaluate(f, fine_win, grid[fine, None])[:, :, 0]), axis=1)
+        vals = np.concatenate((c_vals, evaluate(f, fine_win, fine_t[:, None])[:, :, 0]), axis=1)
     probe = np.concatenate((c, fine))
     order = np.argsort(probe)
     probe, point_win, vals = probe[order], np.concatenate((c_win, fine_win))[order], vals[:, order]
-    grid = grid[probe]
+    grid = np.concatenate((c_t, fine_t))[order]
     # Every window keeps its first probe.
     starts = np.flatnonzero(np.diff(point_win, prepend=-1))
     counts = np.diff(np.append(starts, grid.size))

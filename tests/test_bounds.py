@@ -397,6 +397,8 @@ class TestCertifiedProbing:
         @hypothesis.settings(max_examples=150, deadline=None)
         # A window of 20,372 probes, five chunks of quad._CHUNK_POINTS.
         @hypothesis.example(cells=[(0.1, 200.0)], start=0.0, tau_d=10.0, path="excited")
+        # A window of the detuned sweep-tau request of the trajectory benchmark.
+        @hypothesis.example(cells=[(20.0, 4.0)], start=50.0, tau_d=10.0, path="evolved")
         @hypothesis.given(
             cells=st.lists(st.tuples(coupling, detuning), min_size=1, max_size=4),
             start=st.floats(0.0, 100.0) | st.just(0.0),
@@ -431,21 +433,35 @@ class TestCertifiedProbing:
         params = [ModelParams(g, LAM, d)
                   for d in default_delta_axis(LAM) for g in default_gamma0_axis(LAM)]
         cells = _kink_cells(params, 0.0, 0.2, "excited")
-        evaluated = 0
-        for j, n in enumerate(cells.n_probe):
-            t = np.linspace(cells.a[j], cells.b[j], n + 1)
-            f = quad_mod.evaluate(lambda rows, x: cells.terms(rows, x)[2], np.full(t.size, j),
-                                  t[:, None])[:, :, 0]
-            ends = np.unique(np.append(np.arange(0, n + 1, quad_mod._STRIDE), n))
-            lo, hi = ends[:-1], ends[1:]
-            excluded = np.all(np.abs(f[:, lo]) + np.abs(f[:, hi])
-                              > cells.thresholds(np.full(lo.size, j), t[lo], t[hi]), axis=0)
-            # A sign change or a zero between fine probes i and i + 1, of either factor.
-            kink = np.any(np.sign(f[:, :-1]) * np.sign(f[:, 1:]) <= 0.0, axis=0)
-            assert not np.any(kink & excluded[np.arange(n) // quad_mod._STRIDE])
-            evaluated += ends.size + int(np.sum(hi - lo - 1, where=~excluded))
-        # The full grids hold 364,029 probes.
-        assert evaluated <= 110_000
+        # The full grids hold 364,029 probes; 77,759 are evaluated.
+        assert _checked_probe_count(cells) <= 81_000
+
+    def test_no_excluded_interval_of_the_detuned_sweep_holds_a_kink(self):
+        # The detuned sweep-tau request of the trajectory benchmark: 200 windows of 759
+        # probes each.  Bounding |Pddot| by C's moduli excluded 51 of its 19,000 coarse
+        # intervals, for 151,534 probes; P's two-mode form evaluates 21,167.
+        taus = np.linspace(0.0, 2.0, 200).tolist()
+        cells = _Cells([ModelParams(1000.0, LAM, 200.0)] * 200, taus, 0.2, "tau", ref=True)
+        assert _checked_probe_count(cells) <= 22_000
+
+
+def _checked_probe_count(cells) -> int:
+    """The probes that coarse-then-fine probing evaluates on cells, after checking on every
+    full grid that no interval that cells.thresholds excludes holds a kink."""
+    evaluated = 0
+    for j, n in enumerate(cells.n_probe):
+        t = np.linspace(cells.a[j], cells.b[j], n + 1)
+        f = quad_mod.evaluate(lambda rows, x: cells.terms(rows, x)[2], np.full(t.size, j),
+                              t[:, None])[:, :, 0]
+        ends = np.unique(np.append(np.arange(0, n + 1, quad_mod._STRIDE), n))
+        lo, hi = ends[:-1], ends[1:]
+        excluded = np.all(np.abs(f[:, lo]) + np.abs(f[:, hi])
+                          > cells.thresholds(np.full(lo.size, j), t[lo], t[hi]), axis=0)
+        # A sign change or a zero between fine probes i and i + 1, of either factor.
+        kink = np.any(np.sign(f[:, :-1]) * np.sign(f[:, 1:]) <= 0.0, axis=0)
+        assert not np.any(kink & excluded[np.arange(n) // quad_mod._STRIDE])
+        evaluated += ends.size + int(np.sum(hi - lo - 1, where=~excluded))
+    return evaluated
 
 
 class TestQuadratureErrorContext:

@@ -251,7 +251,7 @@ class TestAmplitude:
             t = np.asarray(50.0 / abs(p.complex_root))
             mid = _mid_form(k, t, k.half_d * t)
             split = _split_form(k, t)
-            err = amplitude_bounds(coefficient_table([p]), np.array([0]), t[None], t[None])[3:, 0]
+            err = amplitude_bounds(coefficient_table([p]), np.array([0]), t[None], t[None])[4:, 0]
             for a, b, e in zip(mid, split, err):
                 assert abs(a - b) <= 2.0 * e
 
@@ -285,15 +285,36 @@ def _assert_same_bits(got, want):
 
 
 def _exact(k, t):
-    """C, Cdot and Cddot of the cosh/sinhc form at t, with the scalars k taken as exact."""
+    """C, Cdot, Pdot and Pddot of the cosh/sinhc form at t, with the scalars k taken as exact.
+
+    Pdot is the derivative of P = |C|^2, Pddot that of Pdot's formula 2 Re(conj(C) Cdot);
+    C's own derivative differs from Cdot by the table's rounding of cdot_scale.
+    """
     mp = pytest.importorskip("mpmath")
     with mp.workprec(200):
         mu, h, scale, t = mp.mpc(k.mu), mp.mpc(k.half_d), mp.mpf(k.cdot_scale), mp.mpf(t)
         env = mp.exp(-mu * t)
         c = env * (mp.cosh(h * t) + mu * mp.sinh(h * t) / h)
+        c_prime = env * (h * h - mu * mu) * mp.sinh(h * t) / h
         cdot = scale * env * mp.sinh(h * t) / h
         cddot = scale * env * (mp.cosh(h * t) - mu * mp.sinh(h * t) / h)
-        return c, cdot, cddot
+        pdot = 2 * mp.re(mp.conj(c) * c_prime)
+        pddot = 2 * mp.re(mp.conj(c_prime) * cdot + mp.conj(c) * cddot)
+        return c, cdot, pdot, pddot
+
+
+def _assert_bounds_hold(p, table, row, t0, t1, t):
+    """amplitude_bounds of cell row over [t0, t1] bound the exact values at the times t there,
+    and the errors of amplitude_series' C and Cdot."""
+    bound = amplitude_bounds(table, np.array([row]), np.array([t0]), np.array([t1]))
+    sup, err = bound[:4, 0], bound[4:, 0]
+    scalars = _coefficients(p)
+    c, cdot = amplitude_series(p, t)
+    for i, ti in enumerate(t.tolist()):
+        exact = _exact(scalars, ti)
+        assert all(float(abs(x)) <= s for x, s in zip(exact, sup)), (ti, exact, sup)
+        assert float(abs(c[i] - exact[0])) <= err[0]
+        assert float(abs(cdot[i] - exact[1])) <= err[1]
 
 
 class TestAmplitudeBounds:
@@ -320,18 +341,40 @@ class TestAmplitudeBounds:
         table = coefficient_table(self.PARAMS)
         rng = np.random.default_rng(5)
         for j, p in enumerate(self.PARAMS):
-            scalars = _coefficients(p)
             for t0 in (0.0, 0.01, 0.3, 2.0):
                 t1 = t0 + 10.0 ** rng.uniform(-3, 0)
-                bound = amplitude_bounds(table, np.array([j]), np.array([t0]), np.array([t1]))
-                sup, err = bound[:3, 0], bound[3:, 0]
                 t = np.concatenate(([t0, t1], rng.uniform(t0, t1, 20)))
-                c, cdot = amplitude_series(p, t)
-                for i, ti in enumerate(t.tolist()):
-                    exact = _exact(scalars, ti)
-                    assert all(float(abs(x)) <= s for x, s in zip(exact, sup))
-                    assert float(abs(c[i] - exact[0])) <= err[0]
-                    assert float(abs(cdot[i] - exact[1])) <= err[1]
+                _assert_bounds_hold(p, table, j, t0, t1, t)
+
+    def test_p_bounds_hold_on_drawn_cells(self):
+        # The P bounds where their rounding allowances matter: near critical coupling (a±
+        # grow as 1/d), at couplings down to 1e-14 lam (the slow rate is below the
+        # allowance), far detuned, and on windows out to t = 100 / lam.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        near_critical = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -3.0)).map(
+            lambda x: 0.5 * (1.0 + x[0] * 10.0 ** x[1]))
+        coupling = st.floats(-14.0, 3.0).map(lambda x: 10.0**x) | near_critical
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            gamma0=coupling,
+            delta=st.floats(0.0, 200.0) | st.sampled_from([0.0, 1e-9]),
+            start=st.floats(0.0, 100.0),
+            width=st.floats(-4.0, 0.5).map(lambda x: 10.0**x),
+            fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        )
+        def check(gamma0, delta, start, width, fractions):
+            p = ModelParams(gamma0 * LAM, LAM, delta * LAM)
+            # At d = 0 every bound is inf.
+            hypothesis.assume(p.complex_root != 0)
+            t0 = start / LAM
+            t1 = min(start + width, 100.0) / LAM
+            hypothesis.assume(t1 > t0)
+            t = np.concatenate(([t0, t1], t0 + (t1 - t0) * np.array(fractions)))
+            _assert_bounds_hold(p, coefficient_table([p]), 0, t0, t1, np.minimum(t, t1))
+
+        check()
 
     def test_critical_coupling_bounds_nothing(self):
         table = coefficient_table([ModelParams(0.5 * LAM, LAM, 0.0), ModelParams(5.0, LAM, 0.0)])

@@ -29,7 +29,11 @@ some of their panels were accepted), windows at the edges of the doubles
 rejected with a named error (REJECTED: `sweep-tau --tau-max -1`), a
 tolerance flag given to each subcommand that does not integrate (argparse
 rejects it with exit 2), and a trace-distance window that starts after t = 0
-and converges (STARTS: `ratio --gamma0 500 --delta 100 --tau 0.1`).  They run as `python -m qslkit.cli` from CHECKOUT's
+and converges (STARTS: `ratio --gamma0 500 --delta 100 --tau 0.1`), and
+cells where the exclusion bound's rounding allowances dominate (EXCLUSION:
+a `scan` at gamma0 1e-12 to 1e-9, a `sweep-tau` and a `compare-bounds` within
+1e-4 of critical coupling, and `ratio --gamma0 1e-14 --delta 3000`).  They
+run as `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
 numpy's SIMD paths, and so the last bits, differ between hosts.
@@ -88,6 +92,15 @@ EDGES = (
 REJECTED = ("sweep-tau --tau-max -1 --n-points 3",)
 # Trace-distance windows at a nonzero start whose quadrature converges.
 STARTS = ("ratio --gamma0 500 --delta 100 --tau 0.1",)
+# Cells where the rounding allowances of model.amplitude_bounds dominate its slopes: tiny
+# coupling, where the slow mode's rate is below the allowance, and near-critical coupling,
+# where a± grow as 1/d.
+EXCLUSION = (
+    "scan --gamma0-min 1e-12 --gamma0-max 1e-9 --n-gamma0 3 --n-delta 3",
+    "sweep-tau --gamma0 25.000000001 --n-points 5",
+    "compare-bounds --gamma0-min 24.999 --gamma0-max 25.001 --n-points 5",
+    "ratio --gamma0 1e-14 --delta 3000",
+)
 
 
 def requests():
@@ -114,7 +127,7 @@ def requests():
     yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES + REJECTED)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
-    yield from (argv.split() for argv in STARTS)
+    yield from (argv.split() for argv in STARTS + EXCLUSION)
 
 
 def digest(checkout: Path, args: list) -> str:
