@@ -8,7 +8,9 @@ its own grid, then bisecting every bracket of all windows together, and are
 passed to the panels as arrays (window, value) sorted by window, then value.
 Probing is coarse-then-fine: every 8th probe first, then the others only
 where a bound on the factors' slopes cannot exclude a root (everywhere,
-without a bound), with the same roots to the last bit.
+without a bound), with the same roots to the last bit.  Each coarse interval
+left open is one row, its 7 fine probes between its coarse ends, and
+brackets are read along the rows.
 Panels are Gauss-Legendre 15 vs 7, bisected round by round over all windows;
 each window gets the value, error and QuadratureError of a depth-first,
 left-first bisection of that window alone.  QuadratureSpec holds only the
@@ -249,21 +251,28 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     intervals [t0, t1] that bound cannot exclude; bound=None excludes none.
     bound(rows, t0, t1) gives per factor and interval a threshold; an
     interval is excluded when every factor's |f(t0)| + |f(t1)| exceeds it,
-    which must certify that no probe inside it is a zero of that factor or
-    on the other side of zero.  A node's value does not depend on its call,
-    so the brackets, and every root, are bit for bit those of the full grid.
+    which must certify that the factor has one sign, and no zero, on every
+    probe of [t0, t1].  Each open interval is one row: its _STRIDE - 1 fine
+    probes between its two coarse probes, and the rows' fine probes are one
+    (rows, _STRIDE - 1) array of times for evaluate.  A node's value depends
+    neither on its call nor on its layout, so the brackets, and every root,
+    are bit for bit those of the full grid.  Windows are probed in blocks of
+    about 4 * _CHUNK_POINTS probes of their full grids: a block holds only
+    its coarse probes and its open rows, so blocks this large cost little
+    memory and halve the calls of blocks half the size.
     """
     if any(n < 2 for n in n_probe):
         raise ValueError("n_probe must be at least 2")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     windows = np.flatnonzero(b > a)
     sizes = np.asarray(n_probe)[windows] + 1
-    # A coarse-then-fine block makes a coarse call and a fine call at least,
-    # each chunked to _CHUNK_POINTS nodes by evaluate.  Blocks of _CHUNK_POINTS
-    # probes made 953 closed-form calls on the default scan against 851 for
-    # twice that, and the surface benchmark about 10% slower.
+    # A block evaluates its coarse probes, then its rows' fine probes, in calls
+    # of at most _CHUNK_POINTS nodes.  On the trajectory benchmark, blocks of 4
+    # chunks peaked at the RSS of blocks of 2 (37.8 MB), 8 chunks 1.2 MB higher
+    # and 16 chunks 3.5 MB; the default scan makes 46 probe calls at 4 chunks
+    # against 94 at 2.
     found = [_probe_block(f, bound, a, b, windows[i:j], sizes[i:j])
-             for i, j in _blocks(sizes, 2 * _CHUNK_POINTS)]
+             for i, j in _blocks(sizes, 4 * _CHUNK_POINTS)]
     if not found:
         return np.zeros(0, dtype=int), np.zeros(0)
     lo, hi, flo, rows, w, zero_t, zero_w = (np.concatenate(x) for x in zip(*found))
@@ -296,58 +305,60 @@ def _probe_block(f, bound, a, b, windows, sizes):
     """The brackets (lo, hi, flo, factor, window) and zero probes (t, window) of windows.
 
     Window windows[k] has sizes[k] probes; see find_sign_changes_many.  The
-    coarse probes, every _STRIDE-th and each window's last, are all evaluated;
-    the others only inside the coarse intervals that bound cannot exclude.
-    Probes are numbered over the block, window after window, and their times
-    are formed from their numbers.
+    coarse probes, every _STRIDE-th and each window's last, are all evaluated.
+    Each coarse interval that bound cannot exclude is one row: its two coarse
+    probes around its _STRIDE - 1 fine probes, where a window's shorter last
+    interval repeats its right end.  The rows' fine probes are evaluated as
+    one (rows, _STRIDE - 1) array, and brackets join neighbours along a row.
     """
     n = sizes - 1
-    first = np.cumsum(sizes) - sizes
 
     def times(k, i):
         """Element i of np.linspace(a, b, n + 1) of window windows[k], bit for bit."""
         lo, hi, m = a[windows[k]], b[windows[k]], n[k]
         step = (hi - lo) / m
-        t = np.where(step != 0.0, i * step + lo, (i / m) * (hi - lo) + lo)
+        t = i * step + lo
+        if not step.all():
+            t = np.where(step != 0.0, t, (i / m) * (hi - lo) + lo)
         return np.where(i == m, hi, t)
 
     n_coarse = (sizes + _STRIDE - 2) // _STRIDE + 1
     c_k = np.repeat(np.arange(windows.size), n_coarse)
     c_i = np.minimum(_STRIDE * _ramp(n_coarse), n[c_k])
-    c, c_t = first[c_k] + c_i, times(c_k, c_i)
-    c_win = windows[c_k]
+    c_t, c_win = times(c_k, c_i), windows[c_k]
     c_vals = evaluate(f, c_win, c_t[:, None])[:, :, 0]
     # Coarse interval q runs from coarse probe q to q + 1 of one window.
-    q = np.flatnonzero(c_win[:-1] == c_win[1:])
+    q = np.flatnonzero(c_k[:-1] == c_k[1:])
     if bound is not None:
         mag = np.abs(c_vals)
         excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], c_t[q], c_t[q + 1]), axis=0)
         q = q[~excluded]
-    n_fine = c[q + 1] - c[q] - 1
-    fine_k = np.repeat(c_k[q], n_fine)
-    fine_i = np.repeat(c_i[q] + 1, n_fine) + _ramp(n_fine)
-    fine, fine_t, fine_win = first[fine_k] + fine_i, times(fine_k, fine_i), windows[fine_k]
-    vals = c_vals
-    if fine.size:
-        vals = np.concatenate((c_vals, evaluate(f, fine_win, fine_t[:, None])[:, :, 0]), axis=1)
-    probe = np.concatenate((c, fine))
-    order = np.argsort(probe)
-    probe, point_win, vals = probe[order], np.concatenate((c_win, fine_win))[order], vals[:, order]
-    grid = np.concatenate((c_t, fine_t))[order]
-    # Every window keeps its first probe.
-    starts = np.flatnonzero(np.diff(point_win, prepend=-1))
-    counts = np.diff(np.append(starts, grid.size))
+    # Row r holds probes i[r] of window c_k[q[r]]; inner marks its fine probes.
+    i = np.minimum(c_i[q, None] + np.arange(_STRIDE + 1), c_i[q + 1, None])
+    grid, w = times(c_k[q, None], i), c_win[q]
+    inner = i[:, 1:-1] < i[:, -1:]
+    right = c_vals[:, q + 1, None]
+    fine = np.repeat(right, _STRIDE - 1, axis=2)
+    # Repeats of the right end take its coarse value; a row one probe wide has no fine probe.
+    wide = inner[:, 0]
+    if wide.any():
+        fine[:, wide] = np.where(inner[wide], evaluate(f, w[wide], grid[wide, 1:-1]),
+                                 right[:, wide])
+    vals = np.concatenate((c_vals[:, q, None], fine, right), axis=2)
     # A factor that is zero on every probe of its window has no kinks there.
-    nonzero = np.logical_or.reduceat(vals != 0.0, starts, axis=1)
-    vals = np.where(np.repeat(nonzero, counts, axis=1), vals, 1.0)
+    nonzero = np.logical_or.reduceat(c_vals != 0.0, np.cumsum(n_coarse) - n_coarse, axis=1)
+    np.logical_or.at(nonzero, (slice(None), c_k[q]), np.any(vals != 0.0, axis=2))
     sign = np.sign(vals)
-    # Brackets join neighbouring probes of one window.
-    pair = ((sign[:, :-1] * sign[:, 1:] < 0.0) & (point_win[:-1] == point_win[1:])
-            & (np.diff(probe) == 1))
-    rows, cols = np.nonzero(pair)
-    zero = np.nonzero(vals == 0.0)[1]
-    return (grid[cols], grid[cols + 1], vals[rows, cols], rows, point_win[cols],
-            grid[zero], point_win[zero])
+    rows, r, j = np.nonzero(sign[:, :, :-1] * sign[:, :, 1:] < 0.0)
+    # Exact-zero probes, coarse and fine, of the factors that are not zero everywhere.
+    z_fac, zero_c = np.nonzero(c_vals == 0.0)
+    zero_c = zero_c[nonzero[z_fac, c_k[zero_c]]]
+    z_fac, zero_r, zero_j = np.nonzero((vals[:, :, 1:-1] == 0.0) & inner)
+    keep = nonzero[z_fac, c_k[q[zero_r]]]
+    zero_r, zero_j = zero_r[keep], zero_j[keep]
+    return (grid[r, j], grid[r, j + 1], vals[rows, r, j], rows, w[r],
+            np.concatenate((c_t[zero_c], grid[zero_r, zero_j + 1])),
+            np.concatenate((c_win[zero_c], w[zero_r])))
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:

@@ -278,7 +278,7 @@ class TestCompareBounds:
         # bisection steps and panels.  An extra per-cell call would exceed the bound.
         code, _, _ = invoke(capsys, "compare-bounds", "--delta", "200", "--n-points", "30")
         assert code == 0
-        assert len(closed_form_calls) <= 86
+        assert len(closed_form_calls) <= 82
         assert all(len(s) == 2 for s in closed_form_calls)
 
     @pytest.mark.parametrize("delta, flow_back_cells", [("0", 15), ("200", 30), ("500", 30)])

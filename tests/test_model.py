@@ -234,6 +234,29 @@ class TestAmplitude:
             for got, w in zip((c[j], cdot[j]), want):
                 _assert_same_bits(got, w)
 
+    def test_one_node_rows_have_the_bits_of_seven_node_rows(self):
+        # The probe pass evaluates coarse probes as an (m, 1) call and fine probes
+        # as an (m, 7) call: a node's C and Cdot must have the same bits in both.
+        # Cells from 1e-3 to 1e3 LAM, a fifth on resonance and one at critical
+        # coupling; each row starts at 0.3 to 1.7 times its cell's switch time
+        # 25 / |d / 2| and spans up to 0.6 of it, so rows hold either form or both.
+        rng = np.random.default_rng(11)
+        gamma0 = np.append(10.0 ** rng.uniform(-3.0, 3.0, 200), 0.5) * LAM
+        delta = np.append(rng.uniform(0.0, 20.0, 200) * (rng.random(200) < 0.8), 0.0) * LAM
+        table = coefficient_table([ModelParams(g, LAM, d) for g, d in zip(gamma0, delta)])
+        rows = rng.integers(gamma0.size, size=3000)
+        with np.errstate(divide="ignore"):
+            switch = np.where(table.half_d == 0, 1.0 / LAM, 25.0 / np.abs(table.half_d))[rows]
+        t = switch[:, None] * (rng.uniform(0.3, 1.7, (rows.size, 1))
+                               + rng.uniform(0.0, 0.1, (rows.size, 1)) * np.arange(7))
+        big = np.abs(table.half_d[rows, None] * t) > 25.0
+        assert 0 < np.sum(big.all(axis=1)) and 0 < np.sum(~big.any(axis=1))
+        assert 0 < np.sum(big.any(axis=1) & ~big.all(axis=1))
+        seven = amplitude_cells(table, rows, t)
+        one = amplitude_cells(table, np.repeat(rows, 7), t.reshape(-1, 1))
+        for got, want in zip(one, seven):
+            _assert_same_bits(got, want.reshape(-1, 1))
+
     def test_forms_agree_at_the_switch_within_their_rounding_bounds(self):
         # C and Cdot are continuous across |d t / 2| = 25, where the split form takes over.
         hypothesis = pytest.importorskip("hypothesis")

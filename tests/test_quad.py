@@ -389,9 +389,13 @@ class TestCoarseThenFine:
             return self.factors(rows, t)
 
         full = find_sign_changes_many(counted, self.a, self.b, n_probe)
-        # Without a bound the coarse call and the fine call cover every probe.
-        full_probes = sum(calls[:2])
-        assert full_probes == 65 + 5 + 2001 + 301
+        # Without a bound the coarse call and the fine call cover every probe:
+        # 7 fine probes in each of the 8 + 1 + 250 + 38 coarse intervals, where
+        # the last intervals of the 4- and 300-probe windows, 4 probes wide,
+        # hold 3 and repeat their right end 4 times.
+        full_probes = 65 + 5 + 2001 + 301
+        assert calls[:2] == [9 + 2 + 251 + 39, 7 * (8 + 1 + 250 + 38)]
+        assert sum(calls[:2]) == full_probes + 4 + 4
         calls.clear()
         coarse = find_sign_changes_many(counted, self.a, self.b, n_probe, bound=self.bound)
         for x, y in zip(full, coarse):
@@ -402,6 +406,77 @@ class TestCoarseThenFine:
         # An exact-zero fine probe (t - 0.5 at t = 0.5) is kept: its interval
         # holds a zero, so the bound cannot exclude it.
         assert 0.5 in coarse[1][coarse[0] == 4]
+
+    def test_one_root_per_bracket_of_the_whole_grid(self):
+        # Reference: each window's whole np.linspace grid in one call, its brackets
+        # and its exact-zero probes taken factor by factor.  Factors cos(w t + phi)
+        # and s (t - z), with z a fine probe (an exact zero there) or s = 0 (identically
+        # zero); n_probe = 8m + 1 leaves a last coarse interval one probe wide.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        window = st.tuples(st.floats(0.0, 2.0), st.floats(0.01, 1.5),
+                           st.integers(2, 40) | st.integers(1, 4).map(lambda m: 8 * m + 1),
+                           st.floats(0.5, 60.0), st.floats(0.0, 2.0 * math.pi),
+                           st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 1.0]))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(windows=st.lists(window, min_size=1, max_size=4))
+        def check(windows):
+            a, width, n_probe, freq, phase, u, s = (np.array(x) for x in zip(*windows))
+            b = a + width
+            fine = [[i for i in range(1, n) if i % 8] for n in n_probe]
+            z = np.array([np.linspace(lo, hi, n + 1)[f[int(x * len(f))]]
+                          for lo, hi, n, f, x in zip(a, b, n_probe, fine, u)])
+
+            def factors(rows, t):
+                wave = np.cos(freq[rows, None] * t + phase[rows, None])
+                line = s[rows, None] * (t - z[rows, None])
+                return np.stack((wave, line))
+
+            def bound(rows, t0, t1):
+                slope = np.stack((freq[rows], s[rows]))
+                return slope * (t1 - t0) * (1.0 + 1e-9) + 1e-13
+
+            for i in range(a.size):
+                grid = np.linspace(a[i], b[i], n_probe[i] + 1)
+                items = []
+                for v in factors(np.array([i]), grid[None])[:, 0]:
+                    if not np.any(v != 0.0):
+                        continue
+                    sign = np.sign(v)
+                    items += [(grid[j], grid[j + 1])
+                              for j in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+                    items += [(t, t) for t in grid[1:-1][v[1:-1] == 0.0]]
+                assert s[i] == 0.0 or (z[i], z[i]) in items
+                items.sort()
+                for with_bound in (None, bound):
+                    root_win, roots = find_sign_changes_many(factors, a, b, n_probe, with_bound)
+                    got = roots[root_win == i]
+                    assert got.size == len(items)
+                    assert all(lo <= r <= hi for r, (lo, hi) in zip(got, items))
+
+        check()
+
+    @pytest.mark.parametrize("b", [1.0, 1e-322])
+    def test_rows_hold_linspace_elements(self, b):
+        # 67 probes: the coarse ones, then one row of 7 fine probes per coarse
+        # interval, the last interval (64 to 66) holding probe 65 and its right
+        # end 6 times.  At b = 1e-322 the step b / 66 underflows to 0.
+        n = 66
+        grid = np.linspace(0.0, b, n + 1)
+        nodes = []
+
+        def counted(rows, t):
+            nodes.append(t.copy())
+            return np.ones_like(t)
+
+        assert find_sign_changes_many(counted, [0.0], [b], [n])[1].size == 0
+        coarse, fine = nodes
+        want = grid[np.minimum(np.arange(0, n, 8)[:, None] + np.arange(1, 8), n)]
+        assert np.array_equal(coarse.ravel().view(np.uint64),
+                              grid[np.append(np.arange(0, n, 8), n)].view(np.uint64))
+        assert np.array_equal(fine.view(np.uint64), want.view(np.uint64))
+        assert (b / n == 0.0) == (b < 1.0)
 
     def test_the_bound_is_trusted(self):
         # A bound that excludes every interval leaves only the coarse probes:

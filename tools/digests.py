@@ -3,10 +3,11 @@
     python3 tools/digests.py [CHECKOUT] > digests.txt
     python3 tools/digests.py --against OTHER [CHECKOUT]
 
-The requests, always listed from this checkout, are every request of
-perfbench/workloads.py at seeds 1, 2, 3 and 7, the `qslkit` examples of
-README.md, `decay-rate` at 20,000 and 30,000 points on resonance and at
-delta 40 (there the 20,000-point request has 15,772 cosh/sinhc nodes and
+The requests, always listed from this checkout and each once, in the order
+first met, are every request of perfbench/workloads.py at seeds 1, 2, 3
+and 7 (the detuned `trajectory` sweep, the same at every seed, once), the
+`qslkit` examples of README.md, `decay-rate` at 20,000 and 30,000 points on
+resonance and at delta 40 (there the 20,000-point request has 15,772 cosh/sinhc nodes and
 4,228 split ones), `decay-rate` at 4,097, 16,383 and 16,384 points (chunk
 boundaries: 16,384 points are four chunks of `quad._CHUNK_POINTS`), each at
 the default `--t-max` (no split node) and at `--t-max 2` (both forms),
@@ -104,6 +105,11 @@ EXCLUSION = (
 
 
 def requests():
+    """Every request once, in the order first met."""
+    return [list(argv) for argv in dict.fromkeys(map(tuple, _all_requests()))]
+
+
+def _all_requests():
     for seed in SEEDS:
         for workload in workloads.WORKLOADS:
             yield from (list(r.argv) for r in workloads.requests(workload, seed))
