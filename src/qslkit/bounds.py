@@ -13,16 +13,17 @@ alone), which has a kink wherever a factor changes sign; Pdot does so where
 energy starts or stops flowing back from the reservoir.  All three run on
 one cell set, _Cells, for many cells (model point plus window) at once: it
 validates each window once, builds one coefficient table, evaluates C at
-every window's start and end in one batched call, locates the sign changes
-of the one factor (Pdot, P - P_ref) and integrates; an estimator adds only
-its integrand and its epilogue.  P has one formula, so P - P_ref is exactly
-0 at each window's start and each numerator uses the P of its integrand.
+every window's start and end in one batched call, searches the sign changes
+of both kink factors (Pdot, P - P_ref) once and integrates; an estimator adds
+its integrand, the factors it holds, whose roots split it, and its epilogue.
+P has one formula, so P - P_ref is exactly 0 at each window's start and each
+numerator uses the P of its integrand.
 
-Each estimator has a many-cell form (qsl_ratio_many, qsl_ratio_evolved_many,
-bures_comparator_many) that raises the first invalid window, in cell order,
-before any work, and returns per cell the result or the engine's
-QuadratureError, relabelled to name the cell.  The one-cell forms are the
-single-cell case and raise that error.
+The many-cell forms (qsl_ratio_many, qsl_ratio_evolved_many, and
+excited_ratios_many: the excited state's trace and Bures ratios on one cell
+set) raise the first invalid window, in cell order, before any work, and
+return per cell the result or the engine's QuadratureError, relabelled to
+name the cell.  The one-cell forms are the single-cell case and raise it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ _STATIONARY_TOL = 1e-30
 # above the subnormals, where the bounds lose their relative accuracy.
 _MARGIN = 2.0**-20
 _FLOOR = 1e-290
+
+# Masks of find_sign_changes_many's root bits: Pdot's roots; Pdot's and P - P_ref's.
+_PDOT, _BOTH = 1, 3
 
 
 @dataclass(frozen=True)
@@ -89,18 +93,18 @@ def _check_window(name: str, start: float, tau_d: float) -> None:
 
 
 class _Cells:
-    """The cells (model point, window [start, start + tau_d]) of one estimator call.
+    """The cells (model point, window [start, start + tau_d]) of one request's estimators.
 
     Checks every window, in cell order, and its probe count, builds one
     coefficient table and evaluates C at every window's start and end in one
     batched call: c_ends and p_ends, with P as terms forms it, are (cells, 2),
-    so P_ref and P_end are columns 0 and 1.  ref says whether P - P_ref is a
-    kink factor.  scale multiplies P and Pdot (the initial excited
+    so P_ref and P_end are columns 0 and 1.  kinks, (window, root, factor
+    bits), holds the sign changes of both kink factors, searched once for
+    every integral.  scale multiplies P and Pdot (the initial excited
     population).
     """
 
-    def __init__(self, params, starts, tau_d: float, name: str, ref: bool = False,
-                 scale: float = 1.0):
+    def __init__(self, params, starts, tau_d: float, name: str, scale: float = 1.0):
         for s in starts:
             _check_window(name, s, tau_d)
         self.params, self.a = params, starts
@@ -114,19 +118,20 @@ class _Cells:
                     f"{n:.6g} probes, more than an array can hold"
                 )
         self.table = coefficient_table(self.params)
-        self.scale, self.ref = scale, ref
+        self.scale = scale
         ends = np.column_stack((self.a, self.b))
         self.c_ends = quad.evaluate(lambda rows, t: model.amplitude_cells(self.table, rows, t)[0],
                                     np.arange(len(ends)), ends)[0]
         self.p_ends = self.scale * np.abs(self.c_ends) ** 2
+        # Only the probes that thresholds cannot exclude are evaluated.
+        self.kinks = quad.find_sign_changes_many(lambda rows, t: self.terms(rows, t)[2], self.a,
+                                                 self.b, self.n_probe, bound=self.thresholds)
 
     def terms(self, rows: np.ndarray, t: np.ndarray):
-        """C, Cdot and the kink factors of cells rows at nodes t: Pdot, and P - P_ref if ref."""
+        """C, Cdot and the kink factors of cells rows at nodes t, stacked: Pdot and P - P_ref."""
         c, cdot = model.amplitude_cells(self.table, rows, t)
         # population_rate and excited_population, scaled.
         pdot = self.scale * 2.0 * (np.conj(c) * cdot).real
-        if not self.ref:
-            return c, cdot, pdot[None]
         return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self.p_ends[rows, :1]))
 
     def thresholds(self, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
@@ -146,29 +151,25 @@ class _Cells:
         s = self.scale
         # Infinite bounds (d = 0) give NaN thresholds, which exclude nothing.
         with np.errstate(over="ignore", invalid="ignore"):
-            slope = [s * pddot]
-            err = [2.0 * s * (c_hat * cdot_hat - c * cdot)]
-            if self.ref:
-                slope.append(s * pdot)
-                # P_ref is one computed constant; only the subtraction rounds it.
-                err.append(s * (c_hat * c_hat - c * c) + 2.0**-52 * np.abs(self.p_ends[rows, 0]))
-            bound = np.array(slope) * (t1 - t0) + 4.0 * np.array(err)
-            return bound * (1.0 + _MARGIN) + _FLOOR
+            slope = np.array((s * pddot, s * pdot))
+            # P_ref is one computed constant; only the subtraction rounds it.
+            err = np.array((2.0 * s * (c_hat * cdot_hat - c * cdot),
+                            s * (c_hat * c_hat - c * c) + 2.0**-52 * np.abs(self.p_ends[rows, 0])))
+            return (slope * (t1 - t0) + 4.0 * err) * (1.0 + _MARGIN) + _FLOOR
 
-    def integrate(self, integrand, spec: quad.QuadratureSpec | None, epilogue) -> list:
+    def integrate(self, integrand, factors: int, spec: quad.QuadratureSpec | None, epilogue):
         """Per cell j, epilogue(j, value, err) of the adaptive integral of integrand over
         its window, split at kinks, or the engine's QuadratureError for that window.
 
-        integrand(rows, t) is a product of absolute values of the factors
-        terms returns, so it has a kink wherever one of them changes sign.
-        Their sign changes are found with the probes that thresholds cannot
-        exclude.  A failed cell's error is relabelled in place to name the
+        integrand(rows, t) is a product of absolute values of the kink
+        factors that the mask factors (_PDOT or _BOTH) selects, so it has a
+        kink wherever one of them changes sign, and is split at their roots
+        alone.  A failed cell's error is relabelled in place to name the
         model point and the window, so it pickles back whole.
         """
-        root_win, roots = quad.find_sign_changes_many(
-            lambda rows, t: self.terms(rows, t)[2], self.a, self.b, self.n_probe,
-            bound=self.thresholds)
-        results = quad.integrate_many(integrand, self.a, self.b, root_win, roots,
+        root_win, roots, bits = self.kinks
+        take = (bits & factors) != 0
+        results = quad.integrate_many(integrand, self.a, self.b, root_win[take], roots[take],
                                       spec or quad.QuadratureSpec())
         for j, (p, r) in enumerate(zip(self.params, results)):
             if isinstance(r, quad.QuadratureError):
@@ -194,7 +195,7 @@ def lambda_integrals(
     tau_start.
     """
     cells, integrand, _ = _lambda_cores([p], rho0, tau_start, tau_d)
-    [value] = raise_first(cells.integrate(integrand, spec, lambda j, v, err: 2.0 * v / tau_d))
+    [value] = raise_first(cells.integrate(integrand, _BOTH, spec, lambda j, v, _: 2.0 * v / tau_d))
     return value, value, value
 
 
@@ -202,10 +203,10 @@ def _lambda_cores(params: list[ModelParams], rho0: DensityMatrix2, tau_start: fl
                   tau_d: float):
     """The cells; the integrand of cells rows at nodes t, whose window integral I gives every
     averaged integral as 2 * I / tau_d (1, sqrt(2)*sqrt(2) and 2x the operator-norm
-    integrand); and the coherence at every window's start and end, (cells, 2)."""
+    integrand); and the epilogue that turns it into cell j's BoundReport."""
     ree0 = rho0.excited_population
     coh0 = rho0.coherence
-    cells = _Cells(params, [tau_start] * len(params), tau_d, "tau_start", ref=True, scale=ree0)
+    cells = _Cells(params, [tau_start] * len(params), tau_d, "tau_start", scale=ree0)
     coh_ends = coh0 * cells.c_ends
 
     def integrand(rows, t):
@@ -214,7 +215,30 @@ def _lambda_cores(params: list[ModelParams], rho0: DensityMatrix2, tau_start: fl
         rate = np.sqrt(pdot**2 + np.abs(coh0 * cdot) ** 2)
         return disp * rate
 
-    return cells, integrand, coh_ends
+    def report(j, value, err):
+        lam_val = 2.0 * value / tau_d
+        (p_ref, p_end), (coh_ref, coh_end) = cells.p_ends[j].tolist(), coh_ends[j]
+        disp_norm = 2.0 * math.sqrt((p_end - p_ref) ** 2 + abs(complex(coh_end - coh_ref)) ** 2)
+        d_measure = 1.0 - 0.25 * disp_norm**2
+        stationary = lam_val < _STATIONARY_TOL
+        if stationary:
+            # ratio = tau_d / tau_d is exactly 1.
+            lam_val, tau_qsl = 0.0, tau_d
+        else:
+            tau_qsl = 2.0 * abs(1.0 - d_measure) / lam_val
+        return BoundReport(
+            lambda1=lam_val,
+            lambda2=lam_val,
+            lambda_inf=lam_val,
+            d_measure=d_measure,
+            tau_qsl=tau_qsl,
+            ratio=tau_qsl / tau_d,
+            tau_d=tau_d,
+            quadrature_err=err,
+            stationary=stationary,
+        )
+
+    return cells, integrand, report
 
 
 def qsl_ratio(
@@ -242,32 +266,8 @@ def qsl_ratio_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio for every model point in params; a failed cell's entry is its error."""
-    cells, integrand, coh_ends = _lambda_cores(params, rho0, tau_start, tau_d)
-
-    def report(j, value, err):
-        lam_val = 2.0 * value / tau_d
-        (p_ref, p_end), (coh_ref, coh_end) = cells.p_ends[j].tolist(), coh_ends[j]
-        disp_norm = 2.0 * math.sqrt((p_end - p_ref) ** 2 + abs(complex(coh_end - coh_ref)) ** 2)
-        d_measure = 1.0 - 0.25 * disp_norm**2
-        stationary = lam_val < _STATIONARY_TOL
-        if stationary:
-            # ratio = tau_d / tau_d is exactly 1.
-            lam_val, tau_qsl = 0.0, tau_d
-        else:
-            tau_qsl = 2.0 * abs(1.0 - d_measure) / lam_val
-        return BoundReport(
-            lambda1=lam_val,
-            lambda2=lam_val,
-            lambda_inf=lam_val,
-            d_measure=d_measure,
-            tau_qsl=tau_qsl,
-            ratio=tau_qsl / tau_d,
-            tau_d=tau_d,
-            quadrature_err=err,
-            stationary=stationary,
-        )
-
-    return cells.integrate(integrand, spec, report)
+    cells, integrand, report = _lambda_cores(params, rho0, tau_start, tau_d)
+    return cells.integrate(integrand, _BOTH, spec, report)
 
 
 def qsl_ratio_evolved(
@@ -291,7 +291,7 @@ def qsl_ratio_evolved_many(
     spec: quad.QuadratureSpec | None = None,
 ) -> list:
     """qsl_ratio_evolved for cells (params[i], taus[i]); a failed cell's entry is its error."""
-    cells = _Cells(params, taus, tau_d, "tau", ref=True)
+    cells = _Cells(params, taus, tau_d, "tau")
 
     def integrand(rows, t):
         pdot, pdisp = cells.terms(rows, t)[2]
@@ -304,7 +304,7 @@ def qsl_ratio_evolved_many(
         p_ref, p_end = cells.p_ends[j].tolist()
         return (p_end - p_ref) ** 2 / den
 
-    return cells.integrate(integrand, spec, ratio)
+    return cells.integrate(integrand, _BOTH, spec, ratio)
 
 
 def bures_comparator(
@@ -322,19 +322,21 @@ def bures_comparator(
     sqrt(n)/n prefactors instead, under which the three norms coincide for
     this model, doubles Lambda_tilde and so only halves the ratio.
     """
-    return raise_first(bures_comparator_many([p], tau_d, spec))[0]
+    return raise_first(excited_ratios_many([p], tau_d, spec)[1])[0]
 
 
-def bures_comparator_many(
+def excited_ratios_many(
     params: list[ModelParams], tau_d: float, spec: quad.QuadratureSpec | None = None
-) -> list:
-    """bures_comparator for every model point in params; a failed cell's entry is its error."""
-    cells = _Cells(params, [0.0] * len(params), tau_d, "tau_start")
+) -> tuple[list, list]:
+    """The excited state's qsl_ratio reports and bures_comparator ratios on [0, tau_d] for
+    every model point in params, from one cell set; a failed cell's entry is its error."""
+    cells, integrand, report = _lambda_cores(params, DensityMatrix2.excited(), 0.0, tau_d)
 
-    def ratio(j, value, err):
+    def bures(j, value, err):
         if value < _STATIONARY_TOL:
             return 1.0
         return (1.0 - cells.p_ends[j, 1].item()) / value
 
     # For the excited trajectory rhod is diagonal, so ||rhod||_inf = |Pdot|.
-    return cells.integrate(lambda rows, t: np.abs(cells.terms(rows, t)[2]), spec, ratio)
+    return (cells.integrate(integrand, _BOTH, spec, report),
+            cells.integrate(lambda rows, t: np.abs(cells.terms(rows, t)[2][0]), _PDOT, spec, bures))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import csvbytes
 from . import scan as scan_mod
-from .bounds import bures_comparator_many, qsl_ratio_many
+from .bounds import excited_ratios_many, qsl_ratio_many
 from .model import ModelParams, amplitude_series, check_grid_size, oracle_amplitude
 from .quad import QuadratureSpec
 from .smatrix import DensityMatrix2
@@ -212,9 +212,12 @@ def _cmd_ratio(opts: dict) -> Columns:
     p = _model_params(opts)
     spec = _quad_spec(opts)
     tau_d = opts["tau_d"]
-    [report] = qsl_ratio_many([p], DensityMatrix2.excited(), tau_d, opts["tau"], spec)
     # The Bures-angle comparator covers the window [0, tau_d] only.
-    [comparator] = bures_comparator_many([p], tau_d, spec) if opts["tau"] == 0.0 else [math.nan]
+    if opts["tau"] == 0.0:
+        [report], [comparator] = excited_ratios_many([p], tau_d, spec)
+    else:
+        [report] = qsl_ratio_many([p], DensityMatrix2.excited(), tau_d, opts["tau"], spec)
+        comparator = math.nan
     if isinstance(report, Exception):
         values = (math.nan,) * 5 + (report, comparator, False, math.nan)
     else:
@@ -284,9 +287,8 @@ def _cmd_compare_bounds(opts: dict) -> Columns:
     spec = _quad_spec(opts)
     params = [ModelParams(gamma0=g0, lam=opts["lam"], delta=opts["delta"])
               for g0 in gamma0_axis.tolist()]
-    trace = qsl_ratio_many(params, DensityMatrix2.excited(), opts["tau_d"], spec=spec)
-    return (gamma0_axis, [t if isinstance(t, Exception) else t.ratio for t in trace],
-            bures_comparator_many(params, opts["tau_d"], spec=spec))
+    trace, bures = excited_ratios_many(params, opts["tau_d"], spec)
+    return gamma0_axis, [t if isinstance(t, Exception) else t.ratio for t in trace], bures
 
 
 def _cmd_oracle_check(opts: dict) -> Columns:

@@ -5,7 +5,8 @@ integrand and the factors are called as f(rows, t): nodes t of shape (m, n),
 row j in window rows[j], in chunks of at most _CHUNK_POINTS nodes.  Factors
 may stack k rows to (k, m, n).  Roots are found by probing every window on
 its own grid, then bisecting every bracket of all windows together, and are
-passed to the panels as arrays (window, value) sorted by window, then value.
+returned as arrays (window, value, factor bits) sorted by window, then value;
+the panels take the (window, value) of the roots their integrand kinks at.
 Probing is coarse-then-fine: every 8th probe first, then the others only
 where a bound on the factors' slopes cannot exclude a root (everywhere,
 without a bound), with the same roots to the last bit.  Each coarse interval
@@ -234,17 +235,19 @@ def integrate(
     return result
 
 
-def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np.ndarray]:
-    """Roots in (a[i], b[i]) of the factors of every window i, as arrays (window, root).
+def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, ...]:
+    """Roots in (a[i], b[i]) of the factors of every window i, as arrays (window, root, bits).
 
-    The arrays are sorted by window and then root.  Window i is probed on
-    n_probe[i] + 1 uniform points, and every bracketed sign change is
+    The arrays are sorted by window and then root.  Bit k of a root's bits
+    is set if factor k changes sign, or is exactly zero, there; equal roots
+    of several factors are one root with all their bits.  Window i is probed
+    on n_probe[i] + 1 uniform points, and every bracketed sign change is
     bisected to a width of 1e-12 * (b[i] - a[i]), or until no double lies
-    between its ends.  Brackets are decided by
-    signs, not by products, which underflow.  Exact-zero probes count as
-    roots; a factor zero on every probe of a window has none there.  Roots
-    closer together than the probe spacing can be missed; callers should
-    size n_probe from the expected oscillation period.
+    between its ends.  Brackets are decided by signs, not by products, which
+    underflow.  Exact-zero probes count as roots; a factor zero on every
+    probe of a window has none there.  Roots closer together than the probe
+    spacing can be missed; callers should size n_probe from the expected
+    oscillation period.
 
     Every window is probed coarse-then-fine: first on every _STRIDE-th probe
     and its last one, then on the other probes only inside the coarse
@@ -274,8 +277,8 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
     found = [_probe_block(f, bound, a, b, windows[i:j], sizes[i:j])
              for i, j in _blocks(sizes, 4 * _CHUNK_POINTS)]
     if not found:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    lo, hi, flo, rows, w, zero_t, zero_w = (np.concatenate(x) for x in zip(*found))
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
+    lo, hi, flo, fac, w, zero_t, zero_w, zero_fac = (np.concatenate(x) for x in zip(*found))
     target = 1e-12 * (b - a)[w]
     live = np.flatnonzero(hi - lo > target)
     while live.size:
@@ -284,7 +287,7 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
         # no double lies between its ends: bisecting it would change nothing.
         inner = (lo[live] < mid) & (mid < hi[live])
         fmid = np.asarray(evaluate(f, w[live], mid[:, None]), dtype=float)
-        fmid = fmid[rows[live], np.arange(live.size), 0]
+        fmid = fmid[fac[live], np.arange(live.size), 0]
         # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
         left = np.sign(flo[live]) * np.sign(fmid) < 0.0
         hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
@@ -293,16 +296,19 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, np
         live = live[inner & (hi[live] - lo[live] > target[live])]
     roots = np.concatenate((zero_t, 0.5 * lo + 0.5 * hi))
     root_win = np.concatenate((zero_w, w))
+    bits = np.left_shift(1, np.concatenate((zero_fac, fac)))
     order = np.lexsort((roots, root_win))
-    roots, root_win = roots[order], root_win[order]
+    roots, root_win, bits = roots[order], root_win[order], bits[order]
     first = np.ones(roots.size, dtype=bool)
     first[1:] = (roots[1:] != roots[:-1]) | (root_win[1:] != root_win[:-1])
     inside = first & (a[root_win] < roots) & (roots < b[root_win])
-    return root_win[inside], roots[inside]
+    # Equal roots are one root, with the bits of every factor they belong to.
+    bits = np.bitwise_or.reduceat(bits, np.flatnonzero(first))[inside[first]]
+    return root_win[inside], roots[inside], bits
 
 
 def _probe_block(f, bound, a, b, windows, sizes):
-    """The brackets (lo, hi, flo, factor, window) and zero probes (t, window) of windows.
+    """The brackets (lo, hi, flo, factor, window) and zero probes (t, window, factor) of windows.
 
     Window windows[k] has sizes[k] probes; see find_sign_changes_many.  The
     coarse probes, every _STRIDE-th and each window's last, are all evaluated.
@@ -349,16 +355,15 @@ def _probe_block(f, bound, a, b, windows, sizes):
     nonzero = np.logical_or.reduceat(c_vals != 0.0, np.cumsum(n_coarse) - n_coarse, axis=1)
     np.logical_or.at(nonzero, (slice(None), c_k[q]), np.any(vals != 0.0, axis=2))
     sign = np.sign(vals)
-    rows, r, j = np.nonzero(sign[:, :, :-1] * sign[:, :, 1:] < 0.0)
+    fac, r, j = np.nonzero(sign[:, :, :-1] * sign[:, :, 1:] < 0.0)
     # Exact-zero probes, coarse and fine, of the factors that are not zero everywhere.
-    z_fac, zero_c = np.nonzero(c_vals == 0.0)
-    zero_c = zero_c[nonzero[z_fac, c_k[zero_c]]]
-    z_fac, zero_r, zero_j = np.nonzero((vals[:, :, 1:-1] == 0.0) & inner)
-    keep = nonzero[z_fac, c_k[q[zero_r]]]
-    zero_r, zero_j = zero_r[keep], zero_j[keep]
-    return (grid[r, j], grid[r, j + 1], vals[rows, r, j], rows, w[r],
-            np.concatenate((c_t[zero_c], grid[zero_r, zero_j + 1])),
-            np.concatenate((c_win[zero_c], w[zero_r])))
+    c_fac, zero_c = np.nonzero(c_vals == 0.0)
+    r_fac, zero_r, zero_j = np.nonzero((vals[:, :, 1:-1] == 0.0) & inner)
+    z_fac = np.concatenate((c_fac, r_fac))
+    keep = nonzero[z_fac, np.concatenate((c_k[zero_c], c_k[q[zero_r]]))]
+    return (grid[r, j], grid[r, j + 1], vals[fac, r, j], fac, w[r],
+            np.concatenate((c_t[zero_c], grid[zero_r, zero_j + 1]))[keep],
+            np.concatenate((c_win[zero_c], w[zero_r]))[keep], z_fac[keep])
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ import qslkit.quad as quad_mod
 from qslkit.bounds import (
     SPEED_UP_TOL,
     _Cells,
+    _PDOT,
     bures_comparator,
-    bures_comparator_many,
+    excited_ratios_many,
     lambda_integrals,
     qsl_ratio,
     qsl_ratio_evolved,
@@ -163,7 +164,7 @@ class TestWindowValidation:
             bures_comparator(self.P, tau_d)
         assert str(info.value) == message
         with pytest.raises(ValueError) as info:
-            bures_comparator_many([self.P, self.P], tau_d)
+            excited_ratios_many([self.P, self.P], tau_d)
         assert str(info.value) == message
 
 
@@ -212,7 +213,7 @@ class TestQslRatio:
         params = [ModelParams(g * LAM, LAM, d * LAM)
                   for g, d in zip(10.0 ** rng.uniform(-2, 1.5, n), rng.uniform(0.5, 10.0, n))]
         starts = (10.0 ** rng.uniform(-3, 1, n) / LAM).tolist()
-        cells = _Cells(params, starts, 0.2, "tau", ref=True, scale=scale)
+        cells = _Cells(params, starts, 0.2, "tau", scale=scale)
         t = np.linspace(cells.a, cells.b, 9, axis=1)
         disp = quad_mod.evaluate(lambda rows, x: cells.terms(rows, x)[2], np.arange(n), t)[1]
         assert np.all(disp[:, 0] == 0.0)
@@ -366,27 +367,29 @@ class TestBreakpointMachinery:
 
 
 def _kink_cells(params, start, tau_d, path):
-    """The cell set one estimator path builds: its ref and scale."""
-    if path == "bures":
-        return _Cells(params, [start] * len(params), tau_d, "tau_start")
+    """The cell set one estimator path builds: its scale."""
     if path == "evolved":
-        return _Cells(params, [start] * len(params), tau_d, "tau", ref=True)
-    # The trace path; ree0 is the initial excited population (coherence does not enter).
+        return _Cells(params, [start] * len(params), tau_d, "tau")
+    # The trace path, which the Bures path shares from the excited state; ree0 is the
+    # initial excited population (coherence does not enter).
     ree0 = {"excited": 1.0, "ground": 0.0, "coherent": 0.4}[path]
-    return _Cells(params, [start] * len(params), tau_d, "tau_start", ref=True, scale=ree0)
+    return _Cells(params, [start] * len(params), tau_d, "tau_start", scale=ree0)
 
 
-def _kink_roots(cells, bound):
-    def factors(rows, t):
-        return cells.terms(rows, t)[2]
+def _kink_roots(cells, bound, factors=slice(None)):
+    """The (window, root, bits) of the sign changes of cells' factors, all or some."""
+    def f(rows, t):
+        return cells.terms(rows, t)[2][factors]
 
-    return quad_mod.find_sign_changes_many(factors, cells.a, cells.b, cells.n_probe, bound=bound)
+    return quad_mod.find_sign_changes_many(f, cells.a, cells.b, cells.n_probe, bound=bound)
 
 
 class TestCertifiedProbing:
-    """Coarse-then-fine probing (bound = _Cells.thresholds) against the full grid (no bound)."""
+    """Coarse-then-fine probing (_Cells.kinks, bound = thresholds) against the full grid."""
 
     def test_roots_are_the_full_grid_roots_bit_for_bit(self):
+        # The roots the two-factor search tags as Pdot's are also, bit for bit, those
+        # of a full-grid search of Pdot alone: the Bures integral's breakpoints.
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         near_critical = st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 1e-3]).map(
@@ -399,21 +402,45 @@ class TestCertifiedProbing:
         @hypothesis.example(cells=[(0.1, 200.0)], start=0.0, tau_d=10.0, path="excited")
         # A window of the detuned sweep-tau request of the trajectory benchmark.
         @hypothesis.example(cells=[(20.0, 4.0)], start=50.0, tau_d=10.0, path="evolved")
+        # gamma0 1e-14 and delta 200 at lam 50, tau_d 0.2: P - P_ref has noise roots.
+        @hypothesis.example(cells=[(2e-16, 4.0)], start=0.0, tau_d=10.0, path="excited")
         @hypothesis.given(
             cells=st.lists(st.tuples(coupling, detuning), min_size=1, max_size=4),
             start=st.floats(0.0, 100.0) | st.just(0.0),
             tau_d=st.floats(0.05, 20.0),
-            path=st.sampled_from(["excited", "ground", "coherent", "evolved", "bures"]),
+            path=st.sampled_from(["excited", "ground", "coherent", "evolved"]),
         )
         def check(cells, start, tau_d, path):
             params = [ModelParams(g * LAM, LAM, d * LAM) for g, d in cells]
             kink_cells = _kink_cells(params, start / LAM, tau_d / LAM, path)
             full = _kink_roots(kink_cells, None)
-            fast = _kink_roots(kink_cells, kink_cells.thresholds)
-            assert np.array_equal(full[0], fast[0])
-            assert full[1].tobytes() == fast[1].tobytes()
+            fast = kink_cells.kinks
+            for x, y in zip(full, fast):
+                assert x.tobytes() == y.tobytes()
+            pdot = _kink_roots(kink_cells, None, factors=slice(0, 1))
+            tagged = (fast[2] & _PDOT) != 0
+            assert np.array_equal(pdot[0], fast[0][tagged])
+            assert pdot[1].tobytes() == fast[1][tagged].tobytes()
 
         check()
+
+    def test_each_integral_splits_at_the_roots_of_its_factors(self, monkeypatch):
+        # At gamma0 1e-14 and delta 200, P - P_ref has noise roots: the trace integral
+        # splits at every root of the one search, the Bures integral at Pdot's alone.
+        breakpoints = []
+        real = quad_mod.integrate_many
+
+        def recorded(f, a, b, bp_win, bp, spec):
+            breakpoints.append(bp)
+            return real(f, a, b, bp_win, bp, spec)
+
+        monkeypatch.setattr(quad_mod, "integrate_many", recorded)
+        p = ModelParams(1e-14, LAM, 200.0)
+        excited_ratios_many([p], 0.2)
+        cells = _kink_cells([p], 0.0, 0.2, "excited")
+        pdot = _kink_roots(cells, None, factors=slice(0, 1))[1]
+        assert [bp.tobytes() for bp in breakpoints] == [cells.kinks[1].tobytes(), pdot.tobytes()]
+        assert cells.kinks[1].size > pdot.size > 0
 
     def test_a_large_window_is_probed_in_chunks(self, closed_form_calls):
         # A window of 20,372 probes at delta = 200 lam, five chunks of quad._CHUNK_POINTS.
@@ -425,7 +452,7 @@ class TestCertifiedProbing:
         # the bracket around the root of Pdot at 40 pi / sqrt(13) must still end.
         p = ModelParams(7.0, 1.0, 0.0)
         cells = _kink_cells([p], 34.85, 0.005, "evolved")
-        _, roots = _kink_roots(cells, cells.thresholds)
+        _, roots, _ = cells.kinks
         assert roots.tolist() == pytest.approx([40.0 * math.pi / math.sqrt(13.0)], abs=1e-9)
         assert qsl_ratio_evolved(p, 34.85, 0.005) == 1.0
 
@@ -441,7 +468,7 @@ class TestCertifiedProbing:
         # probes each.  Bounding |Pddot| by C's moduli excluded 51 of its 19,000 coarse
         # intervals, for 151,534 probes; P's two-mode form evaluates 21,167.
         taus = np.linspace(0.0, 2.0, 200).tolist()
-        cells = _Cells([ModelParams(1000.0, LAM, 200.0)] * 200, taus, 0.2, "tau", ref=True)
+        cells = _Cells([ModelParams(1000.0, LAM, 200.0)] * 200, taus, 0.2, "tau")
         assert _checked_probe_count(cells) <= 22_000
 
 
@@ -489,7 +516,7 @@ class TestQuadratureErrorContext:
         p = ModelParams(500.0, LAM, 0.0)
         for [error] in (qsl_ratio_many([p], EXCITED, 0.2, spec=spec),
                         qsl_ratio_evolved_many([p], [0.0], 0.2, spec),
-                        bures_comparator_many([p], 0.2, spec)):
+                        excited_ratios_many([p], 0.2, spec)[1]):
             assert type(error) is QuadratureError and error.__cause__ is None
             message = str(error)
             panel = re.fullmatch(
@@ -536,10 +563,11 @@ class TestManyCells:
             taus = [tau for _, _, tau in cells]
             many = zip(qsl_ratio_many(params, EXCITED, 0.2, spec=spec),
                        qsl_ratio_evolved_many(params, taus, 0.2, spec),
-                       bures_comparator_many(params, 0.2, spec))
+                       *excited_ratios_many(params, 0.2, spec))
             for p, tau, results in zip(params, taus, many):
                 one = (lambda: qsl_ratio(p, EXCITED, 0.2, spec=spec),
                        lambda: qsl_ratio_evolved(p, tau, 0.2, spec),
+                       lambda: qsl_ratio(p, EXCITED, 0.2, spec=spec),
                        lambda: bures_comparator(p, 0.2, spec))
                 assert [_outcome(r) for r in results] == [_one_cell_outcome(c) for c in one]
 
@@ -554,8 +582,7 @@ class TestManyCells:
         # quadrature alone.
         params = [ModelParams(g, LAM, d) for g in default_gamma0_axis(LAM).tolist()
                   for d in default_delta_axis(LAM).tolist()]
-        trace = qsl_ratio_many(params, EXCITED, 0.2)
-        bures = bures_comparator_many(params, 0.2)
+        trace, bures = excited_ratios_many(params, 0.2)
         gaps = []
         for p, report, ratio_bures in zip(params, trace, bures):
             n = probe_count_for_period(p.complex_root.imag, 0.0, 0.2)
@@ -573,4 +600,4 @@ class TestManyCells:
     def test_no_cells_give_no_results(self):
         assert qsl_ratio_many([], EXCITED, 0.2) == []
         assert qsl_ratio_evolved_many([], [], 0.2) == []
-        assert bures_comparator_many([], 0.2) == []
+        assert excited_ratios_many([], 0.2) == ([], [])

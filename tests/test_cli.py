@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import qslkit.bounds as bounds_mod
 import qslkit.cli as cli_mod
+import qslkit.model as model_mod
 import qslkit.quad as quad_mod
 import qslkit.scan as scan_mod
 from qslkit.bounds import SPEED_UP_TOL, bures_comparator, qsl_ratio
@@ -247,6 +249,24 @@ class TestGridEndingAtNegativeZero:
         assert out.count(f'"{name}": 0.0,') == 3 and f'"{name}": -0.0' not in out
 
 
+@pytest.mark.parametrize("argv", [("ratio",), ("ratio", "--tau", "0.1"),
+                                  ("compare-bounds", "--n-points", "8")])
+def test_one_cell_set_per_request(capsys, monkeypatch, argv):
+    # The trace and Bures ratios share one coefficient table and one kink search.
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    table = counted("table", model_mod.coefficient_table)
+    monkeypatch.setattr(model_mod, "coefficient_table", table)
+    monkeypatch.setattr(bounds_mod, "coefficient_table", table)
+    monkeypatch.setattr(quad_mod, "find_sign_changes_many",
+                        counted("search", quad_mod.find_sign_changes_many))
+    assert invoke(capsys, *argv)[0] == 0
+    assert sorted(calls) == ["search", "table"]
+
+
 class TestCompareBounds:
     def test_header_and_plateaus(self, capsys):
         code, out, _ = invoke(
@@ -273,12 +293,12 @@ class TestCompareBounds:
         assert rows == expected
 
     def test_closed_form_calls(self, capsys, closed_form_calls):
-        # 30 points, each a trace and a Bures cell: one batched call for the
-        # end points of each estimator's windows, and the batched probes,
-        # bisection steps and panels.  An extra per-cell call would exceed the bound.
+        # 30 points on one cell set: one batched call for its windows' end points,
+        # the batched probes and bisection steps of its one kink search, and the
+        # panels of both integrals.  An extra per-cell call would exceed the bound.
         code, _, _ = invoke(capsys, "compare-bounds", "--delta", "200", "--n-points", "30")
         assert code == 0
-        assert len(closed_form_calls) <= 82
+        assert len(closed_form_calls) <= 47
         assert all(len(s) == 2 for s in closed_form_calls)
 
     @pytest.mark.parametrize("delta, flow_back_cells", [("0", 15), ("200", 30), ("500", 30)])

@@ -205,8 +205,8 @@ class TestIntegrate:
     def test_no_windows(self):
         unused = lambda rows, t: 1 / 0
         assert integrate_many(unused, [], [], [], [], QuadratureSpec()) == []
-        root_win, roots = find_sign_changes_many(unused, [], [], [])
-        assert root_win.size == roots.size == 0
+        root_win, roots, bits = find_sign_changes_many(unused, [], [], [])
+        assert root_win.size == roots.size == bits.size == 0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -311,6 +311,26 @@ class TestFindSignChanges:
         assert single[2] == []
         assert stacked == sorted(set(single[0] + single[1]))
 
+    def test_each_root_carries_the_bits_of_its_factors(self):
+        # Bit k is set where factor k changes sign or is exactly zero (t - 0.5 on
+        # the probe 0.5).  t - 0.3 and 2 (t - 0.3) are bisected alike, so their
+        # roots are one root with both bits.  Each factor's roots are, bit for bit,
+        # those of a search of that factor alone.
+        def factors(rows, t):
+            return np.stack((t - 0.3, t - 0.5, 2.0 * (t - 0.3), np.cos(50.0 * t)))
+
+        root_win, roots, bits = find_sign_changes_many(factors, [0.0, 0.0], [1.0, 0.6],
+                                                       [4, 64])
+        assert [x for x in bits.tolist() if x != 0b1000] == [0b101, 0b010] * 2
+        assert roots[bits == 0b010][0] == 0.5
+        for k in range(4):
+            alone = find_sign_changes_many(lambda rows, t: factors(rows, t)[k], [0.0, 0.0],
+                                           [1.0, 0.6], [4, 64])
+            mine = (bits >> k & 1).astype(bool)
+            assert np.array_equal(alone[0], root_win[mine])
+            assert alone[1].tobytes() == roots[mine].tobytes()
+            assert np.all(alone[2] == 1)
+
     def test_many_windows_match_one_at_a_time(self, monkeypatch):
         # A normal window, an empty one, one with an exact-zero probe (t - 0.5
         # at t = 0.5 on 4 probes) and one whose second factor is identically zero.
@@ -332,7 +352,7 @@ class TestFindSignChanges:
             calls.append(t.size)
             return factors(rows, t)
 
-        root_win, roots = find_sign_changes_many(counted, a, b, n_probe)
+        root_win, roots, _ = find_sign_changes_many(counted, a, b, n_probe)
         assert max(calls) <= 7
         assert root_win.tolist() == [i for i, r in enumerate(one) for _ in r]
         assert roots.tolist() == [x for r in one for x in r]
@@ -440,20 +460,22 @@ class TestCoarseThenFine:
             for i in range(a.size):
                 grid = np.linspace(a[i], b[i], n_probe[i] + 1)
                 items = []
-                for v in factors(np.array([i]), grid[None])[:, 0]:
+                for k, v in enumerate(factors(np.array([i]), grid[None])[:, 0]):
                     if not np.any(v != 0.0):
                         continue
                     sign = np.sign(v)
-                    items += [(grid[j], grid[j + 1])
+                    items += [(grid[j], grid[j + 1], 1 << k)
                               for j in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
-                    items += [(t, t) for t in grid[1:-1][v[1:-1] == 0.0]]
-                assert s[i] == 0.0 or (z[i], z[i]) in items
+                    items += [(t, t, 1 << k) for t in grid[1:-1][v[1:-1] == 0.0]]
+                assert s[i] == 0.0 or (z[i], z[i], 2) in items
                 items.sort()
                 for with_bound in (None, bound):
-                    root_win, roots = find_sign_changes_many(factors, a, b, n_probe, with_bound)
-                    got = roots[root_win == i]
-                    assert got.size == len(items)
-                    assert all(lo <= r <= hi for r, (lo, hi) in zip(got, items))
+                    root_win, roots, bits = find_sign_changes_many(factors, a, b, n_probe,
+                                                                   with_bound)
+                    got = zip(roots[root_win == i], bits[root_win == i])
+                    assert np.sum(root_win == i) == len(items)
+                    assert all(lo <= r <= hi and bit == k
+                               for (r, bit), (lo, hi, k) in zip(got, items))
 
         check()
 
@@ -487,10 +509,11 @@ class TestCoarseThenFine:
             calls.append(t.size)
             return self.factors(rows, t)
 
-        _, roots = find_sign_changes_many(counted, [0.0], [1.0], [64],
-                                          bound=lambda rows, t0, t1: -1.0)
+        _, roots, bits = find_sign_changes_many(counted, [0.0], [1.0], [64],
+                                                bound=lambda rows, t0, t1: -1.0)
         assert calls == [9]
         assert roots.tolist() == [0.5]
+        assert bits.tolist() == [2]
 
     def test_large_window_is_probed_coarse_then_fine(self):
         # A window of 16,384 probes, with and without a bound: every 8th
@@ -506,11 +529,13 @@ class TestCoarseThenFine:
                 nodes.append(t.ravel().copy())
                 return self.factors(rows, t)
 
-            root_win, roots = find_sign_changes_many(counted, [0.0], [1.0], [n], bound=bound)
+            root_win, roots, bits = find_sign_changes_many(counted, [0.0], [1.0], [n],
+                                                           bound=bound)
             assert np.array_equal(nodes[0], grid[np.append(np.arange(0, n, 8), n)])
             assert max(x.size for x in nodes) <= quad_mod._CHUNK_POINTS
             assert root_win.tolist() == [0] * 17
             assert roots.tolist() == pytest.approx(expected, abs=1e-11)
+            assert bits.tolist() == [2 if r == 0.5 else 1 for r in roots.tolist()]
 
 
 class TestEvaluate:

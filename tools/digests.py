@@ -33,7 +33,11 @@ rejects it with exit 2), and a trace-distance window that starts after t = 0
 and converges (STARTS: `ratio --gamma0 500 --delta 100 --tau 0.1`), and
 cells where the exclusion bound's rounding allowances dominate (EXCLUSION:
 a `scan` at gamma0 1e-12 to 1e-9, a `sweep-tau` and a `compare-bounds` within
-1e-4 of critical coupling, and `ratio --gamma0 1e-14 --delta 3000`).  They
+1e-4 of critical coupling, and `ratio --gamma0 1e-14 --delta 3000`), and
+cells where P - P_ref changes sign from rounding noise, so that the Bures
+integral, which must split at Pdot's roots alone, would move if it split at
+every kink (KINK_FACTORS: `ratio --gamma0 1e-14 --delta 200` and a
+`compare-bounds` at gamma0 1e-10 to 1e-8 and delta 3000).  They
 run as `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
@@ -102,6 +106,12 @@ EXCLUSION = (
     "compare-bounds --gamma0-min 24.999 --gamma0-max 25.001 --n-points 5",
     "ratio --gamma0 1e-14 --delta 3000",
 )
+# Cells where P - P_ref has noise roots on a window from 0: the Bures integral, whose
+# integrand has Pdot's kinks alone, moves if it splits at the roots of both factors.
+KINK_FACTORS = (
+    "ratio --gamma0 1e-14 --delta 200",
+    "compare-bounds --gamma0-min 1e-10 --gamma0-max 1e-8 --delta 3000 --n-points 3",
+)
 
 
 def requests():
@@ -133,7 +143,7 @@ def _all_requests():
     yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES + REJECTED)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
-    yield from (argv.split() for argv in STARTS + EXCLUSION)
+    yield from (argv.split() for argv in STARTS + EXCLUSION + KINK_FACTORS)
 
 
 def digest(checkout: Path, args: list) -> str:
