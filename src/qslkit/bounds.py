@@ -43,12 +43,6 @@ SPEED_UP_TOL = 1e-6
 
 _STATIONARY_TOL = 1e-30
 
-# Exclusion thresholds are inflated by this relative margin, which covers the
-# rounding of the bounds and of the sums compared against them, and floored
-# above the subnormals, where the bounds lose their relative accuracy.
-_MARGIN = 2.0**-20
-_FLOOR = 1e-290
-
 # Masks of find_sign_changes_many's root bits: Pdot's roots; Pdot's and P - P_ref's.
 _PDOT, _BOTH = 1, 3
 
@@ -123,9 +117,9 @@ class _Cells:
         self.c_ends = quad.evaluate(lambda rows, t: model.amplitude_cells(self.table, rows, t)[0],
                                     np.arange(len(ends)), ends)[0]
         self.p_ends = self.scale * np.abs(self.c_ends) ** 2
-        # Only the probes that thresholds cannot exclude are evaluated.
+        # Only the probes and midpoints whose signs kink_bounds cannot certify are evaluated.
         self.kinks = quad.find_sign_changes_many(lambda rows, t: self.terms(rows, t)[2], self.a,
-                                                 self.b, self.n_probe, bound=self.thresholds)
+                                                 self.b, self.n_probe, bound=self.kink_bounds)
 
     def terms(self, rows: np.ndarray, t: np.ndarray):
         """C, Cdot and the kink factors of cells rows at nodes t, stacked: Pdot and P - P_ref."""
@@ -134,28 +128,24 @@ class _Cells:
         pdot = self.scale * 2.0 * (np.conj(c) * cdot).real
         return c, cdot, np.stack((pdot, self.scale * np.abs(c) ** 2 - self.p_ends[rows, :1]))
 
-    def thresholds(self, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        """Per factor of terms and interval [t0[i], t1[i]] of cell rows[i], the exclusion threshold.
+    def kink_bounds(self, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Per factor of terms and interval [t0[i], t1[i]] of cell rows[i], the bounds that
+        quad.find_sign_changes_many certifies signs with: (2, factors, len(rows)), on |f''| and
+        on |f~ - f|, the rounding error of the f~ that terms computes.
 
-        Where |f(t0)| + |f(t1)| exceeds it, with f as terms computes it, f
-        computes to neither zero nor both signs anywhere in [t0, t1]: a point
-        where |f| <= err would bound that sum by slope * h + 4 * err
-        (Lipschitz exclusion), with slope bounding |f'|, h = t1 - t0 and err
-        the rounding error of f there.  The slopes are amplitude_bounds'
-        |Pddot| for Pdot and its |Pdot| for P - P_ref, from P's two-mode form,
-        times scale.
+        The curvatures are amplitude_bounds' |P'''| for Pdot and its |Pddot| for P - P_ref,
+        from P's two-mode form, times scale.  Pdot's error follows from the bounds on |C| and
+        |Cdot| and on their errors, which cover the product's own rounding; P_ref is one
+        computed constant, and only the subtraction rounds it.
         """
-        c, cdot, pdot, pddot, err_c, err_cdot = amplitude_bounds(self.table, rows, t0, t1)
-        # Bounds on |C| and |Cdot| as computed; they cover the products' own rounding.
+        c, cdot, pddot, pdddot, err_c, err_cdot = amplitude_bounds(self.table, rows, t0, t1)
         c_hat, cdot_hat = c + err_c, cdot + err_cdot
         s = self.scale
-        # Infinite bounds (d = 0) give NaN thresholds, which exclude nothing.
+        # Infinite bounds (d = 0) certify nothing.
         with np.errstate(over="ignore", invalid="ignore"):
-            slope = np.array((s * pddot, s * pdot))
-            # P_ref is one computed constant; only the subtraction rounds it.
-            err = np.array((2.0 * s * (c_hat * cdot_hat - c * cdot),
-                            s * (c_hat * c_hat - c * c) + 2.0**-52 * np.abs(self.p_ends[rows, 0])))
-            return (slope * (t1 - t0) + 4.0 * err) * (1.0 + _MARGIN) + _FLOOR
+            err = (2.0 * s * (c_hat * cdot_hat - c * cdot),
+                   s * (c_hat * c_hat - c * c) + 2.0**-52 * np.abs(self.p_ends[rows, 0]))
+            return np.array(((s * pdddot, s * pddot), err))
 
     def integrate(self, integrand, factors: int, spec: quad.QuadratureSpec | None, epilogue):
         """Per cell j, epilogue(j, value, err) of the adaptive integral of integrand over

@@ -241,11 +241,12 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
 def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     """Bounds over the intervals [t0[i], t1[i]] of the cells table[rows[i]].
 
-    Returns an array (6, len(rows)): bounds on |C|, |Cdot|, |Pdot| and |Pddot|
+    Returns an array (6, len(rows)): bounds on |C|, |Cdot|, |Pddot| and |P'''|
     there, and on the absolute errors of the C and Cdot that amplitude_cells
     computes there.  C is the cosh/sinhc form with the table's mu and d taken
-    as exact, Cdot that form's cdot_scale t sinhc(d t / 2) e^(-mu t), P = |C|^2
-    and Pddot the derivative of Pdot = 2 Re(conj(C) Cdot).  Away from d = 0, C
+    as exact, Cdot that form's cdot_scale t sinhc(d t / 2) e^(-mu t), P = |C|^2,
+    and Pddot and P''' the first and second derivatives of Pdot =
+    2 Re(conj(C) Cdot).  Away from d = 0, C
     and Cdot are sums of e^(s+ t) and e^(s- t) terms, with coefficients a± and
     ±cdot_scale / d, and P is the two-mode form
     |a+|^2 e^(2 Re s+ t) + |a-|^2 e^(2 Re s- t) + 2 Re(a+ conj(a-) e^((s+ + conj s-) t)),
@@ -263,36 +264,39 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
     bound whose product of an overflowed and an underflowed factor would
     read NaN.
     """
-    k = _Coefficients(*(col[rows] for col in table))
-    rate = np.abs(k.mu) + np.abs(k.half_d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Per cell, then per interval: rate, Re s±, |a±|, a_sum = |a+| + |a-|, q, the rates
+        # that P's derivatives bring down, and d = 0.  |a± s±| = q = |cdot_scale / d|, but the
+        # split form computes a± s± with an error up to about rate * a_sum * eps.
+        a_plus, a_minus = np.abs(table.a_plus), np.abs(table.a_minus)
+        cells = np.stack((
+            np.abs(table.mu) + np.abs(table.half_d), table.s_plus.real, table.s_minus.real,
+            a_plus, a_minus, a_plus + a_minus, np.abs(table.cdot_scale / (2.0 * table.half_d)),
+            np.abs(2.0 * table.s_plus.real), np.abs(2.0 * table.s_minus.real),
+            np.abs(table.s_plus + np.conj(table.s_minus)), table.half_d == 0))[:, rows]
+        rate, re_plus, re_minus, a_plus, a_minus, a_sum, q = cells[:7]
         rel = _ROUNDING * (1.0 + t1 * rate)
         # The larger exponent gives the sup; + rel covers the rounding of s±.
-        e_plus = np.exp(np.maximum(k.s_plus.real * t0, k.s_plus.real * t1) + rel)
-        e_minus = np.exp(np.maximum(k.s_minus.real * t0, k.s_minus.real * t1) + rel)
+        e_plus = np.exp(np.maximum(re_plus * t0, re_plus * t1) + rel)
+        e_minus = np.exp(np.maximum(re_minus * t0, re_minus * t1) + rel)
         e_sum = e_plus + e_minus
-        a_sum = np.abs(k.a_plus) + np.abs(k.a_minus)
-        # |a± s±| = |cdot_scale / d|, but the split form computes a± s± with an
-        # error up to about rate * a_sum * eps.
-        q = np.abs(k.cdot_scale) / (2.0 * np.abs(k.half_d))
         err_c = rel * a_sum * e_sum
         err_cdot = rel * (q + rate * a_sum) * e_sum
-        # The moduli of the two modes and of P's three terms, and the rates that P's
-        # derivatives bring down.
-        m_plus = (np.abs(k.a_plus) + rel * a_sum) * e_plus
-        m_minus = (np.abs(k.a_minus) + rel * a_sum) * e_minus
+        # The moduli of the two modes and of P's three terms.
+        m_plus = (a_plus + rel * a_sum) * e_plus
+        m_minus = (a_minus + rel * a_sum) * e_minus
         terms = np.stack((m_plus * m_plus, m_minus * m_minus, 2.0 * m_plus * m_minus))
-        rates = np.abs(np.stack((2.0 * k.s_plus.real, 2.0 * k.s_minus.real,
-                                 k.s_plus + np.conj(k.s_minus)))) + 2.0 * rel * rate
+        rates = cells[7:10] + 2.0 * rel * rate
+        curve = terms * (rates * rates)
         out = np.stack((
-            np.abs(k.a_plus) * e_plus + np.abs(k.a_minus) * e_minus + err_c,
+            a_plus * e_plus + a_minus * e_minus + err_c,
             q * e_sum + err_cdot,
-            np.sum(terms * rates, axis=0),
-            np.sum(terms * rates * rates, axis=0),
+            np.sum(curve, axis=0),
+            np.sum(curve * rates, axis=0),
             err_c,
             err_cdot,
         ))
-    return np.where((k.half_d == 0) | np.isnan(out), np.inf, out)
+    return np.where((cells[10] != 0.0) | np.isnan(out), np.inf, out)
 
 
 def amplitude(p: ModelParams, t: float) -> Amplitude:

@@ -7,11 +7,11 @@ may stack k rows to (k, m, n).  Roots are found by probing every window on
 its own grid, then bisecting every bracket of all windows together, and are
 returned as arrays (window, value, factor bits) sorted by window, then value;
 the panels take the (window, value) of the roots their integrand kinks at.
-Probing is coarse-then-fine: every 8th probe first, then the others only
-where a bound on the factors' slopes cannot exclude a root (everywhere,
-without a bound), with the same roots to the last bit.  Each coarse interval
-left open is one row, its 7 fine probes between its coarse ends, and
-brackets are read along the rows.
+Probing is coarse-then-fine, every 8th probe first; probes and midpoints
+are evaluated only where bounds on the factors' curvature and rounding
+cannot certify their signs, with the roots of the full grid to the last bit.
+Each coarse interval left open is one row, its 7 fine probes between its
+coarse ends, and brackets are read along the rows.
 Panels are Gauss-Legendre 15 vs 7, bisected round by round over all windows;
 each window gets the value, error and QuadratureError of a depth-first,
 left-first bisection of that window alone.  QuadratureSpec holds only the
@@ -40,6 +40,12 @@ _NODES = np.concatenate((_NODES_HI, _NODES_LO))
 _CHUNK_POINTS = 4096
 # Probes per coarse interval when a window is probed coarse-then-fine.
 _STRIDE = 8
+# Certificates inflate their bounds by this relative margin, which covers the rounding of
+# the bounds and of the sums compared against them, and floor them above the subnormals.
+_MARGIN, _FLOOR = 2.0**-20, 1e-290
+# A block's rows with fewer fine probes, or a bisection round with fewer brackets, are all
+# evaluated: the fixed cost of certifying, tens of numpy calls, would outweigh its saving.
+_CERTIFY_MIN = 256
 # Panels per window evaluated per round.  Without a cap, a window whose panels
 # never converge would double its pending panels on every level.
 _PANELS_PER_ROUND = 16
@@ -249,20 +255,32 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, ..
     spacing can be missed; callers should size n_probe from the expected
     oscillation period.
 
-    Every window is probed coarse-then-fine: first on every _STRIDE-th probe
-    and its last one, then on the other probes only inside the coarse
-    intervals [t0, t1] that bound cannot exclude; bound=None excludes none.
-    bound(rows, t0, t1) gives per factor and interval a threshold; an
-    interval is excluded when every factor's |f(t0)| + |f(t1)| exceeds it,
-    which must certify that the factor has one sign, and no zero, on every
-    probe of [t0, t1].  Each open interval is one row: its _STRIDE - 1 fine
-    probes between its two coarse probes, and the rows' fine probes are one
-    (rows, _STRIDE - 1) array of times for evaluate.  A node's value depends
-    neither on its call nor on its layout, so the brackets, and every root,
-    are bit for bit those of the full grid.  Windows are probed in blocks of
-    about 4 * _CHUNK_POINTS probes of their full grids: a block holds only
-    its coarse probes and its open rows, so blocks this large cost little
-    memory and halve the calls of blocks half the size.
+    Windows are probed coarse-then-fine, every _STRIDE-th probe and the last
+    first, and only points whose signs no certificate proves are evaluated.
+    bound(rows, t0, t1) gives per factor and coarse interval [t0[i], t1[i]]
+    of cell rows[i] bounds (2, factors, len(rows)): M on |f''| and E on
+    |f~ - f|, f~ being f as computed; bound=None proves nothing.  With fa, fb
+    the values of f~ at xa < xb in one coarse interval and L the chord
+    through them, f(x) lies within M (x - xa)(xb - x) / 2 of the chord
+    through f(xa) and f(xb), that chord within E of L's exact value, and
+    f~(x) within E of f(x); so, with rho bounding L's rounding (_chord_signs),
+
+        |f~(x) - L(x)| <= M (x - xa)(xb - x) / 2 + 2 E + rho,
+
+    and where |L(x)| exceeds that, f~(x) is not zero and has L's sign.  An
+    interval where every factor's fa and fb share a sign and exceed
+    M h^2 / 8 + 2 E, h its width, holds no zero or sign change (_cleared:
+    the exact chord lies between fa and fb).  Each other is one row of
+    _STRIDE - 1 fine probes, which the chord through its coarse values
+    certifies where it can.  Each bracket keeps evaluated points around it
+    as anchors; bisection evaluates the midpoints whose signs their chord
+    cannot certify, each becoming an anchor.  Blocks and rounds with fewer
+    than _CERTIFY_MIN points to save evaluate all, as bisection does once a
+    round certifies under an eighth of its midpoints.  Only signs are read,
+    and a node's value depends neither on its call nor on its layout, so
+    every bracket, bisection step and root is that of the full grid.  Blocks
+    span about 4 * _CHUNK_POINTS full-grid probes but hold only coarse probes
+    and open rows: little memory, and half the calls of blocks half the size.
     """
     if any(n < 2 for n in n_probe):
         raise ValueError("n_probe must be at least 2")
@@ -278,22 +296,9 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, ..
              for i, j in _blocks(sizes, 4 * _CHUNK_POINTS)]
     if not found:
         return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
-    lo, hi, flo, fac, w, zero_t, zero_w, zero_fac = (np.concatenate(x) for x in zip(*found))
-    target = 1e-12 * (b - a)[w]
-    live = np.flatnonzero(hi - lo > target)
-    while live.size:
-        mid = 0.5 * lo[live] + 0.5 * hi[live]
-        # Where doubles are spaced wider than the target, a bracket ends when
-        # no double lies between its ends: bisecting it would change nothing.
-        inner = (lo[live] < mid) & (mid < hi[live])
-        fmid = np.asarray(evaluate(f, w[live], mid[:, None]), dtype=float)
-        fmid = fmid[fac[live], np.arange(live.size), 0]
-        # fmid == 0 closes the bracket on mid; otherwise keep the sign change.
-        left = np.sign(flo[live]) * np.sign(fmid) < 0.0
-        hi[live] = np.where(left | (fmid == 0.0), mid, hi[live])
-        lo[live] = np.where(left, lo[live], mid)
-        flo[live] = np.where(left, flo[live], fmid)
-        live = live[inner & (hi[live] - lo[live] > target[live])]
+    state, w, fac, zero_t, zero_w, zero_fac = (np.concatenate(x, axis=-1) for x in zip(*found))
+    del found  # the blocks' arrays, now concatenated
+    lo, hi = _bisect(f, state, w, fac, 1e-12 * (b - a)[w])
     roots = np.concatenate((zero_t, 0.5 * lo + 0.5 * hi))
     root_win = np.concatenate((zero_w, w))
     bits = np.left_shift(1, np.concatenate((zero_fac, fac)))
@@ -307,15 +312,81 @@ def find_sign_changes_many(f, a, b, n_probe, bound=None) -> tuple[np.ndarray, ..
     return root_win[inside], roots[inside], bits
 
 
-def _probe_block(f, bound, a, b, windows, sizes):
-    """The brackets (lo, hi, flo, factor, window) and zero probes (t, window, factor) of windows.
+def _cleared(t0, t1, fa, fb, curv, err):
+    """Per factor and interval [t0, t1], whether f~ keeps the sign of fa and fb, with no zero:
+    both exceed M h^2 / 8 + 2 E, or lie below its negative (see find_sign_changes_many)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2 = (0.125 + 0.125 * _MARGIN) * (t1 - t0) ** 2
+        gap = curv * h2 + ((2.0 + 2.0 * _MARGIN) * err + _FLOOR)
+        return (np.minimum(fa, fb) > gap) | (np.maximum(fa, fb) < -gap)
 
-    Window windows[k] has sizes[k] probes; see find_sign_changes_many.  The
-    coarse probes, every _STRIDE-th and each window's last, are all evaluated.
-    Each coarse interval that bound cannot exclude is one row: its two coarse
-    probes around its _STRIDE - 1 fine probes, where a window's shorter last
-    interval repeats its right end.  The rows' fine probes are evaluated as
-    one (rows, _STRIDE - 1) array, and brackets join neighbours along a row.
+
+def _chord_signs(xa, fa, xb, fb, curv, err, x):
+    """Per x in [xa, xb], the sign the chord certificate proves for the computed factor, or 0.
+
+    L = fa + (fb - fa) ((x - xa) / (xb - xa)) takes six roundings: within 7 u (|fa| + |fb|)
+    of the exact chord (u = 2^-53), so rho = 2^-49 (|fa| + |fb|).  _MARGIN covers the few
+    roundings of the right side and _FLOOR subnormals; inf or NaN bounds prove nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = x - xa
+        chord = fa + (fb - fa) * (d / (xb - xa))
+        rhs = ((0.5 + 0.5 * _MARGIN) * curv) * (d * (xb - x)) + (
+            (2.0 * err + 2.0**-49 * (np.abs(fa) + np.abs(fb))) * (1.0 + _MARGIN) + _FLOOR)
+        return np.where(np.abs(chord) > rhs, np.sign(chord), 0.0)
+
+
+def _bisect(f, s, w, fac, target):
+    """The final (lo, hi) of each bracket, bisected to a width of target or to adjacent doubles.
+
+    s holds per bracket lo, hi, the sign at lo, anchors xa, fa, xb, fb and bounds M and E
+    (_probe_block); it is updated in place, and compacted as brackets end.
+    """
+    lo, hi = s[0].copy(), s[1].copy()
+    live = np.flatnonzero(hi - lo > target)
+    if live.size < lo.size:
+        s, w, fac, target = s[:, live], w[live], fac[live], target[live]
+    certify = True
+    while live.size:
+        mid = 0.5 * s[0] + 0.5 * s[1]
+        # Where doubles are spaced wider than the target, a bracket ends when
+        # no double lies between its ends: bisecting it would change nothing.
+        inner = (s[0] < mid) & (mid < s[1])
+        certify = certify and live.size >= _CERTIFY_MIN
+        if not certify:  # nor does any later round: the anchors are left as they are
+            sign = np.sign(evaluate(f, w, mid[:, None])[fac, np.arange(live.size), 0])
+        else:
+            sign = _chord_signs(*s[3:], mid)
+            todo = np.flatnonzero(sign == 0.0)
+            # Brackets narrow into the zones that E leaves uncertain: once a round certifies
+            # fewer than an eighth of its midpoints, the later ones are all evaluated.
+            certify = 8 * todo.size < 7 * live.size
+            if todo.size:
+                fmid = evaluate(f, w[todo], mid[todo, None])[fac[todo], np.arange(todo.size), 0]
+                sign[todo] = np.sign(fmid)
+                # Each evaluated midpoint is the anchor on its side: xb, fb or xa, fa.
+                side = np.where(s[2, todo] * sign[todo] < 0.0, 5, 3)
+                s[side, todo], s[side + 1, todo] = mid[todo], fmid
+        # sign == 0 closes the bracket on mid; otherwise keep the sign change.
+        left = s[2] * sign < 0.0
+        s[1] = np.where(left | (sign == 0.0), mid, s[1])
+        s[0] = np.where(left, s[0], mid)
+        s[2] = np.where(left, s[2], sign)
+        keep = inner & (s[1] - s[0] > target)
+        if not keep.all():
+            lo[live[~keep]], hi[live[~keep]] = s[0, ~keep], s[1, ~keep]
+            live, s, w, fac, target = live[keep], s[:, keep], w[keep], fac[keep], target[keep]
+    return lo, hi
+
+
+def _probe_block(f, bound, a, b, windows, sizes):
+    """The brackets (state, window, factor) and zero probes (t, window, factor) of windows.
+
+    Window windows[k] has sizes[k] probes; see find_sign_changes_many.  Each coarse
+    interval that _cleared does not clear is one row, its coarse probes around its fine
+    ones (a window's shorter last one repeats its right end).  The uncertified fine probes
+    are evaluated as one (probes, 1) array, or all as one (rows, _STRIDE - 1) array.  A
+    bracket's anchors are its ends where evaluated, else its row's coarse ends.
     """
     n = sizes - 1
 
@@ -335,33 +406,48 @@ def _probe_block(f, bound, a, b, windows, sizes):
     c_vals = evaluate(f, c_win, c_t[:, None])[:, :, 0]
     # Coarse interval q runs from coarse probe q to q + 1 of one window.
     q = np.flatnonzero(c_k[:-1] == c_k[1:])
-    if bound is not None:
-        mag = np.abs(c_vals)
-        excluded = np.all(mag[:, q] + mag[:, q + 1] > bound(c_win[q], c_t[q], c_t[q + 1]), axis=0)
-        q = q[~excluded]
+    fa, fb = c_vals[:, q], c_vals[:, q + 1]
+    curv, err = (np.full((2, *fa.shape), np.inf) if bound is None
+                 else bound(c_win[q], c_t[q], c_t[q + 1]))
+    open_q = ~_cleared(c_t[q], c_t[q + 1], fa, fb, curv, err).all(axis=0)
+    q, fa, fb, curv, err = q[open_q], *(x[:, open_q, None] for x in (fa, fb, curv, err))
     # Row r holds probes i[r] of window c_k[q[r]]; inner marks its fine probes.
     i = np.minimum(c_i[q, None] + np.arange(_STRIDE + 1), c_i[q + 1, None])
     grid, w = times(c_k[q, None], i), c_win[q]
     inner = i[:, 1:-1] < i[:, -1:]
-    right = c_vals[:, q + 1, None]
-    fine = np.repeat(right, _STRIDE - 1, axis=2)
     # Repeats of the right end take its coarse value; a row one probe wide has no fine probe.
-    wide = inner[:, 0]
-    if wide.any():
-        fine[:, wide] = np.where(inner[wide], evaluate(f, w[wide], grid[wide, 1:-1]),
-                                 right[:, wide])
-    vals = np.concatenate((c_vals[:, q, None], fine, right), axis=2)
+    evaluated = np.ones(grid.shape, dtype=bool)
+    if bound is None or inner.size < _CERTIFY_MIN:
+        fine = np.repeat(fb, _STRIDE - 1, axis=2)
+        wide = inner[:, 0]
+        if wide.any():
+            fine[:, wide] = np.where(inner[wide], evaluate(f, w[wide], grid[wide, 1:-1]),
+                                     fb[:, wide])
+    else:
+        # Certified signs stand for the values of fine probes; the others are evaluated.
+        fine = np.where(inner, _chord_signs(grid[:, :1], fa, grid[:, -1:], fb, curv, err,
+                                            grid[:, 1:-1]), fb)
+        evaluated[:, 1:-1] = ~inner | np.any(fine == 0.0, axis=0)
+        r_e, j_e = np.nonzero(inner & evaluated[:, 1:-1])
+        if r_e.size:
+            fine[:, r_e, j_e] = evaluate(f, w[r_e], grid[r_e, j_e + 1, None])[:, :, 0]
+    vals = np.concatenate((fa, fine, fb), axis=2)
     # A factor that is zero on every probe of its window has no kinks there.
     nonzero = np.logical_or.reduceat(c_vals != 0.0, np.cumsum(n_coarse) - n_coarse, axis=1)
     np.logical_or.at(nonzero, (slice(None), c_k[q]), np.any(vals != 0.0, axis=2))
     sign = np.sign(vals)
     fac, r, j = np.nonzero(sign[:, :, :-1] * sign[:, :, 1:] < 0.0)
+    # A bracket's anchors are its ends where they were evaluated, else its row's coarse ends.
+    xa = np.where(evaluated[r, j], j, 0)
+    xb = np.where(evaluated[r, j + 1], j + 1, _STRIDE)
+    state = np.stack((grid[r, j], grid[r, j + 1], sign[fac, r, j], grid[r, xa], vals[fac, r, xa],
+                      grid[r, xb], vals[fac, r, xb], curv[fac, r, 0], err[fac, r, 0]))
     # Exact-zero probes, coarse and fine, of the factors that are not zero everywhere.
     c_fac, zero_c = np.nonzero(c_vals == 0.0)
     r_fac, zero_r, zero_j = np.nonzero((vals[:, :, 1:-1] == 0.0) & inner)
     z_fac = np.concatenate((c_fac, r_fac))
     keep = nonzero[z_fac, np.concatenate((c_k[zero_c], c_k[q[zero_r]]))]
-    return (grid[r, j], grid[r, j + 1], vals[fac, r, j], fac, w[r],
+    return (state, w[r], fac,
             np.concatenate((c_t[zero_c], grid[zero_r, zero_j + 1]))[keep],
             np.concatenate((c_win[zero_c], w[zero_r]))[keep], z_fac[keep])
 

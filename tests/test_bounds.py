@@ -385,7 +385,7 @@ def _kink_roots(cells, bound, factors=slice(None)):
 
 
 class TestCertifiedProbing:
-    """Coarse-then-fine probing (_Cells.kinks, bound = thresholds) against the full grid."""
+    """The certified kink search (_Cells.kinks, bound = kink_bounds) against the full grid."""
 
     def test_roots_are_the_full_grid_roots_bit_for_bit(self):
         # The roots the two-factor search tags as Pdot's are also, bit for bit, those
@@ -421,6 +421,81 @@ class TestCertifiedProbing:
             tagged = (fast[2] & _PDOT) != 0
             assert np.array_equal(pdot[0], fast[0][tagged])
             assert pdot[1].tobytes() == fast[1][tagged].tobytes()
+
+        check()
+
+    def test_every_certified_sign_is_the_computed_sign(self, monkeypatch):
+        # With certifying at every size, each sign the search proves without calling the
+        # closed form (every fine probe of a cleared interval, and each fine probe and
+        # midpoint the chord certifies) is the sign of the factor computed there, and the
+        # roots are bit for bit those of the search with no bound.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        monkeypatch.setattr(quad_mod, "_CERTIFY_MIN", 0)
+        cleared, chords = [], []
+        real_cleared, real_chord = quad_mod._cleared, quad_mod._chord_signs
+
+        def record_cleared(*args):
+            cleared.append((*args[:3], real_cleared(*args)))
+            return cleared[-1][-1]
+
+        def record_chord(*args):
+            chords.append((args[0], args[1], args[-1], real_chord(*args)))
+            return chords[-1][-1]
+
+        monkeypatch.setattr(quad_mod, "_cleared", record_cleared)
+        monkeypatch.setattr(quad_mod, "_chord_signs", record_chord)
+        near_critical = st.sampled_from([0.0, 1e-15, -1e-9, 1e-6, -1e-4, 1e-4]).map(
+            lambda e: 0.5 * (1.0 + e))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        # Critical coupling, where the bounds are inf, and 1e-4 from it.
+        @hypothesis.example(gamma0=0.5, delta=0.0, tau_d=10.0, start=0.0)
+        @hypothesis.example(gamma0=0.50005, delta=0.0, tau_d=10.0, start=0.0)
+        # gamma0 1e-14 and delta 200 at lam 50, tau_d 0.2: P - P_ref has noise roots.
+        @hypothesis.example(gamma0=2e-16, delta=4.0, tau_d=10.0, start=0.0)
+        # The last window of the seed-1 resonant sweep of the trajectory benchmark.
+        @hypothesis.example(gamma0=10.0, delta=0.0, tau_d=10.0, start=100.0)
+        # gamma0 118 and delta 75 at lam 50, tau_d 0.2: Pdot's roots at t = 0.037 and 0.040.
+        @hypothesis.example(gamma0=2.36, delta=1.5, tau_d=10.0, start=0.0)
+        @hypothesis.given(
+            gamma0=st.floats(1e-3, 1e3) | near_critical,
+            delta=st.floats(0.0, 20.0) | st.sampled_from([0.0, 1e-9]),
+            tau_d=st.floats(0.05, 20.0),
+            start=st.floats(0.0, 100.0) | st.just(0.0),
+        )
+        def check(gamma0, delta, tau_d, start):
+            cleared.clear()
+            chords.clear()
+            cells = _Cells([ModelParams(gamma0 * LAM, LAM, delta * LAM)], [start / LAM],
+                           tau_d / LAM, "tau")
+
+            def factors(t):
+                return quad_mod.evaluate(lambda rows, x: cells.terms(rows, x)[2],
+                                         np.zeros(t.size, dtype=int), t.reshape(-1, 1))[:, :, 0]
+
+            n = cells.n_probe[0]
+            grid = np.linspace(cells.a[0], cells.b[0], n + 1)
+            values = factors(grid)
+            for t0, t1, fa, clear in cleared:
+                for k, q in zip(*np.nonzero(clear)):
+                    inside = values[k, (t0[q] < grid) & (grid < t1[q])]
+                    assert np.all(np.sign(inside) == np.sign(fa[k, q]))
+            for xa, fa, x, sign in chords:
+                if fa.ndim == 3:
+                    # Fine probes: sign is (factors, rows, fine probes).
+                    got = factors(x.ravel()).reshape((-1, *x.shape))
+                    assert np.all((sign == 0.0) | (sign == np.sign(got)))
+                else:
+                    # Midpoints: each bracket's factor is the one whose value at its anchor
+                    # xa is fa.
+                    at_x, at_xa = factors(x), factors(xa)
+                    mine = at_xa == fa
+                    assert np.all(mine.any(axis=0))
+                    agree = (sign == 0.0) | np.all(~mine | (np.sign(at_x) == sign), axis=0)
+                    assert np.all(agree)
+            for x, y in zip(_kink_roots(cells, None), cells.kinks):
+                assert x.tobytes() == y.tobytes()
 
         check()
 
@@ -460,21 +535,25 @@ class TestCertifiedProbing:
         params = [ModelParams(g, LAM, d)
                   for d in default_delta_axis(LAM) for g in default_gamma0_axis(LAM)]
         cells = _kink_cells(params, 0.0, 0.2, "excited")
-        # The full grids hold 364,029 probes; 77,759 are evaluated.
-        assert _checked_probe_count(cells) <= 81_000
+        # The full grids hold 364,029 probes; the Lipschitz exclusion evaluated 77,759, and
+        # certifying at every size evaluates 50,702.
+        assert _checked_probe_count(cells) <= 51_000
 
     def test_no_excluded_interval_of_the_detuned_sweep_holds_a_kink(self):
         # The detuned sweep-tau request of the trajectory benchmark: 200 windows of 759
         # probes each.  Bounding |Pddot| by C's moduli excluded 51 of its 19,000 coarse
-        # intervals, for 151,534 probes; P's two-mode form evaluates 21,167.
+        # intervals, for 151,534 probes; P's two-mode form, with the Lipschitz exclusion,
+        # evaluated 21,167, and the certificates leave 19,329.
         taus = np.linspace(0.0, 2.0, 200).tolist()
         cells = _Cells([ModelParams(1000.0, LAM, 200.0)] * 200, taus, 0.2, "tau")
-        assert _checked_probe_count(cells) <= 22_000
+        assert _checked_probe_count(cells) <= 19_400
 
 
 def _checked_probe_count(cells) -> int:
-    """The probes that coarse-then-fine probing evaluates on cells, after checking on every
-    full grid that no interval that cells.thresholds excludes holds a kink."""
+    """The probes that the kink search of cells evaluates when it certifies at every size,
+    after checking on every full grid that each sign it certifies for a fine probe, in an
+    interval that quad._cleared clears or by the chord through an open interval's coarse
+    values, is the computed sign."""
     evaluated = 0
     for j, n in enumerate(cells.n_probe):
         t = np.linspace(cells.a[j], cells.b[j], n + 1)
@@ -482,12 +561,17 @@ def _checked_probe_count(cells) -> int:
                               t[:, None])[:, :, 0]
         ends = np.unique(np.append(np.arange(0, n + 1, quad_mod._STRIDE), n))
         lo, hi = ends[:-1], ends[1:]
-        excluded = np.all(np.abs(f[:, lo]) + np.abs(f[:, hi])
-                          > cells.thresholds(np.full(lo.size, j), t[lo], t[hi]), axis=0)
-        # A sign change or a zero between fine probes i and i + 1, of either factor.
-        kink = np.any(np.sign(f[:, :-1]) * np.sign(f[:, 1:]) <= 0.0, axis=0)
-        assert not np.any(kink & excluded[np.arange(n) // quad_mod._STRIDE])
-        evaluated += ends.size + int(np.sum(hi - lo - 1, where=~excluded))
+        curv, err = cells.kink_bounds(np.full(lo.size, j), t[lo], t[hi])
+        clear = quad_mod._cleared(t[lo], t[hi], f[:, lo], f[:, hi], curv, err)
+        # Every fine probe, with its coarse interval.
+        fine = np.setdiff1d(np.arange(n + 1), ends)
+        q = fine // quad_mod._STRIDE
+        sign = np.where(clear[:, q], np.sign(f[:, lo[q]]), 0.0)
+        chord = quad_mod._chord_signs(t[lo[q]], f[:, lo[q]], t[hi[q]], f[:, hi[q]], curv[:, q],
+                                      err[:, q], t[fine])
+        sign = np.where(clear[:, q].all(axis=0), sign, chord)
+        assert np.all((sign == 0.0) | (sign == np.sign(f[:, fine])))
+        evaluated += ends.size + int(np.sum(np.any(sign == 0.0, axis=0)))
     return evaluated
 
 

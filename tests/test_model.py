@@ -308,34 +308,42 @@ def _assert_same_bits(got, want):
 
 
 def _exact(k, t):
-    """C, Cdot, Pdot and Pddot of the cosh/sinhc form at t, with the scalars k taken as exact.
+    """C, Cdot, Pddot, P''' and P'' of the cosh/sinhc form at t, its scalars k taken as exact.
 
-    Pdot is the derivative of P = |C|^2, Pddot that of Pdot's formula 2 Re(conj(C) Cdot);
-    C's own derivative differs from Cdot by the table's rounding of cdot_scale.
+    Pddot and P''' are the first and second derivatives of Pdot's formula
+    2 Re(conj(C) Cdot), P'' the second derivative of P = |C|^2; C's own derivative differs
+    from Cdot by the table's rounding of cdot_scale.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workprec(200):
         mu, h, scale, t = mp.mpc(k.mu), mp.mpc(k.half_d), mp.mpf(k.cdot_scale), mp.mpf(t)
         env = mp.exp(-mu * t)
-        c = env * (mp.cosh(h * t) + mu * mp.sinh(h * t) / h)
-        c_prime = env * (h * h - mu * mu) * mp.sinh(h * t) / h
-        cdot = scale * env * mp.sinh(h * t) / h
-        cddot = scale * env * (mp.cosh(h * t) - mu * mp.sinh(h * t) / h)
-        pdot = 2 * mp.re(mp.conj(c) * c_prime)
+        sh, ch = mp.sinh(h * t) / h, mp.cosh(h * t)
+        c = env * (ch + mu * sh)
+        c_prime = env * (h * h - mu * mu) * sh
+        c_2prime = env * (h * h - mu * mu) * (ch - mu * sh)
+        cdot = scale * env * sh
+        cddot = scale * env * (ch - mu * sh)
+        cdddot = scale * env * ((h * h + mu * mu) * sh - 2 * mu * ch)
         pddot = 2 * mp.re(mp.conj(c_prime) * cdot + mp.conj(c) * cddot)
-        return c, cdot, pdot, pddot
+        pdddot = 2 * mp.re(mp.conj(c_2prime) * cdot + 2 * mp.conj(c_prime) * cddot
+                           + mp.conj(c) * cdddot)
+        p2 = 2 * mp.re(mp.conj(c_prime) * c_prime + mp.conj(c) * c_2prime)
+        return c, cdot, pddot, pdddot, p2
 
 
 def _assert_bounds_hold(p, table, row, t0, t1, t):
     """amplitude_bounds of cell row over [t0, t1] bound the exact values at the times t there,
-    and the errors of amplitude_series' C and Cdot."""
+    and the errors of amplitude_series' C and Cdot.  The |Pddot| row bounds P'' too: it is
+    the curvature of P - P_ref."""
     bound = amplitude_bounds(table, np.array([row]), np.array([t0]), np.array([t1]))
     sup, err = bound[:4, 0], bound[4:, 0]
     scalars = _coefficients(p)
     c, cdot = amplitude_series(p, t)
     for i, ti in enumerate(t.tolist()):
-        exact = _exact(scalars, ti)
+        *exact, p2 = _exact(scalars, ti)
         assert all(float(abs(x)) <= s for x, s in zip(exact, sup)), (ti, exact, sup)
+        assert float(abs(p2)) <= sup[2], (ti, p2, sup)
         assert float(abs(c[i] - exact[0])) <= err[0]
         assert float(abs(cdot[i] - exact[1])) <= err[1]
 

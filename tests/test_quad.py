@@ -389,7 +389,7 @@ class TestFindSignChanges:
 
 class TestCoarseThenFine:
     # Factors cos(w t) and t - 0.5 of windows with frequencies w; each factor's
-    # slope is bounded by w and 1, and its values are exact to 1e-15.
+    # curvature is bounded by w^2 and 0, and its values are exact to 1e-12.
     a, b = np.array([0.0, 0.5, 0.0, 0.2, 0.0]), np.array([1.0, 0.5, 1.0, 0.9, 3.0])
     freq = np.array([50.0, 50.0, 9.0, 300.0, 2.0])
 
@@ -397,8 +397,8 @@ class TestCoarseThenFine:
         return np.stack((np.cos(self.freq[rows, None] * t), t - 0.5))
 
     def bound(self, rows, t0, t1):
-        slope = np.stack((self.freq[rows], np.ones(rows.size)))
-        return slope * (t1 - t0) * (1.0 + 1e-9) + 4e-15
+        curv = np.stack((self.freq[rows] ** 2, np.zeros(rows.size)))
+        return np.stack((curv, np.full(curv.shape, 1e-12)))
 
     def test_same_roots_as_the_full_grid_from_fewer_probes(self):
         n_probe = [64, 64, 4, 2000, 300]
@@ -416,13 +416,18 @@ class TestCoarseThenFine:
         full_probes = 65 + 5 + 2001 + 301
         assert calls[:2] == [9 + 2 + 251 + 39, 7 * (8 + 1 + 250 + 38)]
         assert sum(calls[:2]) == full_probes + 4 + 4
-        calls.clear()
-        coarse = find_sign_changes_many(counted, self.a, self.b, n_probe, bound=self.bound)
-        for x, y in zip(full, coarse):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-        # The coarse probes (ceil(n / 8) + 1 per window), then the kept fine ones.
-        assert calls[0] == 9 + 2 + 251 + 39
-        assert calls[0] + calls[1] < 0.5 * full_probes
+        for minimum in (quad_mod._CERTIFY_MIN, 0):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as m:
+                # Certifying at every size, as with many windows, and at the default.
+                m.setattr(quad_mod, "_CERTIFY_MIN", minimum)
+                coarse = find_sign_changes_many(counted, self.a, self.b, n_probe,
+                                                bound=self.bound)
+            for x, y in zip(full, coarse):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            # The coarse probes (ceil(n / 8) + 1 per window), then the uncertified fine ones.
+            assert calls[0] == 9 + 2 + 251 + 39
+            assert calls[0] + calls[1] < 0.5 * full_probes
         # An exact-zero fine probe (t - 0.5 at t = 0.5) is kept: its interval
         # holds a zero, so the bound cannot exclude it.
         assert 0.5 in coarse[1][coarse[0] == 4]
@@ -454,8 +459,8 @@ class TestCoarseThenFine:
                 return np.stack((wave, line))
 
             def bound(rows, t0, t1):
-                slope = np.stack((freq[rows], s[rows]))
-                return slope * (t1 - t0) * (1.0 + 1e-9) + 1e-13
+                curv = np.stack((freq[rows] ** 2, np.zeros(rows.size)))
+                return np.stack((curv, np.full(curv.shape, 1e-12)))
 
             for i in range(a.size):
                 grid = np.linspace(a[i], b[i], n_probe[i] + 1)
@@ -469,9 +474,11 @@ class TestCoarseThenFine:
                     items += [(t, t, 1 << k) for t in grid[1:-1][v[1:-1] == 0.0]]
                 assert s[i] == 0.0 or (z[i], z[i], 2) in items
                 items.sort()
-                for with_bound in (None, bound):
-                    root_win, roots, bits = find_sign_changes_many(factors, a, b, n_probe,
-                                                                   with_bound)
+                for with_bound, minimum in ((None, 0), (bound, quad_mod._CERTIFY_MIN), (bound, 0)):
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(quad_mod, "_CERTIFY_MIN", minimum)
+                        root_win, roots, bits = find_sign_changes_many(factors, a, b, n_probe,
+                                                                       with_bound)
                     got = zip(roots[root_win == i], bits[root_win == i])
                     assert np.sum(root_win == i) == len(items)
                     assert all(lo <= r <= hi and bit == k
@@ -500,20 +507,28 @@ class TestCoarseThenFine:
         assert np.array_equal(fine.view(np.uint64), want.view(np.uint64))
         assert (b / n == 0.0) == (b < 1.0)
 
-    def test_the_bound_is_trusted(self):
-        # A bound that excludes every interval leaves only the coarse probes:
-        # the sign changes between them are not brackets, the zero at 0.5 is a root.
+    def test_the_bound_is_trusted(self, monkeypatch):
+        # Bounds of zero curvature and error certify every sign from the chords through
+        # the coarse values: f is called on the coarse probes alone, each root of cos(50 t)
+        # is where such a chord crosses zero, and the zero at 0.5 is a coarse probe.
+        monkeypatch.setattr(quad_mod, "_CERTIFY_MIN", 0)
         calls = []
 
         def counted(rows, t):
             calls.append(t.size)
             return self.factors(rows, t)
 
-        _, roots, bits = find_sign_changes_many(counted, [0.0], [1.0], [64],
-                                                bound=lambda rows, t0, t1: -1.0)
+        def exact(rows, t0, t1):
+            return np.zeros((2, 2, rows.size))
+
+        _, roots, bits = find_sign_changes_many(counted, [0.0], [1.0], [64], bound=exact)
         assert calls == [9]
-        assert roots.tolist() == [0.5]
-        assert bits.tolist() == [2]
+        t = np.linspace(0.0, 1.0, 9)
+        c = np.cos(50.0 * t)
+        k = np.flatnonzero(np.sign(c[:-1]) * np.sign(c[1:]) < 0.0)
+        chord = t[k] - c[k] * (t[k + 1] - t[k]) / (c[k + 1] - c[k])
+        assert roots[bits == 1].tolist() == pytest.approx(chord.tolist(), abs=1e-11)
+        assert roots[bits == 2].tolist() == [0.5]
 
     def test_large_window_is_probed_coarse_then_fine(self):
         # A window of 16,384 probes, with and without a bound: every 8th

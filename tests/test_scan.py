@@ -273,8 +273,26 @@ class TestSweepTau:
         # batched probes, bisection steps and panels.  An extra per-window call
         # would exceed the bound.
         sweep_tau(ModelParams(500.0, LAM, 0.0), 2.0, 200, 0.2)
-        assert len(closed_form_calls) <= 69
+        assert len(closed_form_calls) <= 64
         assert all(len(s) == 2 for s in closed_form_calls)
+
+    def test_kink_search_points(self, monkeypatch, closed_form_calls):
+        # The default sweep-tau request (gamma0 5, delta 0 at lam 50): its one kink search
+        # evaluated 3,200 closed-form points with the Lipschitz exclusion, and the
+        # certificates leave 1,804.
+        spans = []
+        real = quad_mod.find_sign_changes_many
+
+        def search(*args, **kwargs):
+            start = len(closed_form_calls)
+            found = real(*args, **kwargs)
+            spans.append((start, len(closed_form_calls)))
+            return found
+
+        monkeypatch.setattr(quad_mod, "find_sign_changes_many", search)
+        sweep_tau(ModelParams(5.0, LAM, 0.0), 2.0, 200, 0.2)
+        [(start, end)] = spans
+        assert sum(math.prod(s) for s in closed_form_calls[start:end]) <= 1_804
 
     def test_failed_points_recorded(self):
         # The windows at tau = 0.1 and 0.2 fail; every other point gets its

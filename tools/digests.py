@@ -37,8 +37,11 @@ a `scan` at gamma0 1e-12 to 1e-9, a `sweep-tau` and a `compare-bounds` within
 cells where P - P_ref changes sign from rounding noise, so that the Bures
 integral, which must split at Pdot's roots alone, would move if it split at
 every kink (KINK_FACTORS: `ratio --gamma0 1e-14 --delta 200` and a
-`compare-bounds` at gamma0 1e-10 to 1e-8 and delta 3000).  They
-run as `python -m qslkit.cli` from CHECKOUT's
+`compare-bounds` at gamma0 1e-10 to 1e-8 and delta 3000), and a sweep
+across the birth of a flow-back interval as a close pair of Pdot's roots,
+where the kink search certifies few signs near the pair (CERTIFIED: a
+`compare-bounds` at gamma0 116.38 to 125 and delta 75).  They run as
+`python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
 numpy's SIMD paths, and so the last bits, differ between hosts.
@@ -113,6 +116,10 @@ KINK_FACTORS = (
     "compare-bounds --gamma0-min 1e-10 --gamma0-max 1e-8 --delta 3000 --n-points 3",
 )
 
+# A flow-back interval is born as a double root of Pdot near gamma0 116.384 at delta 75: each
+# cell past it holds a close pair of roots, near which few signs are certified.
+CERTIFIED = ("compare-bounds --gamma0-min 116.38 --gamma0-max 125 --delta 75 --n-points 21",)
+
 
 def requests():
     """Every request once, in the order first met."""
@@ -143,7 +150,7 @@ def _all_requests():
     yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES + REJECTED)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
-    yield from (argv.split() for argv in STARTS + EXCLUSION + KINK_FACTORS)
+    yield from (argv.split() for argv in STARTS + EXCLUSION + KINK_FACTORS + CERTIFIED)
 
 
 def digest(checkout: Path, args: list) -> str:
