@@ -12,9 +12,10 @@ Bures-angle comparator all integrate |displacement| * |rate| (or |rate|
 alone), which has a kink wherever a factor changes sign; Pdot does so where
 energy starts or stops flowing back from the reservoir.  All three run on
 one cell set, _Cells, for many cells (model point plus window) at once: it
-validates each window once, builds one coefficient table, evaluates C at
-every window's start and end in one batched call, searches the sign changes
-of both kink factors (Pdot, P - P_ref) once and integrates; an estimator adds
+validates each window once, builds one coefficient row per distinct model
+point, evaluates C at every window's start and end in one batched call,
+searches the sign changes of both kink factors (Pdot, P - P_ref) once and
+integrates; an estimator adds
 its integrand, the factors it holds, whose roots split it, and its epilogue.
 P has one formula, so P - P_ref is exactly 0 at each window's start and each
 numerator uses the P of its integrand.
@@ -29,12 +30,15 @@ name the cell.  The one-cell forms are the single-cell case and raise it.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, quad
-from .model import MAX_GRID_POINTS, ModelParams, amplitude_bounds, coefficient_table
+from .model import (
+    MAX_GRID_POINTS, ModelParams, amplitude_bounds, bound_rates, coefficient_table,
+)
 from .smatrix import DensityMatrix2
 
 # Ratios below 1 - SPEED_UP_TOL count as genuine speed-up; larger values are
@@ -90,7 +94,9 @@ class _Cells:
     """The cells (model point, window [start, start + tau_d]) of one request's estimators.
 
     Checks every window, in cell order, and its probe count, builds one
-    coefficient table and evaluates C at every window's start and end in one
+    coefficient row (and complex root) per distinct model point, keyed by the
+    bits of its fields, indexes the cells' table and bound_rates from them
+    once, and evaluates C at every window's start and end in one
     batched call: c_ends and p_ends, with P as terms forms it, are (cells, 2),
     so P_ref and P_end are columns 0 and 1.  kinks, (window, root, factor
     bits), holds the sign changes of both kink factors, searched once for
@@ -103,15 +109,23 @@ class _Cells:
             _check_window(name, s, tau_d)
         self.params, self.a = params, starts
         self.b = [s + tau_d for s in self.a]
-        self.n_probe = [quad.probe_count_for_period(p.complex_root.imag, lo, hi)
-                        for p, lo, hi in zip(self.params, self.a, self.b)]
+        # One coefficient row per distinct model point, keyed by its bits: delta 0.0 and -0.0
+        # are equal ModelParams with complex roots of opposite signs.
+        keys = [struct.pack("<4d", p.gamma0, p.lam, p.delta, p.omega0) for p in params]
+        points = dict(zip(keys, params))
+        index = {key: i for i, key in enumerate(points)}
+        point = [index[key] for key in keys]
+        im_roots = [p.complex_root.imag for p in points.values()]
+        self.n_probe = [quad.probe_count_for_period(im_roots[i], lo, hi)
+                        for i, lo, hi in zip(point, self.a, self.b)]
         for p, lo, hi, n in zip(self.params, self.a, self.b, self.n_probe):
             if not n <= MAX_GRID_POINTS:
                 raise ValueError(
                     f"gamma0={p.gamma0}, delta={p.delta} and window [{lo}, {hi}] ask for "
                     f"{n:.6g} probes, more than an array can hold"
                 )
-        self.table = coefficient_table(self.params)
+        self.table = coefficient_table(list(points.values()))[:, point]
+        self.rates = bound_rates(self.table)
         self.scale = scale
         ends = np.column_stack((self.a, self.b))
         self.c_ends = quad.evaluate(lambda rows, t: model.amplitude_cells(self.table, rows, t)[0],
@@ -138,7 +152,7 @@ class _Cells:
         |Cdot| and on their errors, which cover the product's own rounding; P_ref is one
         computed constant, and only the subtraction rounds it.
         """
-        c, cdot, pddot, pdddot, err_c, err_cdot = amplitude_bounds(self.table, rows, t0, t1)
+        c, cdot, pddot, pdddot, err_c, err_cdot = amplitude_bounds(self.rates, rows, t0, t1)
         c_hat, cdot_hat = c + err_c, cdot + err_cdot
         s = self.scale
         # Infinite bounds (d = 0) certify nothing.

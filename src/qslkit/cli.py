@@ -166,13 +166,21 @@ def _add_param(sp: argparse.ArgumentParser, name: str) -> None:
                     help=p.help, choices=p.choices)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of argv.  Every subcommand is registered, for the usage lines, --help and
+    invalid-choice errors, but arguments are added only to the one argv names (its first
+    word that is not an option), or to all of them if it names none: no other is parsed."""
     parser = argparse.ArgumentParser(
         prog="qslkit", description="Speed-limit datasets for the detuned decay model"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    named = next((arg for arg in argv or () if not arg.startswith("-")), None)
     for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, help=command.help)
+        built = named not in _COMMANDS or name == named
+        # A subcommand that is not parsed needs no arguments, not even -h.
+        sp = sub.add_parser(name, help=command.help, add_help=built)
+        if not built:
+            continue
         for param in command.params:
             _add_param(sp, param)
         sp.add_argument("--config", default=None, help="key=value file; flags override it")
@@ -342,7 +350,8 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         opts = _merge_options(args)
         command = _COMMANDS[args.subcommand]

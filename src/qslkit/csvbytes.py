@@ -115,8 +115,17 @@ def _float_layouts() -> np.ndarray:
 def _exponent_words() -> np.ndarray:
     """Per E from -_E_MAX to _E_MAX, a float field's last word: 'e', the sign
     and two or three digits in exponent notation, else 0xFF only."""
-    return np.array([int.from_bytes((b"" if -4 <= e < 17 else b"e%+03d" % e).ljust(8, b"\xff"),
-                                    "little") for e in range(-_E_MAX, _E_MAX + 1)], dtype=np.uint64)
+    e = np.arange(-_E_MAX, _E_MAX + 1)
+    digits = np.abs(e) // np.array([[100], [10], [1]]) % 10 + ord("0")
+    three = np.abs(e) >= 100
+    text = np.full((e.size, 8), _FILL, dtype=np.uint8)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    # Two digits, or three where |E| >= 100: '%+03d'.
+    text[:, 2:4] = np.where(three, digits[:2], digits[1:]).T
+    text[three, 4] = digits[2, three]
+    text[(e >= -4) & (e < 17)] = _FILL
+    return text.view(_LE)[:, 0]
 
 
 class _FloatTables:

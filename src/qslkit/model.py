@@ -33,8 +33,8 @@ from .smatrix import DensityMatrix2, as_matrix2
 AMPLITUDE_SINGULAR_TOL = 1e-12
 
 # Relative rounding error of amplitude_cells' values, per unit of 1 + t (|mu| + |d| / 2):
-# 4,096 ulps, well above the few ulps of each of its operations.
-_ROUNDING = 2.0**-40
+# 32 u (u = 2^-53), above the 29.3 u that its operations add up to (see amplitude_bounds).
+_ROUNDING = 2.0**-48
 
 # The most complex values one numpy array can hold: its size in bytes must fit an intp.
 MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
@@ -124,6 +124,8 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     """sinh(z)/z with the removable singularity handled by its series."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-6
+    if not small.any():
+        return np.sinh(z) / z
     zs = np.where(small, 1.0, z)
     out = np.sinh(zs) / zs
     series = 1.0 + z * z / 6.0
@@ -131,10 +133,10 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
 
 
 class _Coefficients(NamedTuple):
-    """The t-independent scalars of the closed form, for one cell or a column of cells."""
+    """The t-independent scalars of the closed form, for one cell."""
 
-    neg_mu: complex
     half_d: complex
+    neg_mu: complex
     mu: complex
     cdot_scale: float  # -gamma0 * lam / 2
     s_plus: complex
@@ -143,6 +145,11 @@ class _Coefficients(NamedTuple):
     a_minus: complex
     as_plus: complex  # a_plus * s_plus
     as_minus: complex  # a_minus * s_minus
+
+
+# The fields that each form of the closed form reads besides half_d, as slices of
+# _Coefficients and rows of a coefficient table.
+_MID, _SPLIT = slice(1, 4), slice(4, 10)
 
 
 def _coefficients(p: ModelParams) -> _Coefficients:
@@ -155,67 +162,63 @@ def _coefficients(p: ModelParams) -> _Coefficients:
     a_plus = 0.5 * (1.0 + 2.0 * mu / d) if d else 0j
     a_minus = 0.5 * (1.0 - 2.0 * mu / d) if d else 0j
     return _Coefficients(
-        -mu, 0.5 * d, mu, -0.5 * p.gamma0 * p.lam, s_plus, s_minus, a_plus, a_minus,
+        0.5 * d, -mu, mu, -0.5 * p.gamma0 * p.lam, s_plus, s_minus, a_plus, a_minus,
         a_plus * s_plus, a_minus * s_minus,
     )
 
 
-def coefficient_table(params: list[ModelParams]) -> _Coefficients:
-    """Every cell's scalars as arrays, one entry per ModelParams in params."""
-    cells = [_coefficients(p) for p in params]
-    columns = (np.array([c[k] for c in cells]) for k in range(len(_Coefficients._fields)))
-    return _Coefficients(*columns)
+def coefficient_table(params: list[ModelParams]) -> np.ndarray:
+    """Every cell's scalars: a complex array (10, len(params)), row k holding field k of
+    _Coefficients per ModelParams in params (cdot_scale's row is real), so that one index
+    gathers every field a form reads."""
+    return np.array([_coefficients(p) for p in params], dtype=complex).reshape(-1, 10).T.copy()
 
 
-# The columns that each form of the closed form reads besides half_d.
-_MID = ("neg_mu", "mu", "cdot_scale")
-_SPLIT = ("s_plus", "s_minus", "a_plus", "a_minus", "as_plus", "as_minus")
-
-
-def _mid_form(k: _Coefficients, t, x):
-    """C and Cdot in the cosh/sinhc form at x = d t / 2.
+def _mid_form(k, t, x):
+    """C and Cdot in the cosh/sinhc form at x = d t / 2, k holding neg_mu, mu and cdot_scale.
 
     Exact through d = 0, but its factors overflow separately once Re(d) t / 2 grows large.
     """
-    env = np.exp(k.neg_mu * t)
+    neg_mu, mu, cdot_scale = k
+    env = np.exp(neg_mu * t)
     shc = _sinhc(x)
-    inner = np.cosh(x) + k.mu * t * shc
-    return env * inner, k.cdot_scale * t * shc * env
+    inner = np.cosh(x) + mu * t * shc
+    return env * inner, cdot_scale.real * t * shc * env
 
 
-def _split_form(k: _Coefficients, t):
-    """C and Cdot in the split-exponential form, finite at large t (both rates decay)."""
-    e_plus = np.exp(k.s_plus * t)
-    e_minus = np.exp(k.s_minus * t)
-    return k.a_plus * e_plus + k.a_minus * e_minus, k.as_plus * e_plus + k.as_minus * e_minus
+def _split_form(k, t):
+    """C and Cdot in the split-exponential form, finite at large t (both rates decay).
 
-
-def amplitude_cells(table: _Coefficients, rows: np.ndarray, t: np.ndarray):
-    """C and Cdot of the cells table[rows] at times t of shape (len(rows), n).
-
-    Row i of t belongs to cell rows[i]; its scalars are gathered once and
-    broadcast along the row.  A node takes the split form where
-    |d t / 2| > 25, the cosh/sinhc form elsewhere.  Each form runs only on
-    the rows holding a node that selects it; a row holding both selects per
-    node.  A node's bits depend neither on the size of the call that holds it
-    nor on its other nodes.
+    k holds s_plus, s_minus, a_plus, a_minus, as_plus and as_minus.
     """
-    def at(names, lead=slice(None)):
-        """table with its columns names gathered at the rows of t[lead]."""
-        return table._replace(**{n: getattr(table, n)[rows[lead], None] for n in names})
+    s_plus, s_minus, a_plus, a_minus, as_plus, as_minus = k
+    e_plus = np.exp(s_plus * t)
+    e_minus = np.exp(s_minus * t)
+    return a_plus * e_plus + a_minus * e_minus, as_plus * e_plus + as_minus * e_minus
 
+
+def amplitude_cells(table: np.ndarray, rows: np.ndarray, t: np.ndarray):
+    """C and Cdot of the cells rows of a coefficient table at times t of shape (len(rows), n).
+
+    Row i of t belongs to cell rows[i]; the fields a form reads are gathered
+    once, in one index, and broadcast along the row.  A node takes the split
+    form where |d t / 2| > 25, the cosh/sinhc form elsewhere.  Each form runs
+    only on the rows holding a node that selects it; a row holding both
+    selects per node.  A node's bits depend neither on the size of the call
+    that holds it nor on its other nodes.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        x = table.half_d[rows, None] * t
+        x = table[0, rows, None] * t  # half_d
         big = np.abs(x) > 25.0
         if not np.any(big):
-            return _mid_form(at(_MID), t, x)
+            return _mid_form(table[_MID, rows, None], t, x)
         if np.all(big):
-            return _split_form(at(_SPLIT), t)
+            return _split_form(table[_SPLIT, rows, None], t)
         lead_mid, lead_big = ~big.all(axis=1), big.any(axis=1)
-        mid = _mid_form(at(_MID, lead_mid), t[lead_mid], x[lead_mid])
+        mid = _mid_form(table[_MID, rows[lead_mid], None], t[lead_mid], x[lead_mid])
         c, cdot = np.empty(big.shape, complex), np.empty(big.shape, complex)
         c[lead_mid], cdot[lead_mid] = mid
-        c_big, cdot_big = _split_form(at(_SPLIT, lead_big), t[lead_big])
+        c_big, cdot_big = _split_form(table[_SPLIT, rows[lead_big], None], t[lead_big])
         c[big], cdot[big] = c_big[big[lead_big]], cdot_big[big[lead_big]]
     return c, cdot
 
@@ -228,8 +231,8 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     over all of t.  A scalar t gives numpy scalars.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("amplitude requires t >= 0")
+    if not np.all(t >= 0.0):  # NaN fails too
+        raise ValueError("amplitude requires t >= 0 and not NaN")
     table, row = coefficient_table([p]), np.zeros(1, int)
     flat, step = t.ravel(), quad._CHUNK_POINTS
     c, cdot = np.empty(t.size, complex), np.empty(t.size, complex)
@@ -238,8 +241,27 @@ def amplitude_series(p: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     return c.reshape(t.shape)[()], cdot.reshape(t.shape)[()]
 
 
-def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
-    """Bounds over the intervals [t0[i], t1[i]] of the cells table[rows[i]].
+def bound_rates(table: np.ndarray) -> np.ndarray:
+    """The per-cell moduli and rates of a coefficient table that amplitude_bounds reads: an
+    array (11, cells), formed once per table.
+
+    Rows: rate = |mu| + |d| / 2, Re s±, |a±|, a_sum = |a+| + |a-|, q, the rates that P's
+    derivatives bring down, and d = 0.  |a± s±| = q = |cdot_scale / d|, but the split form
+    computes a± s± with an error up to about rate * a_sum * eps.
+    """
+    k = _Coefficients(*table)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_plus, a_minus = np.abs(k.a_plus), np.abs(k.a_minus)
+        return np.stack((
+            np.abs(k.mu) + np.abs(k.half_d), k.s_plus.real, k.s_minus.real,
+            a_plus, a_minus, a_plus + a_minus, np.abs(k.cdot_scale.real / (2.0 * k.half_d)),
+            np.abs(2.0 * k.s_plus.real), np.abs(2.0 * k.s_minus.real),
+            np.abs(k.s_plus + np.conj(k.s_minus)), k.half_d == 0))
+
+
+def amplitude_bounds(rates: np.ndarray, rows: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """Bounds over the intervals [t0[i], t1[i]] of the cells rows[i] of a coefficient table
+    whose bound_rates are rates.
 
     Returns an array (6, len(rows)): bounds on |C|, |Cdot|, |Pddot| and |P'''|
     there, and on the absolute errors of the C and Cdot that amplitude_cells
@@ -263,17 +285,42 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
     At d = 0 the split form does not exist, and every bound is inf; so is a
     bound whose product of an overflowed and an underflowed factor would
     read NaN.
+
+    _ROUNDING, derived.  At a node t let u = 2^-53, rate = |mu| + |d| / 2,
+    x = d t / 2, A = |a+| + |a-| and E = e^(Re s+ t) + e^(Re s- t), which is
+    2 |e^(-mu t)| cosh(Re x).  A >= 1 and A >= |2 mu / d|, as a+ + a- = 1 and
+    a+ - a- = 2 mu / d; |cosh x| and |sinh x| are at most cosh(Re x); and
+    mu t sinhc x = (2 mu / d) sinh x, cdot_scale t sinhc x = (2 cdot_scale / d) sinh x.
+    So every term of C in either form is at most A E in modulus (e^(-mu t) cosh x
+    at most E / 2, e^(-mu t) mu t sinhc x at most A E / 2, the a± e^(s± t) A E
+    together), and every term of Cdot at most q E (|a± s±| = q).  Each error
+    below is a multiple of u times the modulus of the value it rounds:
+      - the argument s t of an exponential rounds by u |s t|, and the table's
+        s± = ±d / 2 - mu carry u rate: e^(s± t) and e^(-mu t) move by at most
+        2 u rate t relative; x's rounding by u |x| moves e^(-mu t) cosh x by
+        u |x| E / 2, e^(-mu t) mu t sinhc x by u |x| A E and Cdot by 2 u |x| q E,
+        with |x| <= rate t; the factor e^|error| is in the e^rel of e±;
+      - cexp, ccosh and csinh: glibc forms each part as a product of a real exp,
+        cosh or sinh and a cos or sin, so each is taken as within 4 ulps per
+        part, 8 u of the modulus (at most 2.5 ulps was seen over 20,000
+        arguments of each on x86-64);
+      - a complex product sqrt(5), a complex sum 1, a product by a real 1, and
+        a complex division (Smith's, in numpy and in Python) 2 sqrt(2) + 6;
+      - the table's a± = (1 ± 2 mu / d) / 2, a division and a sum: 5.5 A.
+    Summed, the parts that do not grow with t are at most 25.4 for C's
+    cosh/sinhc form (e^(-mu t) 8, cosh 4, sinhc (8 + 9) / 2, mu t 0.5, its
+    product 1.1, the sum 1, the last product 2.3), 29.3 for its Cdot (two real
+    products 2, sinhc 17, e^(-mu t) 8, the last product 2.3), 16.8 for the split
+    form's C (a± 5.5, cexp 8, products 2.3, the sum 1) and 11.3 for its Cdot
+    (cexp 8, products 2.3, the sum 1; its a± s± 8.8 rate A, a± 5.5, s± 1 and
+    their product 2.3); the parts that grow with t are at most 2 rate t.
+    _ROUNDING = 32 u covers each, and its excess over C's, at least 6 u |C|,
+    covers Pdot's own rounding, (sqrt(5) + 1) u |C| |Cdot|, and that of |C|^2
+    in the kink factors of bounds._Cells; products of two errors are smaller
+    than that excess by a factor of about u (1 + rate t).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # Per cell, then per interval: rate, Re s±, |a±|, a_sum = |a+| + |a-|, q, the rates
-        # that P's derivatives bring down, and d = 0.  |a± s±| = q = |cdot_scale / d|, but the
-        # split form computes a± s± with an error up to about rate * a_sum * eps.
-        a_plus, a_minus = np.abs(table.a_plus), np.abs(table.a_minus)
-        cells = np.stack((
-            np.abs(table.mu) + np.abs(table.half_d), table.s_plus.real, table.s_minus.real,
-            a_plus, a_minus, a_plus + a_minus, np.abs(table.cdot_scale / (2.0 * table.half_d)),
-            np.abs(2.0 * table.s_plus.real), np.abs(2.0 * table.s_minus.real),
-            np.abs(table.s_plus + np.conj(table.s_minus)), table.half_d == 0))[:, rows]
+        cells = rates[:, rows]
         rate, re_plus, re_minus, a_plus, a_minus, a_sum, q = cells[:7]
         rel = _ROUNDING * (1.0 + t1 * rate)
         # The larger exponent gives the sup; + rel covers the rounding of s±.
@@ -286,13 +333,13 @@ def amplitude_bounds(table: _Coefficients, rows: np.ndarray, t0: np.ndarray, t1:
         m_plus = (a_plus + rel * a_sum) * e_plus
         m_minus = (a_minus + rel * a_sum) * e_minus
         terms = np.stack((m_plus * m_plus, m_minus * m_minus, 2.0 * m_plus * m_minus))
-        rates = cells[7:10] + 2.0 * rel * rate
-        curve = terms * (rates * rates)
+        slopes = cells[7:10] + 2.0 * rel * rate
+        curve = terms * (slopes * slopes)
         out = np.stack((
             a_plus * e_plus + a_minus * e_minus + err_c,
             q * e_sum + err_cdot,
             np.sum(curve, axis=0),
-            np.sum(curve * rates, axis=0),
+            np.sum(curve * slopes, axis=0),
             err_c,
             err_cdot,
         ))

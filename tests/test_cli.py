@@ -267,6 +267,15 @@ def test_one_cell_set_per_request(capsys, monkeypatch, argv):
     assert sorted(calls) == ["search", "table"]
 
 
+def test_one_coefficient_row_per_model_point(capsys, monkeypatch):
+    # 200 windows of one model point: its scalars are formed once.
+    calls = []
+    real = model_mod._coefficients
+    monkeypatch.setattr(model_mod, "_coefficients", lambda p: calls.append(p) or real(p))
+    assert invoke(capsys, "sweep-tau", "--n-points", "200")[0] == 0
+    assert calls == [ModelParams(5.0, 50.0, 0.0)]
+
+
 class TestCompareBounds:
     def test_header_and_plateaus(self, capsys):
         code, out, _ = invoke(
@@ -446,6 +455,49 @@ SMALL_RUNS = {
     "compare-bounds": ["--n-points", "3"],
     "oracle-check": ["--t-max", "0.05"],
 }
+
+
+def _printed(capsys, argv) -> tuple:
+    """The exit code, stdout and stderr of run(argv), which argparse may end by SystemExit."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exited:
+        code = exited.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserBuiltInPart:
+    """The parser adds arguments only to the subcommand argv names; it must print what the
+    parser with every subcommand's arguments prints."""
+
+    @pytest.mark.parametrize("argv", [
+        *((command, flag) for command in sorted(cli_mod._COMMANDS)
+          for flag in ("--help", "--no-such-flag")),
+        ("--help",), ("--help", "scan"), ("scan", "extra"), ("bogus",), (),
+    ])
+    def test_prints_what_the_full_parser_prints(self, capsys, monkeypatch, argv):
+        printed = _printed(capsys, argv)
+        full = cli_mod._build_parser
+        monkeypatch.setattr(cli_mod, "_build_parser", lambda argv=None: full())
+        assert _printed(capsys, argv) == printed
+        assert printed[0] == (0 if "--help" in argv else 2)
+
+    def test_arguments_only_for_the_named_subcommand(self, monkeypatch):
+        calls = []
+        real = argparse.ArgumentParser.add_argument
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+        parser = cli_mod._build_parser(["sweep-tau", "--gamma0", "500"])
+        # The -h of the program and of sweep-tau, and sweep-tau's own 11.
+        assert len(calls) == 2 + 11
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, sp in sub.choices.items():
+            assert {a.dest for a in sp._actions} == (set() if name != "sweep-tau" else {
+                *cli_mod._COMMANDS[name].params, *cli_mod._COMMON, "config", "help"})
+        calls.clear()
+        cli_mod._build_parser()
+        assert len(calls) == 79
 
 
 class TestParameterScope:

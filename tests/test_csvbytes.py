@@ -135,3 +135,12 @@ class TestRowAssembly:
     def test_mixed_chunk_matches_join(self, n, order):
         cols = self.columns(n, order)
         assert csvbytes.RowWriter().rows(cols, order) == self.reference(cols, order)
+
+
+def test_exponent_words():
+    # Per E, 'e', the sign and two or three digits, padded with 0xFF, outside fixed
+    # notation's -4..16, and 0xFF only inside it.
+    for e, word in zip(range(-csvbytes._E_MAX, csvbytes._E_MAX + 1),
+                       csvbytes._exponent_words().tolist()):
+        text = b"" if -4 <= e <= 16 else b"e%+03d" % e
+        assert word.to_bytes(8, "little") == text.ljust(8, b"\xff"), e

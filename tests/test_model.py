@@ -11,6 +11,8 @@ from qslkit.model import (
     Amplitude,
     ModelParams,
     _amplitude_cddot,
+    _MID,
+    _SPLIT,
     _coefficients,
     _mid_form,
     _sinhc,
@@ -19,6 +21,7 @@ from qslkit.model import (
     amplitude_bounds,
     amplitude_cells,
     amplitude_series,
+    bound_rates,
     coefficient_table,
     decay_rate,
     evolve,
@@ -35,6 +38,9 @@ from qslkit.model import (
 from qslkit.smatrix import DensityMatrix2
 
 LAM = 50.0
+# lam of the resonant sweep of the trajectory benchmark at seed 1: gamma0 10 lam, tau_d
+# 10 / lam, 200 windows starting from 0 to 100 / lam.
+SEED1_LAM = 14.955877935285258
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -144,6 +150,17 @@ class TestAmplitude:
         with pytest.raises(ValueError):
             amplitude(ModelParams(5.0, LAM, 0.0), -1.0)
 
+    def test_rejects_nan_time(self):
+        # Rejected by name, in the check that rejects t < 0, and with no RuntimeWarning.
+        p = ModelParams(5.0, LAM, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: amplitude(p, math.nan),
+                         lambda: decay_rate(p, math.nan),
+                         lambda: decay_rate(p, np.array([0.0, math.nan, 0.1]))):
+                with pytest.raises(ValueError, match=r"requires t >= 0 and not NaN"):
+                    call()
+
     def test_ode_residual(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -246,10 +263,10 @@ class TestAmplitude:
         table = coefficient_table([ModelParams(g, LAM, d) for g, d in zip(gamma0, delta)])
         rows = rng.integers(gamma0.size, size=3000)
         with np.errstate(divide="ignore"):
-            switch = np.where(table.half_d == 0, 1.0 / LAM, 25.0 / np.abs(table.half_d))[rows]
+            switch = np.where(table[0] == 0, 1.0 / LAM, 25.0 / np.abs(table[0]))[rows]
         t = switch[:, None] * (rng.uniform(0.3, 1.7, (rows.size, 1))
                                + rng.uniform(0.0, 0.1, (rows.size, 1)) * np.arange(7))
-        big = np.abs(table.half_d[rows, None] * t) > 25.0
+        big = np.abs(table[0, rows, None] * t) > 25.0
         assert 0 < np.sum(big.all(axis=1)) and 0 < np.sum(~big.any(axis=1))
         assert 0 < np.sum(big.any(axis=1) & ~big.all(axis=1))
         seven = amplitude_cells(table, rows, t)
@@ -272,9 +289,10 @@ class TestAmplitude:
             hypothesis.assume(p.complex_root != 0)
             k = _coefficients(p)
             t = np.asarray(50.0 / abs(p.complex_root))
-            mid = _mid_form(k, t, k.half_d * t)
-            split = _split_form(k, t)
-            err = amplitude_bounds(coefficient_table([p]), np.array([0]), t[None], t[None])[4:, 0]
+            mid = _mid_form(k[_MID], t, k.half_d * t)
+            split = _split_form(k[_SPLIT], t)
+            rates = bound_rates(coefficient_table([p]))
+            err = amplitude_bounds(rates, np.array([0]), t[None], t[None])[4:, 0]
             for a, b, e in zip(mid, split, err):
                 assert abs(a - b) <= 2.0 * e
 
@@ -336,7 +354,7 @@ def _assert_bounds_hold(p, table, row, t0, t1, t):
     """amplitude_bounds of cell row over [t0, t1] bound the exact values at the times t there,
     and the errors of amplitude_series' C and Cdot.  The |Pddot| row bounds P'' too: it is
     the curvature of P - P_ref."""
-    bound = amplitude_bounds(table, np.array([row]), np.array([t0]), np.array([t1]))
+    bound = amplitude_bounds(bound_rates(table), np.array([row]), np.array([t0]), np.array([t1]))
     sup, err = bound[:4, 0], bound[4:, 0]
     scalars = _coefficients(p)
     c, cdot = amplitude_series(p, t)
@@ -407,9 +425,34 @@ class TestAmplitudeBounds:
 
         check()
 
+    @pytest.mark.parametrize("lam, gamma0, delta, windows", [
+        # Both sides of the switch |d t / 2| = 25 of each form, and windows across it.
+        *((LAM, g, d, [(0.9 * s, s), (s, 1.1 * s), (0.98 * s, 1.02 * s)])
+          for g, d in ((0.1 * LAM, 6.0 * LAM), (10.0 * LAM, 0.0), (20.0 * LAM, 4.0 * LAM))
+          for s in [50.0 / abs(ModelParams(g, LAM, d).complex_root)]),
+        # Near critical coupling, where a± grow as 1/d.
+        *((LAM, 0.5 * LAM * (1.0 + e), d, [(0.0, 0.2), (1.0, 1.2), (1.8, 2.0)])
+          for e in (1e-12, -1e-9, 1e-6, -1e-4) for d in (0.0, 1e-6 * LAM)),
+        # The last three windows of the seed-1 resonant sweep.
+        (SEED1_LAM, 10.0 * SEED1_LAM, 0.0,
+         [(tau, tau + 10.0 / SEED1_LAM) for tau in np.linspace(0.0, 100.0 / SEED1_LAM, 200)[-3:]]),
+    ])
+    def test_bounds_hold_at_the_switch_near_critical_coupling_and_late(self, lam, gamma0, delta,
+                                                                      windows):
+        p = ModelParams(gamma0, lam, delta)
+        table = coefficient_table([p])
+        switch = 50.0 / abs(p.complex_root)
+        rng = np.random.default_rng(29)
+        for t0, t1 in windows:
+            t = np.concatenate(([t0, t1], rng.uniform(t0, t1, 12)))
+            if t0 < switch < t1:  # the nodes around the switch, either form
+                t = np.concatenate((t, [np.nextafter(switch, 0.0), switch,
+                                        np.nextafter(switch, math.inf)]))
+            _assert_bounds_hold(p, table, 0, t0, t1, t)
+
     def test_critical_coupling_bounds_nothing(self):
         table = coefficient_table([ModelParams(0.5 * LAM, LAM, 0.0), ModelParams(5.0, LAM, 0.0)])
-        bound = amplitude_bounds(table, np.array([0, 1]), np.zeros(2), np.full(2, 0.1))
+        bound = amplitude_bounds(bound_rates(table), np.array([0, 1]), np.zeros(2), np.full(2, 0.1))
         assert np.all(np.isinf(bound[:, 0])) and np.all(np.isfinite(bound[:, 1]))
 
 

@@ -237,6 +237,24 @@ class TestTransitionBoundary:
         assert all(pt[0] != 300.0 for pt in points)
 
 
+def kink_search_points(monkeypatch, closed_form_calls, gamma0: float) -> int:
+    """The closed-form points that the one kink search of a 200-window sweep-tau request at
+    gamma0, delta 0 and lam 50 evaluates."""
+    spans = []
+    real = quad_mod.find_sign_changes_many
+
+    def search(*args, **kwargs):
+        start = len(closed_form_calls)
+        found = real(*args, **kwargs)
+        spans.append((start, len(closed_form_calls)))
+        return found
+
+    monkeypatch.setattr(quad_mod, "find_sign_changes_many", search)
+    sweep_tau(ModelParams(gamma0, LAM, 0.0), 2.0, 200, 0.2)
+    [(start, end)] = spans
+    return sum(math.prod(s) for s in closed_form_calls[start:end])
+
+
 class TestSweepTau:
     def test_weak_coupling_constant_one(self):
         p = ModelParams(0.1 * LAM, LAM, 0.0)
@@ -280,19 +298,12 @@ class TestSweepTau:
         # The default sweep-tau request (gamma0 5, delta 0 at lam 50): its one kink search
         # evaluated 3,200 closed-form points with the Lipschitz exclusion, and the
         # certificates leave 1,804.
-        spans = []
-        real = quad_mod.find_sign_changes_many
+        assert kink_search_points(monkeypatch, closed_form_calls, 5.0) <= 1_804
 
-        def search(*args, **kwargs):
-            start = len(closed_form_calls)
-            found = real(*args, **kwargs)
-            spans.append((start, len(closed_form_calls)))
-            return found
-
-        monkeypatch.setattr(quad_mod, "find_sign_changes_many", search)
-        sweep_tau(ModelParams(5.0, LAM, 0.0), 2.0, 200, 0.2)
-        [(start, end)] = spans
-        assert sum(math.prod(s) for s in closed_form_calls[start:end]) <= 1_804
+    def test_resonant_kink_search_points(self, monkeypatch, closed_form_calls):
+        # The resonant sweep of the trajectory benchmark (gamma0 10 lam): the certificates
+        # left 52,958 points with model._ROUNDING at 2^-40, and 31,013 at the derived 2^-48.
+        assert kink_search_points(monkeypatch, closed_form_calls, 500.0) <= 31_013
 
     def test_failed_points_recorded(self):
         # The windows at tau = 0.1 and 0.2 fail; every other point gets its

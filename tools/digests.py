@@ -40,7 +40,11 @@ every kink (KINK_FACTORS: `ratio --gamma0 1e-14 --delta 200` and a
 `compare-bounds` at gamma0 1e-10 to 1e-8 and delta 3000), and a sweep
 across the birth of a flow-back interval as a close pair of Pdot's roots,
 where the kink search certifies few signs near the pair (CERTIFIED: a
-`compare-bounds` at gamma0 116.38 to 125 and delta 75).  They run as
+`compare-bounds` at gamma0 116.38 to 125 and delta 75), and requests that
+show what the parser prints, which it builds only in part when argv names a
+subcommand (PARSER: `--help`, `scan --help`, `sweep-tau --help`, `bogus`,
+the bare command, `scan extra` and `decay-rate --n-gamma0 3`), with a
+`sweep-tau` at delta -0.0, a model point of its own: 100 requests.  They run as
 `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
@@ -120,6 +124,13 @@ KINK_FACTORS = (
 # cell past it holds a close pair of roots, near which few signs are certified.
 CERTIFIED = ("compare-bounds --gamma0-min 116.38 --gamma0-max 125 --delta 75 --n-points 21",)
 
+# The parser builds the arguments of the subcommand argv names alone: help texts, usage errors
+# and a request naming no subcommand must print what the parser with every subcommand's
+# arguments prints; delta -0.0 is a model point of its own, whose complex root has the sign
+# opposite to delta 0.0's.
+PARSER = ("--help", "scan --help", "sweep-tau --help", "bogus", "", "scan extra",
+          "decay-rate --n-gamma0 3", "sweep-tau --delta -0.0 --n-points 5")
+
 
 def requests():
     """Every request once, in the order first met."""
@@ -150,7 +161,7 @@ def _all_requests():
     yield from (argv.split() for argv in WRITER + BIG_WINDOWS + FAILURES + EDGES + REJECTED)
     yield ["decay-rate", "--rel-tol", "1e-3"]
     yield ["oracle-check", "--abs-tol", "0"]
-    yield from (argv.split() for argv in STARTS + EXCLUSION + KINK_FACTORS + CERTIFIED)
+    yield from (argv.split() for argv in STARTS + EXCLUSION + KINK_FACTORS + CERTIFIED + PARSER)
 
 
 def digest(checkout: Path, args: list) -> str:
