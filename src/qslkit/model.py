@@ -428,10 +428,12 @@ def population_rate(p: ModelParams, t):
 
 
 def _log_derivative(p: ModelParams, t):
-    """(Cdot/C, mask of zeros of C), dividing by 1 instead of C inside the mask."""
+    """(Cdot/C, mask of zeros of C); callers replace the entries inside the mask,
+    where C may be 0 or so small that the quotient overflows."""
     c, cdot = amplitude_series(p, t)
     singular = np.abs(c) < AMPLITUDE_SINGULAR_TOL
-    return cdot / np.where(singular, 1.0, c), singular
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return cdot / c, singular
 
 
 def decay_rate(p: ModelParams, t):

@@ -136,6 +136,26 @@ class TestRowAssembly:
         cols = self.columns(n, order)
         assert csvbytes.RowWriter().rows(cols, order) == self.reference(cols, order)
 
+    # Float columns side by side, and a float column last, whose fields end in "\n".
+    @pytest.mark.parametrize("order", [("float", "float", "bool"), ("int", "float", "float"),
+                                       ("float",)])
+    @pytest.mark.parametrize("n", [1, 4095, 4096])
+    def test_adjacent_and_last_float_columns(self, n, order):
+        cols = self.columns(n, order)
+        assert csvbytes.RowWriter().rows(cols, order) == self.reference(cols, order)
+
+    @pytest.mark.parametrize("order", [("float", "float", "float"),
+                                       ("bool", "float", "int", "float")])
+    def test_forced_fallback_in_middle_and_last_columns(self, monkeypatch, order):
+        # Every element falls back: Python's text and its column's separator.
+        monkeypatch.setattr(csvbytes, "_TIE", 1.0)
+        cols = self.columns(4096, order)
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0,
+                    *exact_ties(np.random.default_rng(3), 1)]
+        for c in (1, len(order) - 1):
+            cols[c][:len(specials)] = specials
+        assert csvbytes.RowWriter().rows(cols, order) == self.reference(cols, order)
+
 
 def test_exponent_words():
     # Per E, 'e', the sign and two or three digits, padded with 0xFF, outside fixed
@@ -144,3 +164,70 @@ def test_exponent_words():
                        csvbytes._exponent_words().tolist()):
         text = b"" if -4 <= e <= 16 else b"e%+03d" % e
         assert word.to_bytes(8, "little") == text.ljust(8, b"\xff"), e
+
+
+# References: the tables as first built, one row per layout or per number.
+def first_float_layouts() -> np.ndarray:
+    layout = np.arange(csvbytes._N_LAYOUTS)
+    notation = layout // 17 % csvbytes._NOTATIONS
+    n_sig = layout % 17 + 1
+    fixed = notation < 21
+    e = notation - 4
+    below_one = fixed & (e < 0)
+    n_first = np.where(below_one, n_sig, np.where(fixed, e + 1, 1))
+    digit = np.arange(csvbytes._EXP) - csvbytes._FIRST
+    take_a = (digit >= 0) & (digit < n_first[:, None])
+    take_b = ~below_one[:, None] & (digit > n_first[:, None]) & (digit <= n_sig[:, None])
+    other = np.where(take_a | take_b, np.uint8(0), np.uint8(0xFF))
+    k = -digit[:csvbytes._FIRST]
+    zeros = np.where(below_one, 1 - e, 0)[:, None]
+    other[:, :csvbytes._FIRST] = np.where(k == zeros - 1, ord("."),
+                                          np.where(k <= zeros, ord("0"), 0xFF))
+    minus = (layout >= csvbytes._N_LAYOUTS // 2)[:, None] & (k == zeros + 1)
+    other[:, :csvbytes._FIRST][minus] = ord("-")
+    point = np.flatnonzero(~below_one & (n_sig > n_first))
+    other[point, csvbytes._FIRST + n_first[point]] = ord(".")
+    take_a, take_b = (np.where(take, np.uint8(0xFF), np.uint8(0)).view("<u8")
+                      for take in (take_a, take_b))
+    return np.concatenate((take_a, take_b[:, 1:], other.view("<u8")), axis=1)
+
+
+def first_digits() -> np.ndarray:
+    g = np.arange(10**4, dtype=np.uint64)
+    return sum((g // 10**k % 10 + ord("0")) << 8 * (3 - k) for k in range(4))
+
+
+class TestFloatTables:
+    """Each table against its first construction, in its one-row-per-word layout."""
+
+    def test_layouts(self):
+        assert np.array_equal(csvbytes._float_layouts(), first_float_layouts().T)
+
+    def test_digits_layout_base_and_first_e(self):
+        tables = csvbytes._FloatTables()
+        assert tables.digits.dtype == np.uint64
+        assert np.array_equal(tables.digits, first_digits())
+        e = np.arange(-csvbytes._E_MAX, csvbytes._E_MAX + 1)
+        notation = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+        assert np.array_equal(tables.layout_base, notation * 17)
+        q = np.arange(csvbytes._Q_MIN, csvbytes._Q_MAX + 1)
+        assert tables.first_e.tolist() == [math.floor(math.log10(2.0 ** (v + 52))) - 1
+                                           for v in q.tolist()]
+
+    def test_exponent_word_per_separator(self):
+        tables = csvbytes._FloatTables()
+        words = csvbytes._exponent_words()
+        for sep in (ord(","), ord("\n")):
+            want = (words & ~np.uint64(0xFF << 56)) | np.uint64(sep << 56)
+            assert np.array_equal(tables.exponent[sep], want)
+
+    def test_parts_per_key(self):
+        tables = csvbytes._FloatTables()
+        q = np.array([-1126, -1074, -53, 0, 52, 971])
+        row = q - csvbytes._Q_MIN
+        for slot in range(csvbytes._SLOTS):
+            e = tables.first_e[row] + slot
+            parts, outside = tables.powers(row, e)
+            assert not outside.any()
+            want = [csvbytes._power_parts(a, b) for a, b in zip(q.tolist(), e.tolist())]
+            assert np.array_equal(parts, np.array(want).T)

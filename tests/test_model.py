@@ -8,6 +8,7 @@ import pytest
 
 import qslkit.quad as quad_mod
 from qslkit.model import (
+    AMPLITUDE_SINGULAR_TOL,
     Amplitude,
     ModelParams,
     _amplitude_cddot,
@@ -550,6 +551,19 @@ class TestDecayRateAndLambShift:
         root = 2.0 / d0 * (math.pi - math.atan(d0 / LAM))
         assert math.isnan(decay_rate(p, root))
         assert math.isnan(lamb_shift(p, root))
+
+    def test_zeros_of_c_are_nan_and_warn_nothing(self):
+        # Inside the mask |C| < AMPLITUDE_SINGULAR_TOL, C here is a root's rounding noise,
+        # subnormal near t = 50 (Cdot / C overflows) and 0 at t = 1e308 (0 / 0).
+        p = ModelParams(500.0, 50.0, 100.0)
+        t = np.append(np.linspace(0.0, 50.0, 2001), 1e308)
+        c, _ = amplitude_series(p, t)
+        singular = np.abs(c) < AMPLITUDE_SINGULAR_TOL
+        assert c[-1] == 0.0 and np.abs(c[singular]).min() < 1e-308 < np.abs(c[singular]).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rate in (decay_rate, lamb_shift):
+                assert np.array_equal(np.isnan(rate(p, t)), singular)
 
     def test_lamb_shift_vanishes_on_resonance(self):
         p = ModelParams(5.0, LAM, 0.0)
