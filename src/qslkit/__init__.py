@@ -1,25 +1,14 @@
 """Trace-distance speed-limit analysis for the detuned spontaneous-decay model."""
 
-from .bounds import (
-    BoundReport,
-    bures_comparator,
-    lambda_integrals,
-    qsl_ratio,
-    qsl_ratio_evolved,
-)
+from .bounds import BoundReport, bures_comparator, qsl_ratio, qsl_ratio_evolved
 from .model import (
-    Amplitude,
     ModelParams,
-    amplitude,
     amplitude_series,
     decay_rate,
-    evolve,
     excited_population,
     lamb_shift,
-    liouvillian,
     markov_limit,
     memory_kernel,
-    on_resonance_decay_rate,
     oracle_amplitude,
     population_rate,
     spectral_density,
@@ -36,10 +25,9 @@ from .scan import (
     sweep_tau,
     transition_boundary,
 )
-from .smatrix import DensityMatrix2, schatten_norm, singular_values, trace_distance_measure
+from .smatrix import DensityMatrix2
 
 __all__ = [
-    "Amplitude",
     "BoundReport",
     "DensityMatrix2",
     "ModelParams",
@@ -47,34 +35,26 @@ __all__ = [
     "QuadratureSpec",
     "ScanGrid",
     "TimeSeries",
-    "amplitude",
     "amplitude_series",
     "bures_comparator",
     "decay_rate",
     "default_delta_axis",
     "default_gamma0_axis",
-    "evolve",
     "excited_population",
     "find_sign_changes",
     "grid_scan",
     "integrate",
     "lamb_shift",
-    "lambda_integrals",
-    "liouvillian",
     "markov_limit",
     "markov_tail",
     "memory_kernel",
-    "on_resonance_decay_rate",
     "oracle_amplitude",
     "population_rate",
     "qsl_ratio",
     "qsl_ratio_evolved",
-    "schatten_norm",
-    "singular_values",
     "spectral_density",
     "sweep_decay_rate",
     "sweep_tau",
-    "trace_distance_measure",
     "transition_boundary",
 ]
 

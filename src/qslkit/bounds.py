@@ -184,25 +184,6 @@ class _Cells:
         return results
 
 
-def lambda_integrals(
-    p: ModelParams,
-    rho0: DensityMatrix2,
-    tau_start: float,
-    tau_d: float,
-    spec: quad.QuadratureSpec | None = None,
-) -> tuple[float, float, float]:
-    """Averaged displacement-times-generator integrals over [tau_start, tau_start + tau_d].
-
-    Returns the trace-, Hilbert-Schmidt- and operator-norm versions (the
-    latter two carry their sqrt(n) and n prefactors, n = 2).  rho0 is the
-    global initial state; the reference state is the trajectory point at
-    tau_start.
-    """
-    cells, integrand, _ = _lambda_cores([p], rho0, tau_start, tau_d)
-    [value] = raise_first(cells.integrate(integrand, _BOTH, spec, lambda j, v, _: 2.0 * v / tau_d))
-    return value, value, value
-
-
 def _lambda_cores(params: list[ModelParams], rho0: DensityMatrix2, tau_start: float,
                   tau_d: float):
     """The cells; the integrand of cells rows at nodes t, whose window integral I gives every

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quad
-from .smatrix import DensityMatrix2, as_matrix2
 
 # |C| below this is treated as a zero of the amplitude when forming Cdot/C.
 AMPLITUDE_SINGULAR_TOL = 1e-12
@@ -80,10 +79,6 @@ class ModelParams:
             )
 
     @property
-    def weak_coupling(self) -> bool:
-        return self.gamma0 < 0.5 * self.lam
-
-    @property
     def complex_root(self) -> complex:
         """Principal root d = sqrt((lam - i*delta)^2 - 2*gamma0*lam).
 
@@ -92,15 +87,6 @@ class ModelParams:
         """
         z = complex(self.lam, -self.delta)
         return cmath.sqrt(z * z - 2.0 * self.gamma0 * self.lam)
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """Excited-state amplitude C(t) and its derivative at one time."""
-
-    c: complex
-    cdot: complex
-    t: float
 
 
 def spectral_density(p: ModelParams, omega):
@@ -346,22 +332,6 @@ def amplitude_bounds(rates: np.ndarray, rows: np.ndarray, t0: np.ndarray, t1: np
     return np.where((cells[10] != 0.0) | np.isnan(out), np.inf, out)
 
 
-def amplitude(p: ModelParams, t: float) -> Amplitude:
-    """Closed-form amplitude C(t) with its analytic derivative."""
-    c, cdot = amplitude_series(p, float(t))
-    return Amplitude(c=complex(c), cdot=complex(cdot), t=float(t))
-
-
-def _amplitude_cddot(p: ModelParams, t) -> np.ndarray:
-    """Second derivative of C(t); used by the ODE-residual checks."""
-    t = np.asarray(t, dtype=float)
-    mu = 0.5 * (p.lam - 1j * p.delta)
-    d = p.complex_root
-    x = 0.5 * d * t
-    env = np.exp(-mu * t)
-    return -p.gamma0 * p.lam * env * (0.5 * np.cosh(x) - mu * 0.5 * t * _sinhc(x))
-
-
 def oracle_amplitude(p: ModelParams, t_max: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Independent numerical solution of the memory-kernel equation for C(t).
 
@@ -369,7 +339,7 @@ def oracle_amplitude(p: ModelParams, t_max: float, step: float) -> tuple[np.ndar
     B(t) = int_0^t f(t - s) C(s) ds, advanced through its local form
     Bdot = f(0) C - (lam - i*delta) B (the kernel is a single exponential),
     with classic 4th-order Runge-Kutta stepping.  Never touches the closed
-    form, so it serves as an oracle for amplitude().
+    form, so it serves as an oracle for amplitude_series().
 
     Returns (times, C) on the uniform grid 0, step, ..., ~t_max.
     """
@@ -450,50 +420,6 @@ def lamb_shift(p: ModelParams, t):
     return out if out.ndim else float(out)
 
 
-def on_resonance_decay_rate(p: ModelParams, t):
-    """Closed form of the decay rate at delta = 0.
-
-    2*gamma0*lam*sinh(d0 t/2) / (d0 cosh(d0 t/2) + lam sinh(d0 t/2)) with
-    d0 = sqrt(lam^2 - 2 gamma0 lam); real for all couplings.
-    """
-    if p.delta != 0.0:
-        raise ValueError("on_resonance_decay_rate requires delta = 0")
-    t = np.asarray(t, dtype=float)
-    d0 = cmath.sqrt(complex(p.lam * p.lam - 2.0 * p.gamma0 * p.lam))
-    x = 0.5 * d0 * t
-    # Dividing through by d0 removes the critical-coupling singularity d0 = 0.
-    shc = 0.5 * t * _sinhc(x)
-    out = (2.0 * p.gamma0 * p.lam * shc / (np.cosh(x) + p.lam * shc)).real
-    return out if out.ndim else float(out)
-
-
 def markov_limit(p: ModelParams) -> float:
     """Long-time Markovian decay rate gamma0 * lam^2 / (lam^2 + delta^2)."""
     return p.gamma0 * p.lam**2 / (p.lam**2 + p.delta**2)
-
-
-def evolve(p: ModelParams, rho0: DensityMatrix2, t: float) -> DensityMatrix2:
-    """Reduced state at time t for initial state rho0.
-
-    rho_ee(t) = rho_ee(0) |C|^2, rho_eg(t) = rho_eg(0) C(t), and the ground
-    population is fixed by unit trace.
-    """
-    if not isinstance(rho0, DensityMatrix2):
-        raise ValueError("evolve expects a DensityMatrix2 initial state")
-    a = amplitude(p, t)
-    pop = rho0.excited_population * abs(a.c) ** 2
-    coh = rho0.coherence * a.c
-    return DensityMatrix2([[1.0 - pop, np.conj(coh)], [coh, pop]])
-
-
-def liouvillian(p: ModelParams, rho0: DensityMatrix2, t: float) -> np.ndarray:
-    """Analytic rhod(t), obtained by differentiating the evolved state entrywise.
-
-    Finite everywhere (composed directly from Cdot), traceless and Hermitian.
-    """
-    if not isinstance(rho0, DensityMatrix2):
-        raise ValueError("liouvillian expects a DensityMatrix2 initial state")
-    a = amplitude(p, t)
-    pdot = rho0.excited_population * 2.0 * (np.conj(a.c) * a.cdot).real
-    cohdot = rho0.coherence * a.cdot
-    return as_matrix2([[-pdot, np.conj(cohdot)], [cohdot, pdot]])

@@ -159,6 +159,17 @@ def transition_boundary(
             for delta, lo, hi, _, index, error in flips]
 
 
+def _time_grid(name: str, end: float, n_points: int) -> np.ndarray:
+    """n_points uniform times from 0 to end, the input name; at least 2, and end finite and
+    nonnegative."""
+    check_grid_size("n_points", n_points, 2)
+    if not math.isfinite(end):
+        raise ValueError(f"{name} must be finite, got {end}")
+    if end < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {end}")
+    return np.linspace(0.0, end + 0.0, n_points)  # a grid to -0.0 ends at +0.0
+
+
 def sweep_tau(
     p: ModelParams,
     tau_max: float,
@@ -167,12 +178,7 @@ def sweep_tau(
     spec: quad.QuadratureSpec | None = None,
 ) -> TimeSeries:
     """Evolved-initial-state ratio on a uniform tau grid; a failed tau's value is NaN."""
-    check_grid_size("n_points", n_points, 2)
-    if not math.isfinite(tau_max):
-        raise ValueError(f"tau_max must be finite, got {tau_max}")
-    if tau_max < 0.0:
-        raise ValueError(f"tau_max must be nonnegative, got {tau_max}")
-    taus = np.linspace(0.0, tau_max + 0.0, n_points)  # a grid to -0.0 ends at +0.0
+    taus = _time_grid("tau_max", tau_max, n_points)
     results = qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec)
     errors = [r if isinstance(r, Exception) else None for r in results]
     values = np.array([r if e is None else math.nan for r, e in zip(results, errors)], dtype=float)
@@ -186,14 +192,9 @@ def sweep_decay_rate(
 
     For detuned parameters the tail settles at markov_limit(p)/gamma0.
     """
-    check_grid_size("n_points", n_points, 2)
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
-    if t_max < 0.0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    times = _time_grid("t_max", t_max, n_points)
     if not clip > 0.0:  # NaN fails too
         raise ValueError("clip must be positive")
-    times = np.linspace(0.0, t_max + 0.0, n_points)  # a grid to -0.0 ends at +0.0
     raw = np.asarray(decay_rate(p, times), dtype=float) / p.gamma0
     nan = np.isnan(raw)
     values = np.where(nan, clip, np.clip(raw, -clip, clip))

@@ -1,9 +1,8 @@
-"""Exact linear algebra for 2x2 complex matrices.
+"""The qubit's 2x2 density matrix, validated on construction.
 
-Singular values and Schatten norms are computed from the closed-form
-eigenvalues of M^dag M (quadratic formula) rather than an iterative
-factorization, so results are deterministic to the last bit and suitable
-for golden-value tests.
+The speed-limit estimators of bounds read a state's excited population and
+coherence only: for this model their matrix norms reduce to closed forms in
+P and C (see bounds).
 """
 
 from __future__ import annotations
@@ -27,37 +26,6 @@ def as_matrix2(m) -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix has non-finite entries")
     return arr
-
-
-def singular_values(m) -> tuple[float, float]:
-    """Singular values of a 2x2 complex matrix, in descending order.
-
-    Uses the closed-form eigenvalues of M^dag M: with t = tr(M^dag M) and
-    p = |det M|^2, the eigenvalues are (t +- sqrt(t^2 - 4p)) / 2.  The
-    smaller one is recovered as p / e_max for numerical stability.
-    """
-    a = as_matrix2(m)
-    g00 = abs(a[0, 0]) ** 2 + abs(a[1, 0]) ** 2
-    g11 = abs(a[0, 1]) ** 2 + abs(a[1, 1]) ** 2
-    t = g00 + g11
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    p = abs(det) ** 2
-    disc = max(t * t - 4.0 * p, 0.0)
-    e_max = 0.5 * (t + math.sqrt(disc))
-    e_min = p / e_max if e_max > 0.0 else 0.0
-    return math.sqrt(e_max), math.sqrt(e_min)
-
-
-def schatten_norm(m, p) -> float:
-    """Schatten p-norm of a 2x2 complex matrix, p in {1, 2, inf}."""
-    s1, s2 = singular_values(m)
-    if p == 1:
-        return s1 + s2
-    if p == 2:
-        return math.hypot(s1, s2)
-    if p == math.inf:
-        return s1
-    raise ValueError(f"unsupported Schatten order p={p!r}; use 1, 2 or math.inf")
 
 
 class DensityMatrix2:
@@ -114,14 +82,3 @@ class DensityMatrix2:
 
     def __repr__(self) -> str:
         return f"DensityMatrix2({self._m.tolist()!r})"
-
-
-def trace_distance_measure(a: DensityMatrix2, b: DensityMatrix2) -> float:
-    """Similarity measure 1 - (1/4) * ||a - b||_1^2.
-
-    Equals 1 iff a == b and 0 for orthogonal pure states (trace norm 2).
-    """
-    if not isinstance(a, DensityMatrix2) or not isinstance(b, DensityMatrix2):
-        raise ValueError("trace_distance_measure expects DensityMatrix2 inputs")
-    tn = schatten_norm(a.matrix - b.matrix, 1)
-    return 1.0 - 0.25 * tn * tn

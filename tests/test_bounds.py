@@ -13,7 +13,6 @@ from qslkit.bounds import (
     _PDOT,
     bures_comparator,
     excited_ratios_many,
-    lambda_integrals,
     qsl_ratio,
     qsl_ratio_evolved,
     qsl_ratio_evolved_many,
@@ -22,9 +21,7 @@ from qslkit.bounds import (
 from qslkit.model import (
     ModelParams,
     amplitude_series,
-    evolve,
     excited_population,
-    liouvillian,
     population_rate,
 )
 from qslkit.quad import (
@@ -35,7 +32,9 @@ from qslkit.quad import (
     probe_count_for_period,
 )
 from qslkit.scan import default_delta_axis, default_gamma0_axis
-from qslkit.smatrix import DensityMatrix2, schatten_norm
+from qslkit.smatrix import DensityMatrix2
+
+from oracles import evolve, liouvillian, schatten_norm
 
 LAM = 50.0
 EXCITED = DensityMatrix2.excited()
@@ -69,20 +68,21 @@ class TestLambdaIntegrals:
         # The generator is Hermitian and traceless, so its singular values are
         # equal and the prefactors make the three averages identical.
         p = ModelParams(500.0, LAM, 0.0)
-        l1, l2, linf = lambda_integrals(p, EXCITED, 0.0, 0.2)
-        assert l1 == l2 == linf
-        assert l1 > 0.0
+        r = qsl_ratio(p, EXCITED, 0.2)
+        assert r.lambda1 == r.lambda2 == r.lambda_inf
+        assert r.lambda1 > 0.0
 
     def test_stationary_ground_state(self):
         p = ModelParams(5.0, LAM, 0.0)
-        assert lambda_integrals(p, DensityMatrix2.ground(), 0.0, 0.2) == (0.0, 0.0, 0.0)
+        r = qsl_ratio(p, DensityMatrix2.ground(), 0.2)
+        assert (r.lambda1, r.lambda2, r.lambda_inf) == (0.0, 0.0, 0.0)
 
     def test_closed_form_reduction_diagonal(self):
         # For the excited trajectory the trace-norm integral reduces to
         # (4 / tau_d) * int (1 - P_t) |Pdot_t| dt.
         p = ModelParams(0.1 * LAM, LAM, 0.0)
         tau_d = 0.2
-        l1, _, _ = lambda_integrals(p, EXCITED, 0.0, tau_d)
+        l1 = qsl_ratio(p, EXCITED, tau_d).lambda1
 
         def integrand(t):
             pop = excited_population(p, t)
@@ -118,9 +118,9 @@ class TestLambdaIntegrals:
     def test_invalid_window(self):
         p = ModelParams(5.0, LAM, 0.0)
         with pytest.raises(ValueError):
-            lambda_integrals(p, EXCITED, 0.0, 0.0)
+            qsl_ratio(p, EXCITED, 0.0, 0.0)
         with pytest.raises(ValueError):
-            lambda_integrals(p, EXCITED, -0.1, 0.2)
+            qsl_ratio(p, EXCITED, 0.2, -0.1)
 
 
 class TestWindowValidation:
@@ -129,11 +129,9 @@ class TestWindowValidation:
     @pytest.mark.parametrize("start, tau_d, message", INVALID_WINDOWS)
     def test_trace_path(self, start, tau_d, message):
         message = message.format(name="tau_start")
-        for call in (lambda: qsl_ratio(self.P, EXCITED, tau_d, start),
-                     lambda: lambda_integrals(self.P, EXCITED, start, tau_d)):
-            with pytest.raises(ValueError) as info:
-                call()
-            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            qsl_ratio(self.P, EXCITED, tau_d, start)
+        assert str(info.value) == message
         # Every cell of a many-cell call shares the window, which fails the call.
         with pytest.raises(ValueError) as info:
             qsl_ratio_many([self.P, self.P], EXCITED, tau_d, start)

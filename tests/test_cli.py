@@ -818,3 +818,46 @@ class TestNonFiniteInputs:
         # and panel and bisection midpoints are formed without adding the ends.
         code, _, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
+
+
+def _column(out: str, name: str) -> list[str]:
+    """The CSV column name of a request's stdout, as text."""
+    header, *rows = (line.split(",") for line in out.strip().split("\n"))
+    return [row[header.index(name)] for row in rows]
+
+
+class TestContractBreaks:
+    """Requests that exit 0 with values the model contradicts.  Each is a strict xfail that
+    names its FOUND in CHANGES.md, until that is mended."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "subnormal-coupling FOUND: Cdot underflows to -0, so decay-rate prints -0 "
+        "where gamma / gamma0 is about 1"))
+    def test_subnormal_coupling_rate(self, capsys):
+        # To first order in gamma0, gamma / gamma0 = 1 - e^(-lam t), 1 - 1.4e-11 at t = 0.5.
+        code, out, _ = invoke(capsys, "decay-rate", "--gamma0", "5e-324", "--n-points", "3")
+        assert code == 0
+        assert [float(v) for v in _column(out, "gamma_over_gamma0")[1:]] == pytest.approx(
+            [1.0, 1.0], rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "absolute-threshold FOUND: decay_rate reads |C| < 1e-12 as a zero of C, so the "
+        "Markovian tail from t = 20 is clipped to 25"))
+    def test_late_rows_are_the_markovian_tail(self, capsys):
+        # Past t = 10.5, |C| < AMPLITUDE_SINGULAR_TOL; the rate has long settled at lam - Re d.
+        code, out, _ = invoke(capsys, "decay-rate", "--t-max", "60", "--n-points", "7")
+        p = ModelParams(5.0, 50.0, 0.0)
+        tail = (p.lam - p.complex_root.real) / p.gamma0
+        assert code == 0
+        assert _column(out, "clipped") == ["false"] * 7
+        assert [float(v) for v in _column(out, "gamma_over_gamma0")[1:]] == pytest.approx(
+            [tail] * 6, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "huge-window FOUND: the probes of [0, 1e308] miss the decay, every integral reads 0 "
+        "and the window is reported stationary"))
+    def test_huge_window_is_not_stationary(self, capsys):
+        # P falls from 1 to 0 inside the window, so it is not stationary.
+        code, out, _ = invoke(capsys, "ratio", "--tau-d", "1e308")
+        assert code == 0
+        assert _column(out, "stationary") == ["false"]
