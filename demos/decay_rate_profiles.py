@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from qslkit import ModelParams, markov_tail, sweep_decay_rate
+from qslkit import ModelParams, markov_limit, sweep_decay_rate
 
 LAM = 50.0
 
@@ -32,7 +32,7 @@ def main():
         n_clip = np.count_nonzero(series.clipped)
         print(
             f"{label:>24}: tail {series.values[-1]:>8.4f}, "
-            f"markov tail {markov_tail(p):>8.4f}, clipped points {n_clip}"
+            f"markov tail {markov_limit(p) / p.gamma0:>8.4f}, clipped points {n_clip}"
         )
 
     try:
@@ -46,7 +46,7 @@ def main():
     fig, axes = plt.subplots(1, 3, figsize=(11, 3.2))
     for ax, (label, p, series) in zip(axes, series_by_case):
         ax.plot(series.times, series.values)
-        ax.axhline(markov_tail(p), color="gray", ls=":", lw=1)
+        ax.axhline(markov_limit(p) / p.gamma0, color="gray", ls=":", lw=1)
         ax.set_title(label, fontsize=9)
         ax.set_xlabel(r"$t$")
     axes[0].set_ylabel(r"$\gamma(t)/\gamma_0$")

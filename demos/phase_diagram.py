@@ -33,7 +33,7 @@ def main():
         )
         print(f"{gamma0_axis[i] / LAM:>8.3f} {row}")
 
-    ratios = np.array([[c.ratio for c in row] for row in grid.cells])
+    ratios = np.array([[c.ratio for c in row] for row in grid.results])
     print(f"\nminimum ratio on grid: {ratios.min():.6f}")
 
     try:

@@ -20,7 +20,6 @@ from .scan import (
     default_delta_axis,
     default_gamma0_axis,
     grid_scan,
-    markov_tail,
     sweep_decay_rate,
     sweep_tau,
     transition_boundary,
@@ -46,7 +45,6 @@ __all__ = [
     "integrate",
     "lamb_shift",
     "markov_limit",
-    "markov_tail",
     "memory_kernel",
     "oracle_amplitude",
     "population_rate",

@@ -258,14 +258,13 @@ def _scan_grid(opts: dict) -> scan_mod.ScanGrid:
 def _cmd_scan(opts: dict) -> Columns:
     grid = _scan_grid(opts)
     n_gamma0, n_delta = grid.gamma0_axis.size, grid.delta_axis.size
-    reports = [report for cells in grid.cells for report in cells]
-    errors = [error for row in grid.errors for error in row]
+    results = [r for row in grid.results for r in row]
     return (
         np.repeat(grid.gamma0_axis, n_delta), np.tile(grid.delta_axis, n_gamma0),
-        np.full(len(reports), grid.lam), np.full(len(reports), grid.tau_d),
-        [report.ratio if report else error for report, error in zip(reports, errors)],
+        np.full(len(results), grid.lam), np.full(len(results), grid.tau_d),
+        [r if isinstance(r, Exception) else r.ratio for r in results],
         [label for labels in grid.classification for label in labels],
-        [report.quadrature_err if report else math.nan for report in reports],
+        [math.nan if isinstance(r, Exception) else r.quadrature_err for r in results],
     )
 
 

@@ -7,19 +7,20 @@ chunks of quad._CHUNK_POINTS nodes and in a fixed order.  A node's bits do
 not depend on its call, so a cell's result does not depend on its batch.  Invalid input (a
 model point, an axis or a window) raises ValueError before any work.  A
 point whose quadrature does not converge is recorded in its place, as its
-QuadratureError, and the sweep carries on.
+QuadratureError, and the sweep carries on: in ScanGrid.results, or as NaN
+in TimeSeries.values with the error in TimeSeries.errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quad
 from .bounds import SPEED_UP_TOL, BoundReport, qsl_ratio_evolved_many, qsl_ratio_many
-from .model import ModelParams, check_grid_size, decay_rate, markov_limit
+from .model import ModelParams, check_grid_size, decay_rate
 from .smatrix import DensityMatrix2
 
 DEFAULT_CLIP = 25.0
@@ -46,30 +47,35 @@ def default_delta_axis(lam: float, n: int = 21) -> np.ndarray:
 
 @dataclass
 class ScanGrid:
-    """Ratio surface over (gamma0, delta) with per-cell classification."""
+    """Ratio surface over (gamma0, delta), one entry per cell.
+
+    results[i][j] is the BoundReport of cell (gamma0_axis[i], delta_axis[j]),
+    or the QuadratureError of its failed quadrature.  classification is
+    derived from it, classify(ratio) or "error", also by dataclasses.replace.
+    """
 
     gamma0_axis: np.ndarray
     delta_axis: np.ndarray
     lam: float
     tau_d: float
-    cells: list[list[BoundReport | None]]
-    classification: list[list[str]]
-    errors: list[list[quad.QuadratureError | None]]
+    results: list[list[BoundReport | quad.QuadratureError]]
+    classification: list[list[str]] = field(init=False)
+
+    def __post_init__(self):
+        self.classification = [["error" if isinstance(r, Exception) else classify(r.ratio)
+                                for r in row] for row in self.results]
 
 
 @dataclass
 class TimeSeries:
-    """A sampled scalar time series with optional per-point clip markers and errors.
+    """A sampled scalar time series with optional per-point clip markers or errors.
 
     clipped is a bool array like times and values.  A point whose value
-    failed holds NaN, and its exception in errors.
+    failed holds NaN, and its exception in errors (None elsewhere).
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str
-    params: ModelParams
-    clip: float | None = None
     clipped: np.ndarray | None = None
     errors: list[quad.QuadratureError | None] | None = None
 
@@ -83,8 +89,8 @@ def grid_scan(
 ) -> ScanGrid:
     """qsl_ratio over the (gamma0, delta) grid with the excited initial state.
 
-    A cell whose quadrature fails has no report, the classification "error"
-    and its QuadratureError in errors; the scan carries on.
+    A cell whose quadrature fails has its QuadratureError in results and the
+    classification "error"; the scan carries on.
     """
     gamma0_axis = np.asarray(gamma0_axis, dtype=float)
     delta_axis = np.asarray(delta_axis, dtype=float)
@@ -98,16 +104,7 @@ def grid_scan(
     ]
     results = qsl_ratio_many(params, DensityMatrix2.excited(), tau_d, spec=spec)
     rows = [results[k:k + delta_axis.size] for k in range(0, len(results), delta_axis.size)]
-    cells = [[r if isinstance(r, BoundReport) else None for r in row] for row in rows]
-    return ScanGrid(
-        gamma0_axis=gamma0_axis,
-        delta_axis=delta_axis,
-        lam=lam,
-        tau_d=tau_d,
-        cells=cells,
-        classification=[[classify(r.ratio) if r else "error" for r in row] for row in cells],
-        errors=[[None if isinstance(r, BoundReport) else r for r in row] for row in rows],
-    )
+    return ScanGrid(gamma0_axis, delta_axis, lam, tau_d, rows)
 
 
 def transition_boundary(
@@ -132,7 +129,7 @@ def transition_boundary(
         flip_index = 0
         for i, g0 in enumerate(gamma0s):
             if col[i] == "error":
-                flips.append([delta, g0, g0, False, flip_index, grid.errors[i][j]])
+                flips.append([delta, g0, g0, False, flip_index, grid.results[i][j]])
             elif i + 1 < len(col) and col[i + 1] not in ("error", col[i]):
                 flips.append([delta, g0, gamma0s[i + 1], col[i] == "speed_up", flip_index, None])
             else:
@@ -182,7 +179,7 @@ def sweep_tau(
     results = qsl_ratio_evolved_many([p] * n_points, taus.tolist(), tau_d, spec=spec)
     errors = [r if isinstance(r, Exception) else None for r in results]
     values = np.array([r if e is None else math.nan for r, e in zip(results, errors)], dtype=float)
-    return TimeSeries(times=taus, values=values, kind="ratio_vs_tau", params=p, errors=errors)
+    return TimeSeries(times=taus, values=values, errors=errors)
 
 
 def sweep_decay_rate(
@@ -199,11 +196,4 @@ def sweep_decay_rate(
     nan = np.isnan(raw)
     values = np.where(nan, clip, np.clip(raw, -clip, clip))
     clipped = nan | (np.abs(raw) > clip)
-    return TimeSeries(
-        times=times, values=values, kind="decay_rate", params=p, clip=clip, clipped=clipped
-    )
-
-
-def markov_tail(p: ModelParams) -> float:
-    """Normalized Markovian plateau markov_limit(p)/gamma0 for decay-rate plots."""
-    return markov_limit(p) / p.gamma0
+    return TimeSeries(times=times, values=values, clipped=clipped)

@@ -175,7 +175,7 @@ class TestBoundary:
         assert len(rows) == len(points) == 17
         failed = [k for k, (_, g, _) in enumerate(points) if isinstance(g, QuadratureError)]
         assert failed == [3, *range(4, 17)]
-        assert sum(e is not None for row in grid.errors for e in row) == 13
+        assert sum(isinstance(r, QuadratureError) for row in grid.results for r in row) == 13
         assert [(r["row"], r["column"]) for r in records] == [(k, "gamma0_boundary")
                                                                for k in failed]
         assert rows[3][:2] == ["150", "nan"]
@@ -407,6 +407,24 @@ class TestConfigFile:
         assert code == 0
         assert float(row["gamma0"]) == 5.0
         assert float(row["ratio"]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_comment_and_blank_lines_ignored(self, capsys, tmp_path):
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text("gamma0 = 500\ndelta = 100\n")
+        commented.write_text("# a run\n\ngamma0 = 500\n   \n  # on resonance? no\ndelta = 100\n")
+        outputs = [invoke(capsys, "ratio", "--config", str(cfg)) for cfg in (plain, commented)]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma0 = 500\n\ndelta 100  # no '='\n")
+        code, out, err = invoke(capsys, "ratio", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        [record] = [json.loads(line) for line in err.splitlines()]
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{cfg}:3: expected key=value, got 'delta 100'"
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import qslkit.quad as quad_mod
-from qslkit.bounds import qsl_ratio, qsl_ratio_evolved
+from qslkit.bounds import BoundReport, qsl_ratio, qsl_ratio_evolved
 from qslkit.model import ModelParams, decay_rate, markov_limit, population_rate
 from qslkit.quad import QuadratureError, QuadratureSpec
 from qslkit.scan import (
+    DEFAULT_CLIP,
     classify,
     default_delta_axis,
     default_gamma0_axis,
@@ -47,7 +48,7 @@ def serial_boundary(grid, spec):
         flip_index = 0
         for i in range(len(col)):
             if col[i] == "error":
-                out.append((float(delta), grid.errors[i][j], flip_index))
+                out.append((float(delta), grid.results[i][j], flip_index))
                 flip_index += 1
                 continue
             if i + 1 == len(col) or col[i + 1] in ("error", col[i]):
@@ -88,8 +89,7 @@ class TestGridScan:
 
     def test_cells_complete(self):
         grid = small_grid()
-        assert all(cell is not None for row in grid.cells for cell in row)
-        assert all(err is None for row in grid.errors for err in row)
+        assert all(isinstance(r, BoundReport) for row in grid.results for r in row)
 
     def test_cell_failures_recorded_scan_continues(self):
         # At max_depth 4 the quadrature fails on some detuned cells only: each
@@ -104,27 +104,26 @@ class TestGridScan:
                     report = qsl_ratio(ModelParams(g0, LAM, delta), EXCITED, 0.2, spec=spec)
                 except QuadratureError as exc:
                     failed.add((i, j))
-                    assert outcome(grid.errors[i][j]) == outcome(exc)
-                    assert grid.cells[i][j] is None
+                    assert isinstance(grid.results[i][j], QuadratureError)
+                    assert outcome(grid.results[i][j]) == outcome(exc)
                     assert grid.classification[i][j] == "error"
                 else:
-                    assert grid.errors[i][j] is None
-                    assert repr(grid.cells[i][j]) == repr(report)
+                    assert repr(grid.results[i][j]) == repr(report)
                     assert grid.classification[i][j] == classify(report.ratio)
         assert failed == {(0, 2), (1, 2), (4, 2), (5, 2), (6, 2)}
 
     def test_reports_independent_of_batch_size(self, monkeypatch):
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
-        batched = [repr((g.cells, g.errors)) for g in (small_grid(), small_grid(spec))]
+        batched = [repr(g.results) for g in (small_grid(), small_grid(spec))]
         one_chunk_per_cell(monkeypatch)
-        assert [repr((g.cells, g.errors)) for g in (small_grid(), small_grid(spec))] == batched
+        assert [repr(g.results) for g in (small_grid(), small_grid(spec))] == batched
 
     def test_default_scan_closed_form_calls(self, closed_form_calls):
         # 630 cells: one batched call for every window's end points plus 170
         # batches (49,400 calls when every cell was evaluated on its own): 46
         # probe calls, 34 bisection rounds and 90 calls of panels.
         grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
-        assert all(err is None for row in grid.errors for err in row)
+        assert all(isinstance(r, BoundReport) for row in grid.results for r in row)
         assert len(closed_form_calls) <= 171
         assert all(len(s) == 2 for s in closed_form_calls)
         assert max(map(math.prod, closed_form_calls)) <= quad_mod._CHUNK_POINTS
@@ -136,7 +135,7 @@ class TestGridScan:
         # probes, skipping t = 0, where Pdot is 0.
         grid = grid_scan(default_gamma0_axis(LAM), default_delta_axis(LAM), LAM, 0.2)
         flat = 0.0
-        for gamma0, cells, labels in zip(grid.gamma0_axis.tolist(), grid.cells,
+        for gamma0, cells, labels in zip(grid.gamma0_axis.tolist(), grid.results,
                                          grid.classification):
             for delta, cell, label in zip(grid.delta_axis.tolist(), cells, labels):
                 p = ModelParams(gamma0, LAM, delta)
@@ -208,20 +207,21 @@ class TestTransitionBoundary:
         assert [tuple(map(outcome, pt)) for pt in points] == [
             tuple(map(outcome, pt)) for pt in serial_boundary(grid, spec)]
         assert [(d, outcome(g), k) for d, g, k in points if d == 300.0] == [
-            (300.0, outcome(grid.errors[i][2]), k) for k, i in enumerate((0, 1, 4, 5, 6))]
+            (300.0, outcome(grid.results[i][2]), k) for k, i in enumerate((0, 1, 4, 5, 6))]
 
     @pytest.mark.parametrize("failed, n_flips", [(1, 1), (3, 0)])
     def test_failed_cell_next_to_flip(self, failed, n_flips):
         # The on-resonance row flips between cells 2 and 3.  A failed cell 1
-        # takes flip_index 0 and the flip 1; a failed cell 3 leaves no flip.
+        # takes flip_index 0 and the flip 1; a failed cell 3 leaves no flip.  Its
+        # classification is derived from the replaced entry.
         grid = small_grid()
+        labels = [row[0] for row in grid.classification]
         error = QuadratureError("cell failed", value=0.5, err_estimate=0.1)
-        tables = [[list(row) for row in table]
-                  for table in (grid.cells, grid.classification, grid.errors)]
-        for table, v in zip(tables, (None, "error", error)):
-            table[failed][0] = v
-        grid = dataclasses.replace(grid, cells=tables[0], classification=tables[1],
-                                   errors=tables[2])
+        results = [list(row) for row in grid.results]
+        results[failed][0] = error
+        grid = dataclasses.replace(grid, results=results)
+        labels[failed] = "error"
+        assert [row[0] for row in grid.classification] == labels
         points = transition_boundary(grid)
         assert points == serial_boundary(grid, None)
         on_res = [pt for pt in points if pt[0] == 0.0]
@@ -259,7 +259,6 @@ class TestSweepTau:
     def test_weak_coupling_constant_one(self):
         p = ModelParams(0.1 * LAM, LAM, 0.0)
         series = sweep_tau(p, 2.0, 21, 0.2)
-        assert series.kind == "ratio_vs_tau"
         assert np.max(np.abs(series.values - 1.0)) < 1e-6
 
     def test_strong_detuned_dips_then_recovers(self):
@@ -345,7 +344,7 @@ class TestSweepDecayRate:
         assert np.any(series.values < 0.0)
         assert np.any(series.values > 0.0)
         assert any(series.clipped)
-        assert np.max(np.abs(series.values)) <= series.clip
+        assert np.max(np.abs(series.values)) <= DEFAULT_CLIP
         # Past t ~ 48/lam |C| drops below the singular threshold, so the longer
         # window also has NaN rows.
         for t_max in (0.5, 1.2):
@@ -357,9 +356,9 @@ class TestSweepDecayRate:
             for v, r, c in zip(series.values.tolist(), raw.tolist(), series.clipped.tolist()):
                 assert type(c) is bool
                 if math.isnan(r):
-                    assert c and v == series.clip
-                elif abs(r) > series.clip:
-                    assert c and v == math.copysign(series.clip, r)
+                    assert c and v == DEFAULT_CLIP
+                elif abs(r) > DEFAULT_CLIP:
+                    assert c and v == math.copysign(DEFAULT_CLIP, r)
                 else:
                     assert not c and v == r
 

@@ -21,12 +21,13 @@ requests whose windows hold 20,000 probes or more (BIG_WINDOWS: `ratio
 --delta 10000`, `ratio --gamma0 1e6`, `scan --lambda 1000`, `boundary
 --lambda 1500`, `sweep-tau --gamma0 1e6` and `compare-bounds --delta
 10000`), requests whose quadrature fails (FAILURES: each integrating
-subcommand at `--rel-tol 1e-300 --abs-tol 0`, `ratio` where only its trace
-ratio fails (`--gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0`) and where
-its comparator is not computed (`--tau 0.3`), `boundary` at `--rel-tol 1e-15`
-and the default `scan` at `--rel-tol 1e-13`, where 34 of 630 cells fail after
-some of their panels were accepted), windows at the edges of the doubles
-(EDGES: `sweep-tau --tau-d 1e308` and `ratio --tau-d 1e-320`), an input
+subcommand at `--rel-tol 1e-300 --abs-tol 0` (`scan` and `sweep-tau` also
+with `--format json`, which writes failed points as JSON), `ratio` where only
+its trace ratio fails (`--gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0`)
+and where its comparator is not computed (`--tau 0.3`), `boundary` at
+`--rel-tol 1e-15` and the default `scan` at `--rel-tol 1e-13`, where 34 of 630
+cells fail after some of their panels were accepted), windows at the edges of
+the doubles (EDGES: `sweep-tau --tau-d 1e308` and `ratio --tau-d 1e-320`), an input
 rejected with a named error (REJECTED: `sweep-tau --tau-max -1`), a
 tolerance flag given to each subcommand that does not integrate (argparse
 rejects it with exit 2), and a trace-distance window that starts after t = 0
@@ -44,7 +45,7 @@ where the kink search certifies few signs near the pair (CERTIFIED: a
 show what the parser prints, which it builds only in part when argv names a
 subcommand (PARSER: `--help`, `scan --help`, `sweep-tau --help`, `bogus`,
 the bare command, `scan extra` and `decay-rate --n-gamma0 3`), with a
-`sweep-tau` at delta -0.0, a model point of its own: 100 requests.  They run as
+`sweep-tau` at delta -0.0, a model point of its own: 102 requests.  They run as
 `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
@@ -78,13 +79,16 @@ BIG_WINDOWS = (
     "sweep-tau --gamma0 1e6 --n-points 5",
     "compare-bounds --delta 10000 --n-points 5",
 )
-# Requests that reach failed panels, with and without accepted panels left of them.
+# Requests that reach failed panels, with and without accepted panels left of them, and
+# write failed points as CSV and as JSON.
 FAILURES = (
     "ratio --rel-tol 1e-300 --abs-tol 0",
     "ratio --gamma0 1 --delta 200 --rel-tol 1e-14 --abs-tol 0",
     "ratio --tau 0.3 --rel-tol 1e-300 --abs-tol 0",
     "sweep-tau --rel-tol 1e-300 --abs-tol 0 --n-points 3",
     "scan --rel-tol 1e-300 --abs-tol 0 --n-gamma0 2 --n-delta 2",
+    "scan --rel-tol 1e-300 --abs-tol 0 --n-gamma0 2 --n-delta 2 --format json",
+    "sweep-tau --rel-tol 1e-300 --abs-tol 0 --n-points 3 --format json",
     "compare-bounds --rel-tol 1e-300 --abs-tol 0 --n-points 2",
     "boundary --rel-tol 1e-15 --abs-tol 0 --n-gamma0 6 --n-delta 3",
     "scan --rel-tol 1e-13 --abs-tol 0",
