@@ -61,7 +61,6 @@ class BoundReport:
     d_measure: float
     tau_qsl: float
     ratio: float
-    tau_d: float
     quadrature_err: float
     stationary: bool = False
 
@@ -111,7 +110,7 @@ class _Cells:
         self.b = [s + tau_d for s in self.a]
         # One coefficient row per distinct model point, keyed by its bits: delta 0.0 and -0.0
         # are equal ModelParams with complex roots of opposite signs.
-        keys = [struct.pack("<4d", p.gamma0, p.lam, p.delta, p.omega0) for p in params]
+        keys = [struct.pack("<3d", p.gamma0, p.lam, p.delta) for p in params]
         points = dict(zip(keys, params))
         index = {key: i for i, key in enumerate(points)}
         point = [index[key] for key in keys]
@@ -218,7 +217,6 @@ def _lambda_cores(params: list[ModelParams], rho0: DensityMatrix2, tau_start: fl
             d_measure=d_measure,
             tau_qsl=tau_qsl,
             ratio=tau_qsl / tau_d,
-            tau_d=tau_d,
             quadrature_err=err,
             stationary=stationary,
         )

@@ -195,12 +195,13 @@ def _merge_options(args: argparse.Namespace) -> dict:
         for key, raw in _load_config(args.config).items():
             if key not in opts:
                 raise ValueError(f"unknown config key {key!r} for {args.subcommand}")
-            p = _PARAMS[key]
-            value = p.type(raw)
+            p, must = _PARAMS[key], f"config key {key!r} must be"
+            try:
+                value = p.type(raw)
+            except ValueError:
+                raise ValueError(f"{must} {p.type.__name__}, got {raw!r}") from None
             if p.choices is not None and value not in p.choices:
-                raise ValueError(
-                    f"config key {key!r} must be one of {', '.join(p.choices)}, got {raw!r}"
-                )
+                raise ValueError(f"{must} one of {', '.join(p.choices)}, got {raw!r}")
             opts[key] = value
     for key, value in vars(args).items():
         if key not in ("subcommand", "config"):

@@ -54,17 +54,14 @@ class ModelParams:
     gamma0: system-reservoir coupling strength.
     lam: spectral width of the Lorentzian.
     delta: detuning of the reservoir center against the atomic frequency.
-    omega0: atomic transition frequency; only enters the spectral density
-        through its center omega0 - delta, never the amplitude C(t).
     """
 
     gamma0: float
     lam: float
     delta: float
-    omega0: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma0", "lam", "delta", "omega0"):
+        for name in ("gamma0", "lam", "delta"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -89,10 +86,10 @@ class ModelParams:
         return cmath.sqrt(z * z - 2.0 * self.gamma0 * self.lam)
 
 
-def spectral_density(p: ModelParams, omega):
-    """Lorentzian spectral density centered at omega0 - delta, peak gamma0/2."""
+def spectral_density(p: ModelParams, omega, omega0: float = 0.0):
+    """Lorentzian J(omega), peak gamma0/2 at omega0 - delta; omega0 is the atomic frequency."""
     omega = np.asarray(omega, dtype=float)
-    x = p.omega0 - p.delta - omega
+    x = omega0 - p.delta - omega
     out = 0.5 * p.gamma0 * p.lam**2 / (x * x + p.lam**2)
     return out if out.ndim else float(out)
 

@@ -14,9 +14,9 @@ Each coarse interval left open is one row, its 7 fine probes between its
 coarse ends, and brackets are read along the rows.
 Panels are Gauss-Legendre 15 vs 7, bisected round by round over all windows;
 each window gets the value, error and QuadratureError of a depth-first,
-left-first bisection of that window alone.  QuadratureSpec holds only the
-tolerances and the depth limit.  integrate and find_sign_changes are the
-one-window cases.
+left-first bisection of that window alone, at most _MAX_DEPTH levels deep.
+QuadratureSpec holds only the tolerances.  integrate and find_sign_changes
+are the one-window cases.
 """
 
 from __future__ import annotations
@@ -49,15 +49,16 @@ _CERTIFY_MIN = 256
 # Panels per window evaluated per round.  Without a cap, a window whose panels
 # never converge would double its pending panels on every level.
 _PANELS_PER_ROUND = 16
+# Bisection levels a panel chain may descend before it fails.
+_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and depth limit of the adaptive quadrature."""
+    """Tolerances of the adaptive quadrature."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 40
 
     def __post_init__(self):
         # Written so that NaN fails them.
@@ -68,7 +69,7 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement hit max_depth; carries the partial result."""
+    """Adaptive refinement hit _MAX_DEPTH; carries the partial result."""
 
     def __init__(self, message: str, value: float, err_estimate: float):
         super().__init__(message)
@@ -120,7 +121,7 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
     their window's interior are ignored.  Each round evaluates the leftmost
     _PANELS_PER_ROUND pending panels of every window.  A panel is accepted
     when its error fits its share of max(rel_tol * |rough value|, abs_tol),
-    else bisected or, deeper than max_depth or with a lower end that is not
+    else bisected or, deeper than _MAX_DEPTH or with a lower end that is not
     finite, failed.  Every finished panel goes into one record; each window
     sums its values and errors from left to right up to its leftmost failed
     panel.  Returns per window (value, err_estimate), or the QuadratureError
@@ -167,7 +168,7 @@ def integrate_many(f, a, b, bp_win, bp, spec: QuadratureSpec) -> list:
         share[over] = tol[w[over]] * ((ph[over] - pl[over]) / width[w[over]])
         ok = (err <= share) | (err <= spec.abs_tol)
         # A panel whose lower end is not finite never converges: it fails at once.
-        split = ~ok & (pd < spec.max_depth) & np.isfinite(pl)
+        split = ~ok & (pd < _MAX_DEPTH) & np.isfinite(pl)
         end, failed = ~split, ~ok & ~split
         done.append((w[end], pl[end], ph[end], pd[end], value[end], err[end], failed[end]))
         np.minimum.at(fail_lo, w[failed], pl[failed])
@@ -229,7 +230,7 @@ def integrate(
     The one-window case of integrate_many, for f of 1-d nodes: the interval is
     pre-split at the strictly increasing breakpoints inside it.  Raises
     QuadratureError (carrying the partial value) if any panel chain exceeds
-    spec.max_depth.
+    _MAX_DEPTH.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if np.any(bp[1:] <= bp[:-1]):

@@ -172,7 +172,7 @@ class TestQslRatio:
         report = qsl_ratio(p, EXCITED, 0.2)
         assert abs(report.ratio - 1.0) < 1e-6
         assert not report.stationary
-        assert report.tau_qsl == pytest.approx(report.ratio * report.tau_d)
+        assert report.tau_qsl == pytest.approx(report.ratio * 0.2)
 
     def test_strong_coupling_speed_up_golden(self):
         # No published numeric value exists; frozen after the closed form
@@ -589,9 +589,10 @@ def _checked_probe_count(cells) -> int:
 
 
 class TestQuadratureErrorContext:
-    def test_error_names_model_point_and_window(self):
-        # max_depth=0 forbids bisection, so the strong-coupling integrals cannot converge.
-        spec = QuadratureSpec(max_depth=0, rel_tol=1e-15, abs_tol=0.0)
+    def test_error_names_model_point_and_window(self, monkeypatch):
+        # Depth limit 0 forbids bisection, so the strong-coupling integrals cannot converge.
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 0)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
         p = ModelParams(500.0, LAM, 0.0)
         calls = (
             lambda: qsl_ratio(p, EXCITED, 0.2, spec=spec),
@@ -606,10 +607,11 @@ class TestQuadratureErrorContext:
             assert "delta=0.0" in message
             assert "window [0.0, 0.2]" in message
 
-    def test_errors_survive_pickle(self):
+    def test_errors_survive_pickle(self, monkeypatch):
         # Worker processes send results back by pickle: a failed cell's error is the
         # engine's own, relabelled in place, so it must come back whole.
-        spec = QuadratureSpec(max_depth=0, rel_tol=1e-15, abs_tol=0.0)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 0)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
         p = ModelParams(500.0, LAM, 0.0)
         for [error] in (qsl_ratio_many([p], EXCITED, 0.2, spec=spec),
                         qsl_ratio_evolved_many([p], [0.0], 0.2, spec),
@@ -645,7 +647,7 @@ class TestManyCells:
         st = pytest.importorskip("hypothesis.strategies")
 
         @hypothesis.settings(max_examples=30, deadline=None)
-        # At max_depth 3 the first and last cells fail in all three estimators, the
+        # At depth limit 3 the first and last cells fail in all three estimators, the
         # second in none and the third in the trace-distance one only.
         @hypothesis.example(cells=[(2.0, 10.0, 0.0), (0.02, 0.0, 0.0), (5.0, 4.0, 1.0),
                                    (0.5, 10.0, 0.05)], max_depth=3)
@@ -655,18 +657,19 @@ class TestManyCells:
             max_depth=st.sampled_from([3, 40]),
         )
         def check(cells, max_depth):
-            spec = QuadratureSpec(max_depth=max_depth)
             params = [ModelParams(g * LAM, LAM, d * LAM) for g, d, _ in cells]
             taus = [tau for _, _, tau in cells]
-            many = zip(qsl_ratio_many(params, EXCITED, 0.2, spec=spec),
-                       qsl_ratio_evolved_many(params, taus, 0.2, spec),
-                       *excited_ratios_many(params, 0.2, spec))
-            for p, tau, results in zip(params, taus, many):
-                one = (lambda: qsl_ratio(p, EXCITED, 0.2, spec=spec),
-                       lambda: qsl_ratio_evolved(p, tau, 0.2, spec),
-                       lambda: qsl_ratio(p, EXCITED, 0.2, spec=spec),
-                       lambda: bures_comparator(p, 0.2, spec))
-                assert [_outcome(r) for r in results] == [_one_cell_outcome(c) for c in one]
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(quad_mod, "_MAX_DEPTH", max_depth)
+                many = zip(qsl_ratio_many(params, EXCITED, 0.2),
+                           qsl_ratio_evolved_many(params, taus, 0.2),
+                           *excited_ratios_many(params, 0.2))
+                for p, tau, results in zip(params, taus, many):
+                    one = (lambda: qsl_ratio(p, EXCITED, 0.2),
+                           lambda: qsl_ratio_evolved(p, tau, 0.2),
+                           lambda: qsl_ratio(p, EXCITED, 0.2),
+                           lambda: bures_comparator(p, 0.2))
+                    assert [_outcome(r) for r in results] == [_one_cell_outcome(c) for c in one]
 
         check()
 

@@ -159,10 +159,11 @@ class TestBoundary:
         assert float(on_res[0][1]) == pytest.approx(32.2, rel=0.02)
 
     def test_failed_flip_gives_record(self, capsys, monkeypatch):
-        # At max_depth 5 the bisection of the flip at delta = 150 fails, and so
+        # At depth limit 5 the bisection of the flip at delta = 150 fails, and so
         # do 13 scan cells at delta 400 to 500: each has its own row, written
         # with NaN, and its record follows the rows.
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_depth=5)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 5)
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
         monkeypatch.setattr(cli_mod, "_quad_spec", lambda opts: spec)
         code, out, err = invoke(capsys, "boundary", "--n-gamma0", "7", "--gamma0-min", "5",
                                 "--gamma0-max", "1000", "--n-delta", "11")
@@ -342,7 +343,8 @@ class TestCompareBounds:
     def test_failed_points_recorded(self, capsys, monkeypatch, delta, rel_tol, max_depth):
         # Every row is written; a failed ratio is NaN in its row, and its record
         # carries the one-cell call's message and partial value.
-        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=0.0, max_depth=max_depth)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", max_depth)
+        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=0.0)
         monkeypatch.setattr(cli_mod, "_quad_spec", lambda opts: spec)
         code, out, err = invoke(capsys, "compare-bounds", "--n-points", "12", "--delta",
                                 repr(delta))
@@ -425,6 +427,15 @@ class TestConfigFile:
         [record] = [json.loads(line) for line in err.splitlines()]
         assert record["error"] == "ValueError"
         assert record["message"] == f"{cfg}:3: expected key=value, got 'delta 100'"
+
+    def test_value_of_wrong_type_names_its_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_points = abc\n")
+        code, out, err = invoke(capsys, "sweep-tau", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "subcommand": "sweep-tau",
+                                   "message": "config key 'n_points' must be int, got 'abc'"}
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

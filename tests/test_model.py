@@ -57,19 +57,20 @@ class TestModelParams:
 
 class TestSpectralDensity:
     def test_peak_value(self):
-        p = ModelParams(5.0, LAM, 120.0, omega0=700.0)
-        assert spectral_density(p, p.omega0 - p.delta) == pytest.approx(p.gamma0 / 2.0)
+        p = ModelParams(5.0, LAM, 120.0)
+        center = 700.0 - p.delta
+        assert spectral_density(p, center, omega0=700.0) == pytest.approx(p.gamma0 / 2.0)
 
     def test_half_width_points(self):
-        p = ModelParams(5.0, LAM, 120.0, omega0=700.0)
-        center = p.omega0 - p.delta
-        assert spectral_density(p, center + LAM) == pytest.approx(p.gamma0 / 4.0)
-        assert spectral_density(p, center - LAM) == pytest.approx(p.gamma0 / 4.0)
+        p = ModelParams(5.0, LAM, 120.0)
+        center = 700.0 - p.delta
+        assert spectral_density(p, center + LAM, omega0=700.0) == pytest.approx(p.gamma0 / 4.0)
+        assert spectral_density(p, center - LAM, omega0=700.0) == pytest.approx(p.gamma0 / 4.0)
 
     def test_direct_evaluation(self):
-        # gamma0=5, lam=50, offset 50 from the center: (1/2)*5*2500/(2500+2500)
+        # gamma0=5, lam=50, offset 50 from the center at omega0 0: (1/2)*5*2500/(2500+2500)
         p = ModelParams(5.0, LAM, 0.0)
-        assert spectral_density(p, p.omega0 - p.delta + 50.0) == pytest.approx(1.25)
+        assert spectral_density(p, -p.delta + 50.0) == pytest.approx(1.25)
 
 
 class TestMemoryKernel:

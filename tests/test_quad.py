@@ -42,7 +42,7 @@ def _depth_first(f, a, b, spec, breakpoints=()):
             total += value
             err_total += err
             continue
-        if depth >= spec.max_depth:
+        if depth >= quad_mod._MAX_DEPTH:
             raise QuadratureError(
                 f"quadrature did not converge on [{lo}, {hi}] after depth {depth}",
                 value=total + value, err_estimate=err_total + err,
@@ -95,8 +95,9 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t: t, 1.0, 0.0)
 
-    def test_max_depth_failure_carries_partial(self):
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_depth=3)
+    def test_max_depth_failure_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 3)
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0)
         with pytest.raises(QuadratureError) as exc_info:
             integrate(lambda t: np.abs(np.sin(50.0 * t)), 0.0, 1.0, spec)
         assert math.isfinite(exc_info.value.value)
@@ -118,18 +119,20 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("panels_per_round", [1, 16])
     @pytest.mark.parametrize(
-        "spec, breakpoints",
+        "spec, max_depth, breakpoints",
         [
-            (QuadratureSpec(), ()),
-            (QuadratureSpec(rel_tol=1e-12, abs_tol=0.0), (0.1, 0.5, 0.77)),
-            (QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_depth=3), ()),
-            (QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7), (0.3, 0.31)),
+            (QuadratureSpec(), quad_mod._MAX_DEPTH, ()),
+            (QuadratureSpec(rel_tol=1e-12, abs_tol=0.0), quad_mod._MAX_DEPTH, (0.1, 0.5, 0.77)),
+            (QuadratureSpec(rel_tol=1e-14, abs_tol=0.0), 3, ()),
+            (QuadratureSpec(rel_tol=1e-13, abs_tol=0.0), 7, (0.3, 0.31)),
         ],
         ids=["spec0", "spec1", "spec2", "spec3"],
     )
-    def test_matches_depth_first_bisection(self, monkeypatch, spec, breakpoints, panels_per_round):
+    def test_matches_depth_first_bisection(self, monkeypatch, spec, max_depth, breakpoints,
+                                           panels_per_round):
         # Same panels, same left-to-right sums, same first failure and partial value.
         monkeypatch.setattr(quad_mod, "_PANELS_PER_ROUND", panels_per_round)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", max_depth)
         f = lambda t: np.abs(np.sin(50.0 * t)) * np.exp(-t)
         args = f, 0.0, 1.0, spec, breakpoints
         assert _outcome(integrate, *args) == _outcome(_depth_first, *args)
@@ -150,19 +153,17 @@ class TestIntegrate:
         )
         def check(freq, b, breakpoints, rel_tol, abs_tol, max_depth, panels_per_round):
             f = lambda t: np.abs(np.sin(freq * t)) * np.exp(-t)
-            args = f, 0.0, b, QuadratureSpec(rel_tol, abs_tol, max_depth), tuple(breakpoints)
-            saved = quad_mod._PANELS_PER_ROUND
-            quad_mod._PANELS_PER_ROUND = panels_per_round
-            try:
-                outcome = _outcome(integrate, *args)
-            finally:
-                quad_mod._PANELS_PER_ROUND = saved
-            assert outcome == _outcome(_depth_first, *args)
+            args = f, 0.0, b, QuadratureSpec(rel_tol, abs_tol), tuple(breakpoints)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(quad_mod, "_PANELS_PER_ROUND", panels_per_round)
+                m.setattr(quad_mod, "_MAX_DEPTH", max_depth)
+                assert _outcome(integrate, *args) == _outcome(_depth_first, *args)
 
         check()
 
-    def test_many_windows_match_one_at_a_time(self):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_depth=7)
+    def test_many_windows_match_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 7)
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
         # Two windows with kinks inside, an empty one, and one between two kinks.
         k = math.pi / 50.0
         a, b = [0.0, 0.2, 0.5, k], [1.0, 0.9, 0.5, 2.0 * k]
@@ -177,10 +178,11 @@ class TestIntegrate:
                 result = str(result), result.value, result.err_estimate
             assert result == one
 
-    def test_nan_end_takes_the_panel_path(self):
-        # b != a holds for NaN ends, so the window is refined until max_depth.
+    def test_nan_end_takes_the_panel_path(self, monkeypatch):
+        # b != a holds for NaN ends, so the window is refined until _MAX_DEPTH.
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 5)
         with pytest.raises(QuadratureError):
-            integrate(lambda t: t, 0.0, math.nan, QuadratureSpec(max_depth=5))
+            integrate(lambda t: t, 0.0, math.nan)
 
     @pytest.mark.parametrize("a, b", [(math.nan, math.nan), (math.nan, 1.0), (-math.inf, 1.0)])
     def test_non_finite_start_fails_at_once(self, a, b):

@@ -91,11 +91,12 @@ class TestGridScan:
         grid = small_grid()
         assert all(isinstance(r, BoundReport) for row in grid.results for r in row)
 
-    def test_cell_failures_recorded_scan_continues(self):
-        # At max_depth 4 the quadrature fails on some detuned cells only: each
+    def test_cell_failures_recorded_scan_continues(self, monkeypatch):
+        # At depth limit 4 the quadrature fails on some detuned cells only: each
         # failure is recorded as the one-cell call raises it, and every other
         # cell completes with the one-cell report.
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 4)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
         grid = small_grid(spec)
         failed = set()
         for i, g0 in enumerate(grid.gamma0_axis.tolist()):
@@ -113,10 +114,18 @@ class TestGridScan:
         assert failed == {(0, 2), (1, 2), (4, 2), (5, 2), (6, 2)}
 
     def test_reports_independent_of_batch_size(self, monkeypatch):
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
-        batched = [repr(g.results) for g in (small_grid(), small_grid(spec))]
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
+
+        def grids():
+            # The default grid, and one at depth limit 4, where some cells fail.
+            with monkeypatch.context() as m:
+                m.setattr(quad_mod, "_MAX_DEPTH", 4)
+                shallow = small_grid(spec)
+            return [repr(g.results) for g in (small_grid(), shallow)]
+
+        batched = grids()
         one_chunk_per_cell(monkeypatch)
-        assert [repr(g.results) for g in (small_grid(), small_grid(spec))] == batched
+        assert grids() == batched
 
     def test_default_scan_closed_form_calls(self, closed_form_calls):
         # 630 cells: one batched call for every window's end points plus 170
@@ -184,13 +193,14 @@ class TestTransitionBoundary:
         assert transition_boundary(grid) == serial_boundary(grid, None)
 
     @pytest.mark.parametrize("max_depth", [3, 5])
-    def test_failed_flips_recorded(self, max_depth):
-        # At max_depth 3 the second flip fails on its first step and the first
-        # flip on its third; at max_depth 5 only the second flip fails.  Each
+    def test_failed_flips_recorded(self, monkeypatch, max_depth):
+        # At depth limit 3 the second flip fails on its first step and the first
+        # flip on its third; at depth limit 5 only the second flip fails.  Each
         # flip holds what the flip-by-flip loop gives it: its boundary, or the
         # error of its failed step.
         grid = small_grid()
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_depth=max_depth)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", max_depth)
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
         points = transition_boundary(grid, spec=spec)
         expected = serial_boundary(grid, spec)
         assert [tuple(map(outcome, pt)) for pt in points] == [
@@ -198,10 +208,11 @@ class TestTransitionBoundary:
         n_failed = sum(isinstance(g, QuadratureError) for _, g, _ in points)
         assert n_failed == (2 if max_depth == 3 else 1)
 
-    def test_failed_cells_recorded(self):
-        # At max_depth 4 five cells of the delta = 300 row fail: each is its own
+    def test_failed_cells_recorded(self, monkeypatch):
+        # At depth limit 4 five cells of the delta = 300 row fail: each is its own
         # entry with the cell's error, in gamma0 order.
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 4)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
         grid = small_grid(spec)
         points = transition_boundary(grid, spec=spec)
         assert [tuple(map(outcome, pt)) for pt in points] == [
@@ -237,9 +248,9 @@ class TestTransitionBoundary:
         assert all(pt[0] != 300.0 for pt in points)
 
 
-def kink_search_points(monkeypatch, closed_form_calls, gamma0: float) -> int:
+def kink_search_points(monkeypatch, closed_form_calls, gamma0: float, delta: float = 0.0) -> int:
     """The closed-form points that the one kink search of a 200-window sweep-tau request at
-    gamma0, delta 0 and lam 50 evaluates."""
+    gamma0, delta and lam 50 evaluates."""
     spans = []
     real = quad_mod.find_sign_changes_many
 
@@ -250,7 +261,7 @@ def kink_search_points(monkeypatch, closed_form_calls, gamma0: float) -> int:
         return found
 
     monkeypatch.setattr(quad_mod, "find_sign_changes_many", search)
-    sweep_tau(ModelParams(gamma0, LAM, 0.0), 2.0, 200, 0.2)
+    sweep_tau(ModelParams(gamma0, LAM, delta), 2.0, 200, 0.2)
     [(start, end)] = spans
     return sum(math.prod(s) for s in closed_form_calls[start:end])
 
@@ -299,16 +310,25 @@ class TestSweepTau:
         # certificates leave 1,804.
         assert kink_search_points(monkeypatch, closed_form_calls, 5.0) <= 1_804
 
-    def test_resonant_kink_search_points(self, monkeypatch, closed_form_calls):
-        # The resonant sweep of the trajectory benchmark (gamma0 10 lam): the certificates
-        # left 52,958 points with model._ROUNDING at 2^-40, and 31,013 at the derived 2^-48.
-        assert kink_search_points(monkeypatch, closed_form_calls, 500.0) <= 31_013
+    @pytest.mark.parametrize("gamma0, delta, bound", [
+        # The resonant sweep (gamma0 10 lam): the certificates left 52,958 points with
+        # model._ROUNDING at 2^-40, and 31,013 at the derived 2^-48.
+        (500.0, 0.0, 31_013),
+        # The detuned sweep (gamma0 20 lam, delta 4 lam): 22,442 points in 51 calls at
+        # the derived 2^-48.
+        (1000.0, 200.0, 22_442),
+    ], ids=["resonant", "detuned"])
+    def test_trajectory_kink_search_points(self, monkeypatch, closed_form_calls, gamma0, delta,
+                                           bound):
+        # The sweeps of the trajectory benchmark.
+        assert kink_search_points(monkeypatch, closed_form_calls, gamma0, delta) <= bound
 
-    def test_failed_points_recorded(self):
-        # The windows at tau = 0.1 and 0.2 fail; every other point gets its
-        # one-cell value, and a failed one NaN and its one-cell error.
+    def test_failed_points_recorded(self, monkeypatch):
+        # At depth limit 4 the windows at tau = 0.1 and 0.2 fail; every other point
+        # gets its one-cell value, and a failed one NaN and its one-cell error.
         p = ModelParams(20.0 * LAM, LAM, 4.0 * LAM)
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_depth=4)
+        monkeypatch.setattr(quad_mod, "_MAX_DEPTH", 4)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
         series = sweep_tau(p, 2.0, 21, 0.2, spec=spec)
         failed = []
         for k, tau in enumerate(np.linspace(0.0, 2.0, 21).tolist()):
@@ -324,9 +344,10 @@ class TestSweepTau:
         assert failed == [1, 2]
         # A negative tau_max is invalid input: it fails the sweep by name before
         # any work, also where the point before it would not converge.
-        for spec in (None, QuadratureSpec(max_depth=0)):
+        for max_depth in (40, 0):
+            monkeypatch.setattr(quad_mod, "_MAX_DEPTH", max_depth)
             with pytest.raises(ValueError, match="tau_max must be nonnegative, got -1.0"):
-                sweep_tau(p, -1.0, 3, 0.2, spec=spec)
+                sweep_tau(p, -1.0, 3, 0.2)
 
 
 class TestSweepDecayRate:
