@@ -8,19 +8,21 @@ separator, "," or "\n".  A field fills the bytes a row does not use with
 are written as '%.17g' % v, bools as true/false, and ints and strs as the
 UTF-8 bytes of str(v), NULs included.
 
-Floats.  A finite nonzero v = +-m * 2**q, with m a 53-bit integer, is
-rounded to 17 significant digits D * 10**(E - 16) through one double-double
-product y = m * P, P = 10**(16 - E) * 2**q.  E starts from floor(log10|v|).
-P is split into doubles by exact integer arithmetic, once per (q, E) key;
-m * P is Dekker's exact product of two doubles plus a correction term, so y
-is within 2**-46 of its true value.  When y leaves [10**16, 10**17), E is
-corrected from y itself (unrounded), once.  D is y rounded half to even, as
-Python's correctly rounded formatting rounds; a D of 10**17 is 10**16 at
-E + 1.  The digits are then laid out by %g's rules: fixed notation for
--4 <= E < 17, else d.ddde+-XX, trailing zeros stripped and integer digits
-kept.  Python formats the elements this cannot decide (a remainder within
-2**-40 of 1/2, which includes every exact tie, or an E not settled by one
-correction) and zeros, NaN and infinities.
+Floats.  A finite nonzero v is rounded to 17 significant digits
+D * 10**(E - 16) through one double-double product y = |v| * 10**(16 - E),
+E starting from floor(log10|v|).  Per E, 10**(16 - E) = F * 2**k with
+1 <= F < 2 is split into doubles by exact integer arithmetic, once: F as
+hi + lo and 2**k as the two factors 2**(k // 2) and 2**(k - k // 2).
+|v| times the two factors is exact, since every operand stays a normal
+double, and that times F is Dekker's exact product of two doubles plus a
+correction term, so y is within 2**-46 of its true value.  When y leaves
+[10**16, 10**17), E is corrected from y itself (unrounded), once.  D is y
+rounded half to even, as Python's correctly rounded formatting rounds; a D
+of 10**17 is 10**16 at E + 1.  The digits are then laid out by %g's rules:
+fixed notation for -4 <= E < 17, else d.ddde+-XX, trailing zeros stripped
+and integer digits kept.  Python formats the elements this cannot decide
+(a remainder within 2**-40 of 1/2, which includes every exact tie, or an E
+not settled by one correction) and zeros, NaN and infinities.
 
 A float field is four words, 32 bytes; '%.17g' never needs more than 24.
 D's 17 ASCII digits are placed twice, copy A at bytes 6-22 and copy B one
@@ -35,7 +37,7 @@ is three ANDs and ORs of its digits.  The last word comes whole from one of
 two tables per E, one per separator.  A field that falls back is Python's
 text followed by its separator.
 
-Every table holds one row per word and one column per layout, E or key, so
+Every table holds one row per word and one column per layout or E, so
 each gather gives a row per word and every pass over a chunk reads and
 writes contiguous arrays.  A chunk's float columns are formatted as one
 array, column after column, into words (4, columns, rows); each column's
@@ -49,10 +51,6 @@ import numpy as np
 # of 26 significant bits each, hi = c - (c - x) with c = _SPLIT * x.
 _SPLIT = 134217729.0
 _TIE = 2.0 ** -40  # a remainder this close to 1/2 is left to Python
-# |v| = m * 2**q with 2**52 <= m < 2**53 for every finite nonzero double v.
-_Q_MIN, _Q_MAX = -1126, 971
-# Keys (q, E) for E from floor(log10(2**(q + 52))) - 1 to that + 2.
-_SLOTS = 4
 
 _FILL = 0xFF
 _FILL_BYTE = bytes([_FILL])
@@ -70,24 +68,23 @@ _E_MAX = 324  # |E| of a double's 17-digit rounding
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
-def _power_parts(q: int, e: int) -> tuple[float, float, float, float]:
-    """10**(16 - e) * 2**q as hi + lo (each rounded to nearest) with hi's Veltkamp halves."""
-    num, den = 1, 1
+def _power_parts(e: int) -> tuple[float, ...]:
+    """10**(16 - e) = F * 2**k, 1 <= F < 2: F as hi + lo (each rounded to
+    nearest) with hi's Veltkamp halves, then 2**k as 2**(k // 2) * 2**(k - k // 2)."""
     s = 16 - e
-    if s >= 0:
-        num = 10**s
-    else:
-        den = 10**-s
-    if q >= 0:
-        num <<= q
-    else:
-        den <<= -q
+    num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+    k = num.bit_length() - den.bit_length()  # then 1/2 < num / den / 2**k < 2
+    num <<= max(-k, 0)
+    den <<= max(k, 0)
+    if num < den:
+        num <<= 1
+        k -= 1
     hi = num / den  # int / int is correctly rounded
     a, b = hi.as_integer_ratio()
     lo = (num * b - a * den) / (den * b)
     c = _SPLIT * hi
     hh = c - (c - hi)
-    return hi, hh, hi - hh, lo
+    return hi, hh, hi - hh, lo, 2.0 ** (k // 2), 2.0 ** (k - k // 2)
 
 
 def _float_layouts() -> np.ndarray:
@@ -141,15 +138,12 @@ def _exponent_words() -> np.ndarray:
 
 class _FloatTables:
     """The float layouts' words (8, layouts), four ASCII digits per number
-    below 10**4, per E the layout's base index and, per separator, the
-    field's last word, and the parts of 10**(16 - E) * 2**q (4, keys),
-    computed per key on first use."""
+    below 10**4, and per E the layout's base index, per separator the
+    field's last word, and the parts of 10**(16 - E) (6, E), computed per E
+    on first use."""
 
     def __init__(self):
-        n = (_Q_MAX - _Q_MIN + 1) * _SLOTS
-        self.parts = np.full((4, n), np.nan)  # NaN until computed
-        # Per q, the first key's E: floor(log10(2**(q + 52))) - 1, exact for these q.
-        self.first_e = ((np.arange(_Q_MIN, _Q_MAX + 1) + 52) * 78913 >> 18) - 1
+        self.parts = np.full((6, 2 * _E_MAX + 1), np.nan)  # NaN until computed
         self.layouts = _float_layouts()
         # g = 1000 a + 100 b + 10 c + d as the bytes a, b, c, d, the first lowest.
         ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
@@ -163,26 +157,24 @@ class _FloatTables:
         self.exponent = {sep: exponent ^ np.uint64((_FILL ^ sep) << 56)
                          for sep in (_COMMA, _NEWLINE)}
 
-    def powers(self, row: np.ndarray, e: np.ndarray):
-        """P's parts (hi, hi's halves, lo), one row each, and where E lies outside
-        the keys; row is q - _Q_MIN."""
-        slot = e - np.take(self.first_e, row, mode="clip")
-        outside = slot.view(np.uint64) >= _SLOTS  # a negative slot too
-        # Where E is outside, another key or, clipped, an end key: the row falls back.
-        key = row * _SLOTS + slot
+    def powers(self, e: np.ndarray) -> np.ndarray:
+        """The parts of 10**(16 - E) as _power_parts gives them, one row each;
+        an E beyond +-_E_MAX takes the end's."""
+        key = e + _E_MAX
         parts = np.take(self.parts, key, axis=1, mode="clip")
         new = np.isnan(parts[0])
         if new.any():
-            for k in set(np.clip(key[new], 0, self.parts.shape[1] - 1).tolist()):
-                r, s = divmod(k, _SLOTS)
-                self.parts[:, k] = _power_parts(r + _Q_MIN, int(self.first_e[r]) + s)
+            for k in set(np.clip(key[new], 0, 2 * _E_MAX).tolist()):
+                self.parts[:, k] = _power_parts(k - _E_MAX)
             parts = np.take(self.parts, key, axis=1, mode="clip")
-        return parts, outside
+        return parts
 
 
-def _scaled(m: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m * P as an unevaluated sum y_hi + y_lo, P's parts (hi, hh, hl, lo) as powers gives them."""
-    hi, hh, hl, lo = parts
+def _scaled(a: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - E) as an unevaluated sum y_hi + y_lo, from the parts powers gives."""
+    hi, hh, hl, lo, half, rest = parts
+    m = a * half
+    m *= rest  # a * 2**k, exact: both products are normal doubles
     c = _SPLIT * m
     mh = c - m
     np.subtract(c, mh, out=mh)  # mh = c - (c - m)
@@ -212,7 +204,8 @@ def _significant_digits(w12: np.ndarray) -> np.ndarray:
     low, high = nonzero.view(np.int64)
     last = high * 2.0**64
     last += low
-    return (np.frexp(last)[1] + 7) >> 3
+    last += 0.5  # the exponent field is then 1022 plus the integer's bit length, 0 for none
+    return (last.view(np.int64) >> 52) - 1015 >> 3
 
 
 def _bytes_field(blobs: list[bytes]) -> np.ndarray:
@@ -231,19 +224,14 @@ def _float_fields(x: np.ndarray, seps: list[int], tables: _FloatTables) -> np.nd
     x = x.ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Zeros, NaN and infinities, the values whose log10 is not finite, fall back;
-        # their keys and digits are whatever the arithmetic gives, which the
+        # their E and digits are whatever the arithmetic gives, which the
         # gathers below clip or keep in range.
         ax = np.abs(x)
-        f, q = np.frexp(ax)
-        m = np.multiply(f, 2.0**53, out=f)
-        row = q.astype(np.int64)
-        row -= 53 + _Q_MIN  # the key row of q = frexp's exponent - 53
-        e = np.log10(ax, out=ax)
+        e = np.log10(ax)
         special = ~np.isfinite(e)
         e = np.floor(e, out=e).astype(np.int64)
         for correction in range(2):
-            parts, outside = tables.powers(row, e)
-            y_hi, y_lo = _scaled(m, parts)
+            y_hi, y_lo = _scaled(ax, tables.powers(e))
             # y = y_hi + y_lo with |y_lo| <= ulp(y_hi) / 2, so y_hi - 10**k is exact
             # or larger than y_lo, and adding y_lo keeps the sign of y - 10**k.
             low = (y_hi - 1e16) + y_lo < 0.0
@@ -253,7 +241,6 @@ def _float_fields(x: np.ndarray, seps: list[int], tables: _FloatTables) -> np.nd
             if correction or not unsettled.any():
                 break
             e += high.astype(np.int64) - low
-        unsettled |= outside
         unsettled |= special
         # Rows that fall back get D = 10**16, so D's digits stay in range.
         np.copyto(y_hi, 1e16, where=unsettled)

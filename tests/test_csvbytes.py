@@ -1,6 +1,7 @@
 """The CSV byte-field writer against Python's own formatting, value by value."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,16 +204,13 @@ class TestFloatTables:
     def test_layouts(self):
         assert np.array_equal(csvbytes._float_layouts(), first_float_layouts().T)
 
-    def test_digits_layout_base_and_first_e(self):
+    def test_digits_and_layout_base(self):
         tables = csvbytes._FloatTables()
         assert tables.digits.dtype == np.uint64
         assert np.array_equal(tables.digits, first_digits())
         e = np.arange(-csvbytes._E_MAX, csvbytes._E_MAX + 1)
         notation = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
         assert np.array_equal(tables.layout_base, notation * 17)
-        q = np.arange(csvbytes._Q_MIN, csvbytes._Q_MAX + 1)
-        assert tables.first_e.tolist() == [math.floor(math.log10(2.0 ** (v + 52))) - 1
-                                           for v in q.tolist()]
 
     def test_exponent_word_per_separator(self):
         tables = csvbytes._FloatTables()
@@ -221,13 +219,59 @@ class TestFloatTables:
             want = (words & ~np.uint64(0xFF << 56)) | np.uint64(sep << 56)
             assert np.array_equal(tables.exponent[sep], want)
 
-    def test_parts_per_key(self):
+    def test_parts_per_e(self):
+        # 10**(16 - E) = F * 2**k, 1 <= F < 2: hi and lo are F and F - hi rounded to
+        # nearest, hi's halves have 26 bits each, and the factors are 2**(k // 2) and
+        # 2**(k - k // 2), every one exact.
         tables = csvbytes._FloatTables()
-        q = np.array([-1126, -1074, -53, 0, 52, 971])
-        row = q - csvbytes._Q_MIN
-        for slot in range(csvbytes._SLOTS):
-            e = tables.first_e[row] + slot
-            parts, outside = tables.powers(row, e)
-            assert not outside.any()
-            want = [csvbytes._power_parts(a, b) for a, b in zip(q.tolist(), e.tolist())]
-            assert np.array_equal(parts, np.array(want).T)
+        e = np.arange(-csvbytes._E_MAX, csvbytes._E_MAX + 1)
+        parts = tables.powers(e)
+        assert parts.shape == (6, e.size)
+        for column, v in zip(parts.T.tolist(), e.tolist()):
+            hi, hh, hl, lo, half, rest = column
+            power = Fraction(10) ** (16 - v)
+            k = power.numerator.bit_length() - power.denominator.bit_length()
+            k -= power < Fraction(2) ** k
+            assert Fraction(2) ** k <= power < Fraction(2) ** (k + 1)
+            assert Fraction(half) == Fraction(2) ** (k // 2)
+            assert Fraction(rest) == Fraction(2) ** (k - k // 2)
+            assert Fraction(half) * Fraction(rest) == Fraction(2) ** k
+            f = power / Fraction(2) ** k
+            assert hi == float(f) and lo == float(f - Fraction(hi))
+            assert hh + hl == hi
+            assert all(abs(h.as_integer_ratio()[0]) < 2**26 for h in (hh, hl))
+        # Each E's column whatever the batch, and the end's beyond +-_E_MAX.
+        e_max = csvbytes._E_MAX
+        beyond = np.array([-e_max - 1, -2**62, e_max + 1, 2**62, 0, 0])
+        want = parts[:, [0, 0, -1, -1, e_max, e_max]]
+        assert np.array_equal(csvbytes._FloatTables().powers(beyond), want)
+        assert np.array_equal(tables.powers(beyond), want)
+
+
+class TestFallbackRows:
+    """The rows left to Python: a table fault that sent a range of E there would
+    print the same text, only slower."""
+
+    @staticmethod
+    def fallback_fields(monkeypatch, values) -> list[bytes]:
+        # With one float column, every call of _bytes_field holds fallback fields.
+        fields = []
+        bytes_field = csvbytes._bytes_field
+
+        def spy(blobs):
+            fields.extend(blobs)
+            return bytes_field(blobs)
+
+        monkeypatch.setattr(csvbytes, "_bytes_field", spy)
+        assert mismatches(values) == []
+        return fields
+
+    def test_random_values(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        values = np.concatenate([rng.uniform(0.0, 5.0, 10**6), rng.uniform(-25.0, 25.0, 10**6)])
+        assert len(self.fallback_fields(monkeypatch, values)) <= 1
+
+    def test_powers_of_two(self, monkeypatch):
+        # Of every power of two, only 2**-25 = 2.98023223876953125e-08, an exact tie.
+        values = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert self.fallback_fields(monkeypatch, values) == [b"%.17g\n" % 2.0**-25]

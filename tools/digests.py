@@ -16,7 +16,10 @@ with `--format json`, requests that reach the CSV writer's rarer float
 layouts or cross a JSON chunk (WRITER: `decay-rate --gamma0 500 --clip
 1e-5`, where every row but t = 0 is clipped to +-1e-5 in exponent notation,
 86 of them negative, `decay-rate --t-max 1e-300 --n-points 3`, whose times
-have three-digit exponents, and `decay-rate --n-points 4097 --format json`),
+have three-digit exponents, the two ends of the decimal exponents,
+`decay-rate --t-max 1e308 --n-points 3` (E = 307 and 308) and `decay-rate
+--t-max 1e-320 --n-points 4` (subnormal times and rates, E = -321 to -319),
+and `decay-rate --n-points 4097 --format json`),
 requests whose windows hold 20,000 probes or more (BIG_WINDOWS: `ratio
 --delta 10000`, `ratio --gamma0 1e6`, `scan --lambda 1000`, `boundary
 --lambda 1500`, `sweep-tau --gamma0 1e6` and `compare-bounds --delta
@@ -45,7 +48,7 @@ where the kink search certifies few signs near the pair (CERTIFIED: a
 show what the parser prints, which it builds only in part when argv names a
 subcommand (PARSER: `--help`, `scan --help`, `sweep-tau --help`, `bogus`,
 the bare command, `scan extra` and `decay-rate --n-gamma0 3`), with a
-`sweep-tau` at delta -0.0, a model point of its own: 102 requests.  They run as
+`sweep-tau` at delta -0.0, a model point of its own: 104 requests.  They run as
 `python -m qslkit.cli` from CHECKOUT's
 src/ (default: this checkout), so diffing the output of two checkouts shows
 whether they print the same bytes on this host.  No golden file is kept:
@@ -93,10 +96,12 @@ FAILURES = (
     "boundary --rel-tol 1e-15 --abs-tol 0 --n-gamma0 6 --n-delta 3",
     "scan --rel-tol 1e-13 --abs-tol 0",
 )
-# Rarer float layouts of the CSV writer, and two JSON chunks.
+# Rarer float layouts of the CSV writer, both ends of its decimal exponents, and two JSON chunks.
 WRITER = (
     "decay-rate --gamma0 500 --clip 1e-5",
     "decay-rate --t-max 1e-300 --n-points 3",
+    "decay-rate --t-max 1e308 --n-points 3",
+    "decay-rate --t-max 1e-320 --n-points 4",
     "decay-rate --n-points 4097 --format json",
 )
 # Windows whose ends lie near the largest and smallest doubles.
